@@ -57,7 +57,6 @@ _EXPORTS = {
     "constant_system_residuals": "asymptotics",
     "AsymptoticFit": "asymptotics",
     "fit_exponents": "asymptotics",
-    "fit_phases": "asymptotics",
     "PairProduct": "asymptotics",
     "pair_product_check": "asymptotics",
     "RatioCheck": "asymptotics",

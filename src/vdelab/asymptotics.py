@@ -180,7 +180,9 @@ def fit_exponents(
     the transient regime.  The measured exponent is the least-squares
     slope of log|m_k| against log r in the window; the measured constant
     and phase are read off at the smallest radius (the constant normalized
-    by the predicted exponent).  A non-monotone |m_k| inside the window
+    by the predicted exponent, the phase as arg m_k minus the predicted
+    exponent times the ray angle, against the limit pi k/(n+1)).  A
+    non-monotone |m_k| inside the window
     indicates an unconverged path and raises.
     """
     radii, phi0 = _path_radii_and_angle(path)
@@ -224,19 +226,6 @@ def fit_exponents(
             )
         )
     return fits
-
-
-def fit_phases(
-    path: list[VdeSolution], profile: VarianceProfile
-) -> list[AsymptoticFit]:
-    """Phase-limit fits along a ray.
-
-    Same engine as fit_exponents; the phase fields carry the content:
-    arg m_k(r e^{i phi0}) - (1 - 2k/(n+1)) phi0 at the smallest radius
-    against the predicted limit pi k/(n+1).  Each arg m_k lies in (0, pi)
-    because the solution stays in the upper half-plane.
-    """
-    return fit_exponents(path, profile)
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import numbers
 import os
 import sys
 
@@ -66,6 +67,13 @@ def _fmt(x: float) -> str:
     return f"{x:.12e}"
 
 
+def _row(*cells) -> str:
+    """One tab-separated table row: integers verbatim, reals through _fmt."""
+    return "\t".join(
+        str(c) if isinstance(c, numbers.Integral) else _fmt(float(c)) for c in cells
+    )
+
+
 def _radii(config: RunConfig) -> list[float]:
     if not 0 < config.r_min <= config.r_max:
         raise ValueError(
@@ -91,6 +99,14 @@ def _solver_options(config: RunConfig, profile):
     return SolverOptions(tol=tol)
 
 
+def _ray_path(config: RunConfig, profile):
+    from .solver import solve_path
+
+    return solve_path(
+        profile, config.ray, _radii(config), _solver_options(config, profile)
+    )
+
+
 def _cmd_classify(config: RunConfig, profile) -> list[str]:
     from .profiles import classify_regime
 
@@ -99,9 +115,7 @@ def _cmd_classify(config: RunConfig, profile) -> list[str]:
 
 
 def _cmd_solve(config: RunConfig, profile) -> list[str]:
-    from .solver import solve_path
-
-    path = solve_path(profile, config.ray, _radii(config), _solver_options(config, profile))
+    path = _ray_path(config, profile)
     return json.dumps(path[-1].to_json_dict(), sort_keys=True).splitlines()
 
 
@@ -109,9 +123,8 @@ def _cmd_scan(config: RunConfig, profile) -> list[str]:
     import numpy as np
 
     from .asymptotics import fit_exponents
-    from .solver import solve_path
 
-    path = solve_path(profile, config.ray, _radii(config), _solver_options(config, profile))
+    path = _ray_path(config, profile)
     fits = fit_exponents(path, profile)
     lines = [
         "# columns: k r abs_m arg_m measured_exponent predicted_exponent "
@@ -122,19 +135,17 @@ def _cmd_scan(config: RunConfig, profile) -> list[str]:
         for sol in path:
             mk = sol.m[k - 1]
             lines.append(
-                "\t".join(
-                    [
-                        str(k),
-                        _fmt(abs(sol.point.z)),
-                        _fmt(float(np.abs(mk))),
-                        _fmt(float(np.angle(mk))),
-                        _fmt(fit.measured_exponent),
-                        _fmt(fit.predicted_exponent),
-                        _fmt(fit.measured_phase),
-                        _fmt(fit.predicted_phase),
-                        _fmt(fit.measured_constant),
-                        _fmt(fit.predicted_constant),
-                    ]
+                _row(
+                    k,
+                    abs(sol.point.z),
+                    np.abs(mk),
+                    np.angle(mk),
+                    fit.measured_exponent,
+                    fit.predicted_exponent,
+                    fit.measured_phase,
+                    fit.predicted_phase,
+                    fit.measured_constant,
+                    fit.predicted_constant,
                 )
             )
     return lines
@@ -160,14 +171,7 @@ def _cmd_constants(config: RunConfig, profile) -> list[str]:
     ]
     for k in range(1, n + 1):
         lines.append(
-            "\t".join(
-                [
-                    str(k),
-                    _fmt(float(c[k - 1])),
-                    _fmt(predicted_exponent(k, n)),
-                    _fmt(predicted_phase(k, n)),
-                ]
-            )
+            _row(k, c[k - 1], predicted_exponent(k, n), predicted_phase(k, n))
         )
     return lines
 
@@ -209,23 +213,19 @@ def _cmd_density(config: RunConfig, profile) -> list[str]:
         lines.append(f"# divergence_fit skipped: {exc}")
     lines.append("# columns: E rho eta_used extrapolation_error_estimate")
     eta_used = dp.eta_schedule[-1]
-    for i in range(dp.energies.size):
-        lines.append(
-            "\t".join(
-                [
-                    _fmt(float(dp.energies[i])),
-                    _fmt(float(dp.rho[i])),
-                    _fmt(eta_used),
-                    _fmt(float(dp.error_estimates[i])),
-                ]
-            )
-        )
+    for e_val, rho, err in zip(dp.energies, dp.rho, dp.error_estimates):
+        lines.append(_row(e_val, rho, eta_used, err))
     return lines
 
 
 def _cmd_mc(config: RunConfig, profile) -> list[str]:
+    from .density import DEFAULT_ETA_SCHEDULE
     from .montecarlo import EnsembleSpec, empirical_near_zero
 
+    # the report's relative error divides by the predicted mass in
+    # [-delta, delta], which is 0 at delta = 0
+    if not config.delta > 0:
+        raise ValueError(f"mc needs delta > 0, got {config.delta}")
     inner = config.inner_list[0] if config.inner_list else DEFAULT_MC_INNER
     spec = EnsembleSpec(
         small_profile=profile,
@@ -233,11 +233,10 @@ def _cmd_mc(config: RunConfig, profile) -> list[str]:
         trials=config.trials,
         seed=config.seed,
     )
-    schedule = config.eta_schedule
-    result = (
-        empirical_near_zero(spec, config.delta, eta_schedule=schedule)
-        if schedule
-        else empirical_near_zero(spec, config.delta)
+    result = empirical_near_zero(
+        spec,
+        config.delta,
+        eta_schedule=config.eta_schedule or DEFAULT_ETA_SCHEDULE,
     )
     lines = [
         f"# inner_N {inner}",
@@ -250,7 +249,7 @@ def _cmd_mc(config: RunConfig, profile) -> list[str]:
         "# columns: trial fraction",
     ]
     for trial, frac in enumerate(result.per_trial):
-        lines.append(f"{trial}\t{_fmt(float(frac))}")
+        lines.append(_row(trial, frac))
     return lines
 
 
@@ -270,10 +269,9 @@ def _expanded_profile(config: RunConfig, profile):
 
 def _cmd_reduce(config: RunConfig, profile) -> list[str]:
     from .asymptotics import vde_like_reduce
-    from .solver import solve_path
 
     prof = _expanded_profile(config, profile)
-    path = solve_path(prof, config.ray, _radii(config), _solver_options(config, prof))
+    path = _ray_path(config, prof)
     omega, s_hat, diag = vde_like_reduce(path[-1], prof)
     n = omega.size
     lines = [
@@ -286,15 +284,9 @@ def _cmd_reduce(config: RunConfig, profile) -> list[str]:
         "# columns: k omega_re omega_im then rows of s_hat (re im pairs)",
     ]
     for k in range(n):
-        lines.append(
-            f"{k + 1}\t{_fmt(float(omega[k].real))}\t{_fmt(float(omega[k].imag))}"
-        )
+        lines.append(_row(k + 1, omega[k].real, omega[k].imag))
     for k in range(n):
-        cells = []
-        for j in range(n):
-            cells.append(_fmt(float(s_hat[k, j].real)))
-            cells.append(_fmt(float(s_hat[k, j].imag)))
-        lines.append("\t".join(cells))
+        lines.append(_row(*(part for v in s_hat[k] for part in (v.real, v.imag))))
     return lines
 
 
@@ -319,14 +311,12 @@ def _cmd_sweep(config: RunConfig, profile) -> list[str]:
     ]
     for row in result.rows:
         lines.append(
-            "\t".join(
-                [
-                    str(row.inner),
-                    _fmt(row.radius),
-                    _fmt(row.min_modulus),
-                    _fmt(row.max_modulus),
-                    _fmt(row.max_phase_deviation),
-                ]
+            _row(
+                row.inner,
+                row.radius,
+                row.min_modulus,
+                row.max_modulus,
+                row.max_phase_deviation,
             )
         )
     return lines

@@ -19,7 +19,9 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .profiles import VarianceProfile
-from .solver import SolverOptions, SpectralPoint, solve, suggested_tol
+from .solver import (
+    SolverOptions, SpectralPoint, continuation_guess, solve, suggested_tol
+)
 
 DEFAULT_ETA_SCHEDULE: tuple[float, ...] = tuple(np.geomspace(1e-2, 1e-6, 5))
 
@@ -43,8 +45,6 @@ class DensityProfile:
     energies: np.ndarray
     rho: np.ndarray
     eta_schedule: tuple[float, ...]
-    divergence_exponent: float | None
-    divergence_constant: float | None
     total_mass: float
     error_estimates: np.ndarray
 
@@ -71,28 +71,6 @@ def _validate_schedule(eta_schedule) -> list[float]:
     if math.log10(etas[0] / etas[-1]) < 2.0 - 1e-9:
         raise ValueError("eta schedule must span at least 2 decades")
     return etas
-
-
-def _imag_mean_along_eta(
-    profile: VarianceProfile, e_val: float, etas: list[float], opts: SolverOptions
-) -> np.ndarray:
-    """(1/(pi dim)) sum_k Im m_k(E + i eta) for each eta, warm-started."""
-    out = np.empty(len(etas))
-    prev = prev2 = None
-    for idx, eta in enumerate(etas):
-        guess = None
-        if prev is not None:
-            guess = prev
-            if prev2 is not None:
-                secant = prev * (prev / prev2)
-                if np.isfinite(secant).all() and (secant.imag > 0).all():
-                    guess = secant
-        sol = solve(
-            profile, SpectralPoint(re=e_val, im=eta), opts, warm_start=guess
-        )
-        out[idx] = sol.m.imag.sum() / (math.pi * profile.dim)
-        prev2, prev = prev, sol.m
-    return out
 
 
 def _extrapolate(etas: list[float], vals: np.ndarray) -> tuple[float, float, bool]:
@@ -131,12 +109,23 @@ def rho_at_detailed(
     eta_schedule=DEFAULT_ETA_SCHEDULE,
     opts: SolverOptions | None = None,
 ) -> PointDensity:
+    """Density at one energy from a descent over the eta schedule.
+
+    Solves at E + i*eta for each eta in turn, each solve warm-started by
+    continuation_guess of the ones before it, records the raw values
+    (1/(pi dim)) sum_k Im m_k and extrapolates them to eta -> 0.  Without
+    opts the tolerance is suggested_tol at the smallest |E + i*eta|.
+    """
     etas = _validate_schedule(eta_schedule)
     if opts is None:
         opts = SolverOptions(
             tol=suggested_tol(profile, math.hypot(e_val, etas[-1]))
         )
-    raw = _imag_mean_along_eta(profile, float(e_val), etas, opts)
+    ms: list[np.ndarray] = []
+    for eta in etas:
+        point = SpectralPoint(re=float(e_val), im=eta)
+        ms.append(solve(profile, point, opts, warm_start=continuation_guess(ms)).m)
+    raw = np.array([m.imag.sum() for m in ms]) / (math.pi * profile.dim)
     value, err, divergent = _extrapolate(etas, raw)
     return PointDensity(
         value=max(value, 0.0),
@@ -195,8 +184,6 @@ def rho_grid(
             energies=empty,
             rho=empty.copy(),
             eta_schedule=etas,
-            divergence_exponent=None,
-            divergence_constant=None,
             total_mass=0.0,
             error_estimates=empty.copy(),
         )
@@ -207,35 +194,21 @@ def rho_grid(
     if (grid == 0.0).any():
         raise ValueError("energy grid must exclude E = 0")
 
-    cache: dict[float, float] = {}
-
-    def rho_of(e_val: float) -> tuple[float, float]:
-        pd = rho_at_detailed(profile, e_val, etas, opts)
-        cache[e_val] = pd.value
-        return pd.value, pd.error_estimate
-
-    rho = np.empty(grid.size)
-    errs = np.empty(grid.size)
-    for i, e_val in enumerate(grid):
-        rho[i], errs[i] = rho_of(float(e_val))
-
     e_max = support_bound(profile)
     lin = np.arange(_LINEAR_STEP, e_max, _LINEAR_STEP)
     mesh = np.union1d(
         grid, np.concatenate([-lin[::-1], lin, [-e_max, e_max]])
     )
-    mass_rho = np.array(
-        [cache[e] if e in cache else rho_of(float(e))[0] for e in mesh]
-    )
-    total_mass = float(np.trapezoid(mass_rho, mesh))
+    points = [rho_at_detailed(profile, float(e), etas, opts) for e in mesh]
+    mesh_rho = np.array([pd.value for pd in points])
+    mesh_err = np.array([pd.error_estimate for pd in points])
+    on_grid = np.isin(mesh, grid)
     return DensityProfile(
         energies=grid,
-        rho=rho,
+        rho=mesh_rho[on_grid],
         eta_schedule=etas,
-        divergence_exponent=None,
-        divergence_constant=None,
-        total_mass=total_mass,
-        error_estimates=errs,
+        total_mass=float(np.trapezoid(mesh_rho, mesh)),
+        error_estimates=mesh_err[on_grid],
     )
 
 

@@ -67,7 +67,6 @@ class SolverOptions:
     tol: float = 1e-12
     max_iter: int = 10**6
     damping: float = 1.0
-    continuation: bool = True
 
     def __post_init__(self) -> None:
         if not self.tol > 0:
@@ -238,13 +237,11 @@ def solve_path(
 ) -> list[VdeSolution]:
     """Solve along z = r*exp(i*ray_angle) for strictly descending radii.
 
-    Each point warm-starts from its predecessor when continuation is
-    enabled; with two predecessors the start is the componentwise secant
-    guess m*(m/m_prev), which tracks the power-law drift of the components
-    and typically lands within a few Newton steps of the solution.  Rays
-    within 1e-15 of the imaginary axis are snapped onto it exactly so the
-    pure-imaginary symmetry is preserved.  Radii below 1e-8 are rejected:
-    double precision cannot resolve the singular scales beneath that.
+    Each point warm-starts from continuation_guess of the points before
+    it.  Rays within 1e-15 of the imaginary axis are snapped onto it
+    exactly so the pure-imaginary symmetry is preserved.  Radii below 1e-8
+    are rejected: double precision cannot resolve the singular scales
+    beneath that.
     """
     if opts is None:
         opts = SolverOptions()
@@ -267,24 +264,37 @@ def solve_path(
     if abs(cos_phi) < 1e-15:
         cos_phi = 0.0
     out: list[VdeSolution] = []
-    prev: VdeSolution | None = None
-    prev2: VdeSolution | None = None
     for r in radii:
         point = SpectralPoint(re=cos_phi * r, im=sin_phi * r)
-        guess = None
-        if opts.continuation and prev is not None:
-            guess = prev.m
-            if prev2 is not None:
-                secant = prev.m * (prev.m / prev2.m)
-                if np.isfinite(secant).all() and (secant.imag > 0).all():
-                    guess = secant
+        guess = continuation_guess([sol.m for sol in out[-2:]])
         try:
             sol = solve(profile, point, opts, warm_start=guess)
         except SolverError as exc:
             raise SolverError(f"path failed at radius {r:.6g}: {exc}") from exc
         out.append(sol)
-        prev2, prev = prev, sol
     return out
+
+
+def continuation_guess(previous) -> np.ndarray | None:
+    """Warm start for the next point of a descending continuation.
+
+    previous holds the solution vectors of the points already solved,
+    oldest first.  With none the answer is None (a cold start), with one
+    it is that vector, and with two or more it is the componentwise secant
+    m*(m/m_prev) of the last two, which tracks the power-law drift of the
+    components and typically lands within a few Newton steps of the
+    solution.  A secant that overflows or leaves the upper half-plane
+    falls back to the last vector.
+    """
+    if not previous:
+        return None
+    m = previous[-1]
+    if len(previous) == 1:
+        return m
+    secant = m * (m / previous[-2])
+    if np.isfinite(secant).all() and (secant.imag > 0).all():
+        return secant
+    return m
 
 
 def stability_matrix_raw(m: np.ndarray, s: np.ndarray) -> np.ndarray:

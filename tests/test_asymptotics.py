@@ -14,7 +14,6 @@ from vdelab import (
     constant_system_residuals,
     expand_profile,
     fit_exponents,
-    fit_phases,
     limit_constants,
     pair_product_check,
     predicted_exponent,
@@ -133,11 +132,6 @@ def test_fit_constants_against_hand_solved_values():
     fits = fit_exponents(path, prof)
     assert abs(fits[0].measured_constant / C1_ASYM - 1.0) < 0.02
     assert abs(fits[1].measured_constant / C2_ASYM - 1.0) < 0.02
-
-
-def test_fit_phases_is_the_same_engine():
-    prof, path = ones_path(2, r_min=1e-5, count=21)
-    assert fit_phases(path, prof) == fit_exponents(path, prof)
 
 
 def test_fit_rejects_short_or_broken_paths():

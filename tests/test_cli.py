@@ -227,23 +227,30 @@ def test_validation_failures_exit_one(tmp_path):
     good = write_profile(tmp_path, "good.json", STAIR2)
     bad = write_profile(tmp_path, "bad.json", "{not json")
 
-    missing = run_cli(["--command", "classify", "--profile",
-                       str(tmp_path / "nope.json"), "--out", out])
-    assert missing.returncode == 1
-    assert run_cli(["--command", "classify", "--profile", bad, "--out", out]).returncode == 1
-    assert run_cli(["--command", "solve", "--profile", good, "--out", out,
-                    "--rmin", "0"]).returncode == 1
-    assert run_cli(["--command", "solve", "--profile", good, "--out", out,
-                    "--rmin", "1e-1", "--rmax", "1e-3"]).returncode == 1
-    assert run_cli(["--command", "sweep", "--profile", good, "--out", out]).returncode == 1
-    assert run_cli(["--command", "bogus", "--profile", good, "--out", out]).returncode == 1
-    assert run_cli(["--command", "density", "--profile", good, "--out", out,
-                    "--egrid", "lin:1:2"]).returncode == 1
-    env_bad = run_cli(
+    def fails_cleanly(args, env_extra=None):
+        # an uncaught exception also exits 1, so rule out a traceback
+        proc = run_cli(args, env_extra)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        return proc
+
+    fails_cleanly(["--command", "classify", "--profile",
+                   str(tmp_path / "nope.json"), "--out", out])
+    fails_cleanly(["--command", "classify", "--profile", bad, "--out", out])
+    fails_cleanly(["--command", "solve", "--profile", good, "--out", out,
+                   "--rmin", "0"])
+    fails_cleanly(["--command", "solve", "--profile", good, "--out", out,
+                   "--rmin", "1e-1", "--rmax", "1e-3"])
+    fails_cleanly(["--command", "sweep", "--profile", good, "--out", out])
+    fails_cleanly(["--command", "bogus", "--profile", good, "--out", out])
+    fails_cleanly(["--command", "density", "--profile", good, "--out", out,
+                   "--egrid", "lin:1:2"])
+    fails_cleanly(["--command", "mc", "--profile", good, "--out", out,
+                   "--N", "4", "--delta", "0"])
+    env_bad = fails_cleanly(
         ["--command", "classify", "--profile", good, "--out", out],
         env_extra={"VDELAB_THREADS": "lots"},
     )
-    assert env_bad.returncode == 1
     assert "VDELAB_THREADS" in env_bad.stderr
 
 

@@ -125,8 +125,6 @@ def test_divergence_fit_recovers_synthetic_power_law():
         energies=energies,
         rho=rho,
         eta_schedule=tuple(DEFAULT_ETA_SCHEDULE),
-        divergence_exponent=None,
-        divergence_constant=None,
         total_mass=0.0,
         error_estimates=np.zeros_like(rho),
     )
@@ -145,8 +143,6 @@ def test_divergence_fit_validation():
         energies=energies,
         rho=rho,
         eta_schedule=tuple(DEFAULT_ETA_SCHEDULE),
-        divergence_exponent=None,
-        divergence_constant=None,
         total_mass=0.0,
         error_estimates=np.zeros_like(rho),
     )
@@ -160,8 +156,6 @@ def test_divergence_fit_validation():
         energies=energies,
         rho=np.zeros_like(rho),
         eta_schedule=tuple(DEFAULT_ETA_SCHEDULE),
-        divergence_exponent=None,
-        divergence_constant=None,
         total_mass=0.0,
         error_estimates=np.zeros_like(rho),
     )

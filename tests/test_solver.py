@@ -23,6 +23,7 @@ from vdelab import (
     staircase_profile,
     suggested_tol,
 )
+from vdelab.solver import continuation_guess
 
 # Im m(i) for the semicircle: (sqrt(5) - 1) / 2
 GOLDEN = 0.6180339887498949
@@ -182,6 +183,17 @@ def test_solve_path_continuation_is_cheap():
     # secant warm starts land within a few Newton corrections per point
     assert sum(tail) / len(tail) < 6.0
     assert all(sol.residual <= opts.tol for sol in path)
+
+
+def test_continuation_guess_cases():
+    first = np.array([1j, 2j])
+    second = np.array([0.5j, 4j])
+    assert continuation_guess([]) is None
+    assert continuation_guess([first]) is first
+    assert (continuation_guess([first, second]) == [0.25j, 8j]).all()
+    # the secant of 1j -> -1+1j lands on the real axis, so the last one wins
+    last = np.array([-1 + 1j])
+    assert continuation_guess([np.array([1j]), last]) is last
 
 
 def test_solve_path_off_axis_points():
