@@ -204,7 +204,10 @@ def _cmd_density(config: RunConfig, profile) -> list[str]:
     grid = _parse_egrid(config.e_grid, profile)
     opts = None if config.tol is None else _solver_options(config, profile)
     dp = rho_grid(profile, grid, schedule, opts)
-    lines = [f"# total_mass {_fmt(dp.total_mass)}"]
+    lines = [
+        f"# total_mass {_fmt(dp.total_mass)}",
+        f"# divergent_points {int(dp.divergent.sum())}",
+    ]
     try:
         fit = divergence_fit(dp, DEFAULT_FIT_WINDOW)
         lines.append(f"# divergence_exponent {_fmt(fit.exponent)}")

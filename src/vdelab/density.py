@@ -42,11 +42,18 @@ def support_bound(profile: VarianceProfile) -> float:
 
 @dataclass(frozen=True)
 class DensityProfile:
+    """Density on an energy grid, per-point diagnostics and total mass.
+
+    divergent marks the energies whose eta descent grew instead of
+    settling; their rho is the last raw value, not an extrapolation.
+    """
+
     energies: np.ndarray
     rho: np.ndarray
     eta_schedule: tuple[float, ...]
     total_mass: float
     error_estimates: np.ndarray
+    divergent: np.ndarray  # bool, one per energy
 
 
 @dataclass(frozen=True)
@@ -186,6 +193,7 @@ def rho_grid(
             eta_schedule=etas,
             total_mass=0.0,
             error_estimates=empty.copy(),
+            divergent=np.zeros(0, dtype=bool),
         )
     if not np.isfinite(grid).all():
         raise ValueError("energy grid must be finite")
@@ -202,6 +210,7 @@ def rho_grid(
     points = [rho_at_detailed(profile, float(e), etas, opts) for e in mesh]
     mesh_rho = np.array([pd.value for pd in points])
     mesh_err = np.array([pd.error_estimate for pd in points])
+    mesh_divergent = np.array([pd.divergent for pd in points], dtype=bool)
     on_grid = np.isin(mesh, grid)
     return DensityProfile(
         energies=grid,
@@ -209,6 +218,7 @@ def rho_grid(
         eta_schedule=etas,
         total_mass=float(np.trapezoid(mesh_rho, mesh)),
         error_estimates=mesh_err[on_grid],
+        divergent=mesh_divergent[on_grid],
     )
 
 

@@ -142,11 +142,21 @@ def predicted_near_zero_mass(
     is symmetric) and integrates: 2 A delta^(1+s)/(1+s).  The staircase
     exponent -(n-1)/(n+1) stays above -1, so the integral is finite; a
     fitted s <= -1 would contradict that and raises AnomalyError.
+
+    A positive delta below 1000 times the schedule's smallest eta raises
+    ValueError: the fit window then reaches energies the eta
+    extrapolation cannot resolve, and the fitted law comes out wrong.
     """
     if delta < 0:
         raise ValueError("delta must be non-negative")
     if delta == 0.0:
         return 0.0
+    floor = 1000.0 * float(min(eta_schedule))
+    if delta < floor:
+        raise ValueError(
+            f"delta {delta:.3g} below the resolvable floor {floor:.3g} "
+            "(1000 times the smallest eta of the schedule)"
+        )
     energies = np.geomspace(delta / 100.0, delta, 17)
     vals = np.array([rho_at(profile, float(e), eta_schedule) for e in energies])
     if (vals <= 0).any():
@@ -193,6 +203,13 @@ def empirical_near_zero(
     d = spec.dimension
     if d > cap:
         raise ValueError(f"matrix side {d} exceeds the eigensolver cap {cap}")
+    # predict first, so a delta the density cannot resolve fails before
+    # any matrix is sampled
+    prediction = None
+    if predict:
+        prediction = predicted_near_zero_mass(
+            spec.small_profile, delta, eta_schedule
+        )
     fractions = np.empty(spec.trials)
     for trial in range(spec.trials):
         ev = sample_spectrum(spec, trial).eigenvalues
@@ -202,11 +219,6 @@ def empirical_near_zero(
         if spec.trials > 1
         else float("nan")
     )
-    prediction = None
-    if predict:
-        prediction = predicted_near_zero_mass(
-            spec.small_profile, delta, eta_schedule
-        )
     return NearZeroResult(
         delta=delta,
         fraction=float(fractions.mean()),

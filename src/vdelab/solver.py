@@ -82,8 +82,9 @@ class VdeSolution:
     """Solution vector at one spectral point with convergence diagnostics.
 
     residual is the max-norm defect max_k |1/m_k + z + (Sm)_k|; f_norm is
-    the spectral norm of the saturation matrix |m| S |m| and stays below 1
-    for every point in the upper half-plane.
+    ||F||_2 of the real symmetric saturation matrix F = |m| S |m|, taken as
+    the larger of -lambda_min and lambda_max from a symmetric eigensolve,
+    and stays below 1 for every point in the upper half-plane.
     """
 
     point: SpectralPoint
@@ -117,6 +118,16 @@ class VdeSolution:
         )
 
 
+def _symmetric_norm2(a: np.ndarray) -> float:
+    """||a||_2 of a real symmetric matrix: max(-lambda_min, lambda_max).
+
+    Both ends of the spectrum count: near the singularity F = |m| S |m|
+    can have eigenvalues close to -1 and to +1 at once.
+    """
+    w = np.linalg.eigvalsh(a)
+    return float(max(-w[0], w[-1]))
+
+
 def _defect_norm(m: np.ndarray, z: complex, s: np.ndarray) -> float:
     return float(np.max(np.abs(1.0 / m + z + s @ m)))
 
@@ -128,7 +139,10 @@ def _try_log_newton(m: np.ndarray, z: complex, s: np.ndarray) -> np.ndarray | No
     decrease in max|g| keeps the iterate in the upper half-plane.
     """
     g = 1.0 + m * (z + s @ m)
-    jac = np.diag(g - 1.0) + (m[:, None] * s) * m[None, :]
+    # diag(g - 1) + M S M, built in place in the order (m_k s_kj) m_j
+    jac = m[:, None] * s
+    jac *= m
+    jac.flat[:: m.size + 1] += g - 1.0
     try:
         delta = np.linalg.solve(jac, -g)
     except np.linalg.LinAlgError:
@@ -163,12 +177,14 @@ def solve(
     arithmetic, a symmetry the solver preserves bit-for-bit.
 
     Raises SolverError on iteration-budget exhaustion or damping
-    underflow, AnomalyError if the solved point violates the spectral-norm
-    bound of the saturation matrix.
+    underflow, AnomalyError unless the solved point has ||F||_2 < 1 for
+    F = |m| S |m|, with ||F||_2 = max(-lambda_min, lambda_max) of F.
     """
     if opts is None:
         opts = SolverOptions()
-    s = profile.entries
+    # one complex copy of S per solve; a mixed real/complex s @ m would
+    # make the same copy inside numpy on every product
+    s = profile.entries.astype(complex)
     z = point.z
     if warm_start is not None:
         m = np.array(warm_start, dtype=complex)
@@ -217,8 +233,7 @@ def solve(
         iterations += 1
         residual = _defect_norm(m, z, s)
 
-    f = stability_matrix_raw(m, s)
-    f_norm = float(np.linalg.norm(f, 2))
+    f_norm = _symmetric_norm2(stability_matrix_raw(m, profile.entries))
     if not f_norm < 1.0:
         raise AnomalyError(
             f"saturation matrix norm {f_norm} >= 1 at z = {z}; "
@@ -346,8 +361,8 @@ def check_solution_bounds(
 
     The smallest |m_k|*|z| must stay <= 2 (the normalized-L2 bound
     ||m|| <= 2/|z|) and the largest |z|/|m_k| must stay <= |z|^2 + 2||S||
-    with ||S|| the spectral norm.  A failed bound flags non-convergence in
-    the report rather than raising.
+    with ||S|| = max(-lambda_min, lambda_max) of the symmetric S.  A failed
+    bound flags non-convergence in the report rather than raising.
     """
     z = solution.point.z
     az = abs(z)
@@ -356,7 +371,7 @@ def check_solution_bounds(
     am = np.abs(solution.m)
     products = am * az
     inverse_ratios = az / am
-    inverse_bound = az**2 + 2.0 * float(np.linalg.norm(profile.entries, 2))
+    inverse_bound = az**2 + 2.0 * _symmetric_norm2(profile.entries)
     min_product = float(products.min())
     max_inverse = float(inverse_ratios.max())
     return BoundsReport(

@@ -119,6 +119,7 @@ def test_density_command_custom_grid(tmp_path):
     assert proc.returncode == 0, proc.stderr
     lines = read_report(out)
     assert lines[2].startswith("# total_mass")
+    assert lines[3] == "# divergent_points 0"
     assert any(line.startswith("# divergence_fit skipped:") for line in lines)
     data = [line for line in lines if not line.startswith("#")]
     assert len(data) == 2
@@ -247,6 +248,9 @@ def test_validation_failures_exit_one(tmp_path):
                    "--egrid", "lin:1:2"])
     fails_cleanly(["--command", "mc", "--profile", good, "--out", out,
                    "--N", "4", "--delta", "0"])
+    tiny = fails_cleanly(["--command", "mc", "--profile", good, "--out", out,
+                          "--N", "4", "--delta", "1e-300"])
+    assert tiny.stderr.startswith("vdelab: ") and "floor" in tiny.stderr
     env_bad = fails_cleanly(
         ["--command", "classify", "--profile", good, "--out", out],
         env_extra={"VDELAB_THREADS": "lots"},

@@ -92,6 +92,7 @@ def test_default_energy_grid_layout():
 def test_rho_grid_empty():
     dp = rho_grid(staircase_profile(1), [])
     assert dp.energies.size == 0
+    assert dp.divergent.size == 0
     assert dp.total_mass == 0.0
 
 
@@ -105,6 +106,16 @@ def test_rho_grid_validation():
         rho_grid(prof, [1.0, np.inf])
 
 
+def test_rho_grid_keeps_divergent_flags():
+    # the n = 4 eta descent at E = +-6.929e-5 grows instead of settling
+    prof = staircase_profile(4)
+    dp = rho_grid(prof, default_energy_grid(prof))
+    assert dp.divergent.dtype == bool
+    assert dp.divergent.shape == dp.energies.shape
+    flagged = dp.energies[dp.divergent]
+    assert flagged == pytest.approx([-6.929e-5, 6.929e-5], rel=1e-3)
+
+
 def test_rho_grid_semicircle_mass_and_values():
     # sparse request grid; the mass integral runs over the union with a
     # linear mesh out to the support bound, so it still covers [-2, 2]
@@ -115,6 +126,7 @@ def test_rho_grid_semicircle_mass_and_values():
     for e_val, got in zip(dp.energies, dp.rho):
         assert got == pytest.approx(semicircle_rho(e_val), abs=1e-6)
     assert dp.error_estimates.shape == grid.shape
+    assert not dp.divergent.any()
 
 
 def test_divergence_fit_recovers_synthetic_power_law():
@@ -127,6 +139,7 @@ def test_divergence_fit_recovers_synthetic_power_law():
         eta_schedule=tuple(DEFAULT_ETA_SCHEDULE),
         total_mass=0.0,
         error_estimates=np.zeros_like(rho),
+        divergent=np.zeros(rho.shape, dtype=bool),
     )
     fit = divergence_fit(dp, DEFAULT_FIT_WINDOW)
     assert fit.exponent == pytest.approx(-1.0 / 3.0, abs=1e-12)
@@ -145,6 +158,7 @@ def test_divergence_fit_validation():
         eta_schedule=tuple(DEFAULT_ETA_SCHEDULE),
         total_mass=0.0,
         error_estimates=np.zeros_like(rho),
+        divergent=np.zeros(rho.shape, dtype=bool),
     )
     with pytest.raises(ValueError, match="exceeds"):
         divergence_fit(dp, (1e-2, 0.5))  # above 0.1 * max|E|
@@ -158,6 +172,7 @@ def test_divergence_fit_validation():
         eta_schedule=tuple(DEFAULT_ETA_SCHEDULE),
         total_mass=0.0,
         error_estimates=np.zeros_like(rho),
+        divergent=np.zeros(rho.shape, dtype=bool),
     )
     with pytest.raises(ValueError, match="non-positive"):
         divergence_fit(bad, (1e-3, 0.19))

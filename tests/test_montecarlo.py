@@ -148,6 +148,19 @@ def test_delta_edge_cases():
         predicted_near_zero_mass(staircase_profile(1), -1.0)
 
 
+def test_delta_below_schedule_floor_rejected():
+    # 1000 times the default schedule's smallest eta, 1e-6
+    prof = staircase_profile(2)
+    for delta in (1e-300, 1e-6, 9.9e-4):
+        with pytest.raises(ValueError, match="floor 0.001"):
+            predicted_near_zero_mass(prof, delta)
+    with pytest.raises(ValueError, match="floor 0.01"):
+        predicted_near_zero_mass(prof, 1e-3, eta_schedule=(1e-1, 1e-3, 1e-5))
+    with pytest.raises(ValueError, match="floor"):
+        empirical_near_zero(spec_for(n=2, inner=4), 1e-300)
+    assert predicted_near_zero_mass(prof, 1e-3) > 0.0
+
+
 def test_dimension_cap():
     spec = spec_for(n=2, inner=2500)  # 5000 > 4000
     with pytest.raises(ValueError, match="cap"):

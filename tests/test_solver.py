@@ -15,6 +15,7 @@ from vdelab import (
     VarianceProfile,
     VdeSolution,
     check_solution_bounds,
+    expand_profile,
     random_staircase_profile,
     saturation_identity_residual,
     solve,
@@ -23,7 +24,7 @@ from vdelab import (
     staircase_profile,
     suggested_tol,
 )
-from vdelab.solver import continuation_guess
+from vdelab.solver import _symmetric_norm2, continuation_guess
 
 # Im m(i) for the semicircle: (sqrt(5) - 1) / 2
 GOLDEN = 0.6180339887498949
@@ -216,8 +217,33 @@ def test_stability_matrix_exactly_symmetric():
     sol = solve(prof, SpectralPoint(re=0.07, im=0.02))
     f = stability_matrix(sol, prof)
     assert (f == f.T).all()
-    assert sol.f_norm == pytest.approx(np.linalg.norm(f, 2))
+    assert sol.f_norm == pytest.approx(np.linalg.norm(f, 2), rel=1e-13)
     assert sol.f_norm < 1.0
+
+
+def test_symmetric_norm_takes_the_larger_end():
+    # the most negative eigenvalue dominates here
+    a = np.array([[-2.0, 0.5], [0.5, 1.0]])
+    assert _symmetric_norm2(a) == pytest.approx(np.linalg.norm(a, 2), rel=1e-13)
+    assert _symmetric_norm2(-a) == pytest.approx(np.linalg.norm(a, 2), rel=1e-13)
+
+
+def test_block_profile_near_singularity():
+    # at r = 1e-5 the saturation matrix has eigenvalues near -1 and +1
+    prof = expand_profile(staircase_profile(3), 16, noise=0.5)
+    entries = prof.entries.copy()
+    radii = np.geomspace(1e-1, 1e-5, 17)
+    path = solve_path(
+        prof, math.pi / 2, radii, SolverOptions(tol=suggested_tol(prof, 1e-5))
+    )
+    for sol in path:
+        f = stability_matrix(sol, prof)
+        assert sol.f_norm == pytest.approx(np.linalg.norm(f, 2), rel=1e-13)
+        assert (sol.m.real == 0.0).all()
+    eig = np.linalg.eigvalsh(f)  # the last point, r = 1e-5
+    assert eig[0] < -0.99 and eig[-1] > 0.99
+    assert prof.entries.dtype == np.float64
+    assert (prof.entries == entries).all()
 
 
 def test_f_norm_saturates_toward_one():
