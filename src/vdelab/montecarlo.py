@@ -44,6 +44,9 @@ class EnsembleSpec:
             raise ValueError("trials must be at least 1")
         if self.symmetry not in (REAL_SYMMETRIC, COMPLEX_HERMITIAN):
             raise ValueError(f"unknown symmetry class {self.symmetry!r}")
+        # the seed is the first word of a 64-bit Philox key
+        if not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
 
     @property
     def dimension(self) -> int:

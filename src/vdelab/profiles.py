@@ -164,7 +164,11 @@ class StructureReport:
 
 
 def parse_profile(text: str) -> VarianceProfile:
-    """Parse a profile document: {"matrix": [[...]], "n": int?, "N": int?}."""
+    """Parse a profile document: {"matrix": [[...]], "n": int?, "N": int?}.
+
+    Matrix entries must be JSON numbers and n, N JSON integers; booleans,
+    strings and nulls are rejected rather than coerced.
+    """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -175,11 +179,26 @@ def parse_profile(text: str) -> VarianceProfile:
     has_n, has_inner = "n" in doc, "N" in doc
     if has_n != has_inner:
         raise ProfileError('block metadata requires both "n" and "N"')
+    # json.loads gives int or float for numbers; bool is an int subclass
     if has_n:
-        meta = (int(doc["n"]), int(doc["N"]))
+        for key in ("n", "N"):
+            if isinstance(doc[key], bool) or not isinstance(doc[key], int):
+                raise ProfileError(
+                    f'"{key}" must be a JSON integer, got {json.dumps(doc[key])}'
+                )
+        meta = (doc["n"], doc["N"])
+    rows = doc["matrix"]
+    if not (isinstance(rows, list) and all(isinstance(row, list) for row in rows)):
+        raise ProfileError('"matrix" must be a list of rows')
+    for row in rows:
+        for value in row:
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ProfileError(
+                    f"matrix entries must be JSON numbers, got {json.dumps(value)}"
+                )
     try:
-        return VarianceProfile(np.array(doc["matrix"], dtype=float), block_meta=meta)
-    except (TypeError, ValueError) as exc:
+        return VarianceProfile(np.array(rows, dtype=float), block_meta=meta)
+    except (TypeError, ValueError, OverflowError) as exc:
         if isinstance(exc, ProfileError):
             raise
         raise ProfileError(f"malformed matrix: {exc}") from exc

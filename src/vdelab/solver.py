@@ -1,12 +1,14 @@
 """Vector Dyson equation solver with ray continuation.
 
 Solves -1/m = z + Sm for m in the upper half-plane at spectral points
-z = E + i*eta, eta > 0.  The contract iteration is the damped fixed point
-m <- (1-a)m + a*(-1/(z+Sm)) with adaptive damping; a Newton step in log
-coordinates is attempted first as an accelerator and falls back to the
-fixed point whenever its line search fails, so the accepted-iterate
-invariants (Im m_k > 0 throughout, final defect below tolerance) are the
-same either way.  The log parametrization m <- m*exp(delta) matters: the
+z = E + i*eta, eta > 0.  Each iteration first tries a Newton step in log
+coordinates; when its line search fails, it takes the averaged
+fixed-point half-step m <- (m + Phi(m))/2 with Phi(m) = -1/(z+Sm), which
+stays in the upper half-plane and converges from any start (Helton,
+Rashidi Far & Speicher, IMRN 2007).  The accepted-iterate invariants
+(Im m_k > 0 throughout, final defect below tolerance) are the same
+either way.  The solve fails after 50 straight iterations without a new
+best residual.  The log parametrization m <- m*exp(delta) matters: the
 Jacobian of the raw defect is ill-conditioned like r^{-2(n-1)/(n+1)} near
 the singularity, while the log-coordinate Jacobian stays benign all the
 way down to the radius floor.
@@ -15,7 +17,6 @@ way down to the radius floor.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,15 +24,15 @@ import numpy as np
 from .profiles import VarianceProfile
 
 RADIUS_FLOOR = 1e-8
-DAMPING_UNDERFLOW = 1e-8
 
-_STAGNATION_WINDOW = 8
+_STALL_LIMIT = 50
 _MAX_BACKTRACK = 30
 _LOG_STEP_CAP = 20.0
 
 
 class SolverError(RuntimeError):
-    """Iteration failed: budget exhausted or damping underflowed."""
+    """Iteration failed: budget exhausted, residual stalled, or a
+    fixed-point half-step left the upper half-plane."""
 
 
 class AnomalyError(RuntimeError):
@@ -66,15 +67,12 @@ class SpectralPoint:
 class SolverOptions:
     tol: float = 1e-12
     max_iter: int = 10**6
-    damping: float = 1.0
 
     def __post_init__(self) -> None:
         if not self.tol > 0:
             raise ValueError("tol must be positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be positive")
-        if not 0.0 < self.damping <= 1.0:
-            raise ValueError("damping must lie in (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -176,9 +174,11 @@ def solve(
     imaginary, every accepted iterate stays purely imaginary in exact
     arithmetic, a symmetry the solver preserves bit-for-bit.
 
-    Raises SolverError on iteration-budget exhaustion or damping
-    underflow, AnomalyError unless the solved point has ||F||_2 < 1 for
-    F = |m| S |m|, with ||F||_2 = max(-lambda_min, lambda_max) of F.
+    Raises SolverError on iteration-budget exhaustion, on 50 straight
+    iterations without a new best residual, or when a fixed-point
+    half-step is non-finite or leaves the upper half-plane; AnomalyError
+    unless the solved point has ||F||_2 < 1 for F = |m| S |m|, with
+    ||F||_2 = max(-lambda_min, lambda_max) of F.
     """
     if opts is None:
         opts = SolverOptions()
@@ -197,10 +197,9 @@ def solve(
     else:
         m = 1j * np.ones(profile.dim)
 
-    alpha = opts.damping
-    recent: deque[float] = deque(maxlen=_STAGNATION_WINDOW)
     iterations = 0
-    residual = _defect_norm(m, z, s)
+    residual = best = _defect_norm(m, z, s)
+    stalled = 0
     while residual > opts.tol:
         if iterations >= opts.max_iter:
             raise SolverError(
@@ -209,31 +208,27 @@ def solve(
             )
         trial = _try_log_newton(m, z, s)
         if trial is None:
-            recent.append(residual)
-            if len(recent) == recent.maxlen:
-                if recent[-1] >= recent[0]:
-                    alpha *= 0.5
-                    recent.clear()
-                elif recent[-1] <= 0.25 * recent[0] and alpha < opts.damping:
-                    alpha = min(2.0 * alpha, opts.damping)
-                    recent.clear()
             with np.errstate(divide="ignore", invalid="ignore"):
-                cand = -1.0 / (z + s @ m)
-            while True:
-                if alpha < DAMPING_UNDERFLOW:
-                    raise SolverError(
-                        "damping underflow while keeping the iterate in the "
-                        f"upper half-plane, last residual {residual:.3e}"
-                    )
-                trial = (1.0 - alpha) * m + alpha * cand
-                if np.isfinite(trial).all() and (trial.imag > 0).all():
-                    break
-                alpha *= 0.5
+                trial = 0.5 * (m - 1.0 / (z + s @ m))
+            if not (np.isfinite(trial).all() and (trial.imag > 0).all()):
+                raise SolverError(
+                    "fixed-point half-step is non-finite or left the upper "
+                    f"half-plane, last residual {residual:.3e}"
+                )
         m = trial
         iterations += 1
         residual = _defect_norm(m, z, s)
+        if residual < best:
+            best, stalled = residual, 0
+        else:
+            stalled += 1
+            if stalled >= _STALL_LIMIT:
+                raise SolverError(
+                    f"residual stalled: no new best in {_STALL_LIMIT} "
+                    f"iterations, best {best:.3e}"
+                )
 
-    f_norm = _symmetric_norm2(stability_matrix_raw(m, profile.entries))
+    f_norm = _symmetric_norm2(stability_matrix(m, profile))
     if not f_norm < 1.0:
         raise AnomalyError(
             f"saturation matrix norm {f_norm} >= 1 at z = {z}; "
@@ -312,14 +307,10 @@ def continuation_guess(previous) -> np.ndarray | None:
     return m
 
 
-def stability_matrix_raw(m: np.ndarray, s: np.ndarray) -> np.ndarray:
-    am = np.abs(m)
-    return s * np.outer(am, am)
-
-
-def stability_matrix(solution: VdeSolution, profile: VarianceProfile) -> np.ndarray:
+def stability_matrix(m: np.ndarray, profile: VarianceProfile) -> np.ndarray:
     """Saturation matrix F with F_kj = |m_k| s_kj |m_j|, exactly symmetric."""
-    return stability_matrix_raw(solution.m, profile.entries)
+    am = np.abs(m)
+    return profile.entries * np.outer(am, am)
 
 
 def saturation_identity_residual(
@@ -336,7 +327,7 @@ def saturation_identity_residual(
     z = solution.point.z
     am = np.abs(m)
     u = m / am
-    f = stability_matrix_raw(m, profile.entries)
+    f = stability_matrix(m, profile)
     defect = f @ (f @ u) - u - (np.conj(z) * am - z * (f @ am))
     return float(np.sqrt(np.mean(np.abs(defect) ** 2)))
 

@@ -251,6 +251,18 @@ def test_validation_failures_exit_one(tmp_path):
     tiny = fails_cleanly(["--command", "mc", "--profile", good, "--out", out,
                           "--N", "4", "--delta", "1e-300"])
     assert tiny.stderr.startswith("vdelab: ") and "floor" in tiny.stderr
+    for seed in ("-1", "18446744073709551616"):
+        fails_cleanly(["--command", "mc", "--profile", good, "--out", out,
+                       "--N", "4", "--seed", seed])
+    for i, doc in enumerate((
+        '{"matrix": [[1.0]], "n": null, "N": 1}',
+        '{"matrix": [[1.0]], "n": [1], "N": 1}',
+        '{"matrix": [[1, 1], [1, 1]], "n": 2.9, "N": 1.2}',
+        '{"matrix": [[true]]}',
+        '{"matrix": [["1"]]}',
+    )):
+        loose = write_profile(tmp_path, f"loose{i}.json", doc)
+        fails_cleanly(["--command", "classify", "--profile", loose, "--out", out])
     env_bad = fails_cleanly(
         ["--command", "classify", "--profile", good, "--out", out],
         env_extra={"VDELAB_THREADS": "lots"},

@@ -41,6 +41,10 @@ def test_spec_validation():
         spec_for(trials=0)
     with pytest.raises(ValueError):
         spec_for(symmetry="quaternion")
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError, match="seed"):
+            spec_for(seed=seed)
+    assert spec_for(seed=2**64 - 1).seed == 2**64 - 1
     assert spec_for(n=2, inner=5).dimension == 10
 
 

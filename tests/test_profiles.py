@@ -107,6 +107,20 @@ def test_parse_profile_errors():
         parse_profile('{"matrix": [[1.0]], "n": 1}')
     with pytest.raises(ProfileError, match="malformed"):
         parse_profile('{"matrix": [[1.0], [1.0, 2.0]]}')
+    # no coercion: null, lists, fractions and bools are not integers, and
+    # bools and strings are not numbers
+    for meta in ('"n": null, "N": 1', '"n": [1], "N": 1', '"n": 1, "N": true'):
+        with pytest.raises(ProfileError, match="JSON integer"):
+            parse_profile('{"matrix": [[1.0]], %s}' % meta)
+    with pytest.raises(ProfileError, match="JSON integer"):
+        parse_profile('{"matrix": [[1, 1], [1, 1]], "n": 2.9, "N": 1.2}')
+    for entry in ("true", '"1"', "null"):
+        with pytest.raises(ProfileError, match="JSON numbers"):
+            parse_profile('{"matrix": [[%s]]}' % entry)
+    with pytest.raises(ProfileError, match="list of rows"):
+        parse_profile('{"matrix": [1.0]}')
+    with pytest.raises(ProfileError, match="malformed"):
+        parse_profile('{"matrix": [[%s]]}' % (10**400))
 
 
 def test_load_profile_path_and_stream(tmp_path):

@@ -24,6 +24,7 @@ from vdelab import (
     staircase_profile,
     suggested_tol,
 )
+from vdelab import solver
 from vdelab.solver import _symmetric_norm2, continuation_guess
 
 # Im m(i) for the semicircle: (sqrt(5) - 1) / 2
@@ -120,10 +121,6 @@ def test_option_and_point_validation():
     with pytest.raises(ValueError):
         SolverOptions(max_iter=0)
     with pytest.raises(ValueError):
-        SolverOptions(damping=0.0)
-    with pytest.raises(ValueError):
-        SolverOptions(damping=1.5)
-    with pytest.raises(ValueError):
         SpectralPoint(re=0.0, im=0.0)
     with pytest.raises(ValueError):
         SpectralPoint(re=0.0, im=-1.0)
@@ -139,11 +136,34 @@ def test_max_iter_exhaustion():
 
 def test_unreachable_tolerance_fails_honestly():
     # 1e-18 sits below the double-precision defect floor at a generic
-    # off-axis point; the damping search must bottom out instead of
-    # looping forever (on-axis points can fluke onto float-exact roots)
-    opts = SolverOptions(tol=1e-18)
-    with pytest.raises(SolverError, match="damping underflow"):
+    # off-axis point; the stall rule must end the solve instead of
+    # looping forever (on-axis points can fluke onto float-exact roots);
+    # with max_iter=60 a stall past the budget would read "no convergence"
+    opts = SolverOptions(tol=1e-18, max_iter=60)
+    with pytest.raises(SolverError, match="residual stalled"):
         solve(staircase_profile(2), SpectralPoint(re=0.3, im=0.2), opts)
+
+
+@pytest.mark.parametrize(
+    "prof", [staircase_profile(2), random_staircase_profile(4, 7)]
+)
+def test_fixed_point_fallback_converges(prof, monkeypatch):
+    # with Newton switched off, every iteration is the averaged half-step
+    newton = {}
+    for r in (0.3, 0.03):
+        for phi in (0.01, math.pi / 2, 3.13):
+            re = 0.0 if phi == math.pi / 2 else r * math.cos(phi)
+            point = SpectralPoint(re=re, im=r * math.sin(phi))
+            newton[point] = solve(prof, point)
+    monkeypatch.setattr(solver, "_try_log_newton", lambda m, z, s: None)
+    opts = SolverOptions()
+    for point, want in newton.items():
+        sol = solve(prof, point, opts)
+        assert sol.residual <= opts.tol
+        assert (sol.m.imag > 0.0).all()
+        assert np.max(np.abs(sol.m - want.m) / np.abs(want.m)) <= 1e-8
+        if point.re == 0.0:
+            assert (sol.m.real == 0.0).all()
 
 
 def test_solution_serialization_round_trip():
@@ -209,13 +229,13 @@ def test_solve_path_off_axis_points():
 def test_stability_matrix_frozen_example():
     sol = make_solution(1j, [1j, 1j])
     prof = VarianceProfile(np.array([[1.0, 1.0], [1.0, 0.0]]))
-    assert (stability_matrix(sol, prof) == np.array([[1.0, 1.0], [1.0, 0.0]])).all()
+    assert (stability_matrix(sol.m, prof) == np.array([[1.0, 1.0], [1.0, 0.0]])).all()
 
 
 def test_stability_matrix_exactly_symmetric():
     prof = random_staircase_profile(4, seed=2)
     sol = solve(prof, SpectralPoint(re=0.07, im=0.02))
-    f = stability_matrix(sol, prof)
+    f = stability_matrix(sol.m, prof)
     assert (f == f.T).all()
     assert sol.f_norm == pytest.approx(np.linalg.norm(f, 2), rel=1e-13)
     assert sol.f_norm < 1.0
@@ -237,7 +257,7 @@ def test_block_profile_near_singularity():
         prof, math.pi / 2, radii, SolverOptions(tol=suggested_tol(prof, 1e-5))
     )
     for sol in path:
-        f = stability_matrix(sol, prof)
+        f = stability_matrix(sol.m, prof)
         assert sol.f_norm == pytest.approx(np.linalg.norm(f, 2), rel=1e-13)
         assert (sol.m.real == 0.0).all()
     eig = np.linalg.eigvalsh(f)  # the last point, r = 1e-5
