@@ -19,13 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .profiles import ProfileError, VarianceProfile, check_assumption_staircase, expand_profile
-from .solver import (
-    AnomalyError,
-    SolverOptions,
-    VdeSolution,
-    solve_path,
-    suggested_tol,
-)
+from .solver import AnomalyError, SolverOptions, VdeSolution, solve_path
 
 CONDITION_LIMIT = 1e8
 
@@ -432,21 +426,21 @@ def uniform_bound_sweep(
     radius.  The spread factor (largest over smallest across every N and
     every component) should stay bounded by an N-independent constant; the
     per-row phase deviation column measures arg(m_l z^{-e}) against
-    pi ceil(l/N)/(n+1).
+    pi ceil(l/N)/(n+1).  Without opts each ray takes solve_path's default
+    tolerance.
     """
     inner_list = [int(v) for v in inner_list]
     if not inner_list:
         raise ValueError("need at least one inner block size")
     radii = [float(r) for r in radii]
+    if not radii:
+        raise ValueError("need at least one radius")
     n = small.dim
     rows = []
     lo, hi = math.inf, 0.0
     for inner in inner_list:
         prof = expand_profile(small, inner, noise=noise, seed=seed)
-        o = opts if opts is not None else SolverOptions(
-            tol=suggested_tol(prof, min(radii))
-        )
-        path = solve_path(prof, ray_angle, radii, o)
+        path = solve_path(prof, ray_angle, radii, opts)
         sol = path[-1]
         r = abs(sol.point.z)
         k_outer = np.repeat(np.arange(1, n + 1), inner)

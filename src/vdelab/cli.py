@@ -5,7 +5,9 @@ text report whose first two lines record the tool version and a digest of
 the full run configuration; identical configurations produce byte
 identical files.  Heavy numerical imports happen inside the handlers so
 the VDELAB_THREADS environment variable can cap the BLAS thread pools
-before they initialize.
+before they initialize.  Each flag parses straight onto the RunConfig
+field of the same meaning (its argparse dest), and a flag left out keeps
+that field's default, so every default is declared once, in RunConfig.
 
 Exit codes: 0 success, 1 validation error, 2 solver failure, 3 assertion
 failure (a theory-guaranteed invariant came out false).
@@ -24,18 +26,9 @@ import sys
 
 from . import __version__
 
-COMMANDS = (
-    "classify",
-    "solve",
-    "scan",
-    "constants",
-    "density",
-    "mc",
-    "reduce",
-    "sweep",
-)
-
 DEFAULT_MC_INNER = 400
+# a ray is tens of radii; the cap stops a huge --ppd before it allocates
+MAX_RADII = 10_000
 
 
 @dataclasses.dataclass(frozen=True)
@@ -75,36 +68,49 @@ def _row(*cells) -> str:
 
 
 def _radii(config: RunConfig) -> list[float]:
-    if not 0 < config.r_min <= config.r_max:
+    r_min, r_max = config.r_min, config.r_max
+    if not (math.isfinite(r_max) and 0 < r_min <= r_max):
         raise ValueError(
-            f"need 0 < rmin <= rmax, got rmin={config.r_min} rmax={config.r_max}"
+            f"need finite 0 < rmin <= rmax, got rmin={r_min} rmax={r_max}"
         )
     if config.points_per_decade < 1:
         raise ValueError("points per decade must be at least 1")
-    if config.r_min == config.r_max:
-        return [config.r_min]
+    if r_min == r_max:
+        return [r_min]
     import numpy as np
 
-    decades = math.log10(config.r_max / config.r_min)
-    count = max(2, int(round(config.points_per_decade * decades)) + 1)
-    return [float(r) for r in np.geomspace(config.r_max, config.r_min, count)]
+    steps = config.points_per_decade * math.log10(r_max / r_min)
+    # count = round(steps) + 1, so this bounds count by MAX_RADII; an
+    # overflowed ratio gives inf steps and fails here too
+    if not steps < MAX_RADII - 0.5:
+        raise ValueError(
+            f"the ray would have more than {MAX_RADII} radii "
+            f"(ppd={config.points_per_decade}, rmin={r_min}, rmax={r_max})"
+        )
+    count = max(2, int(round(steps)) + 1)
+    return [float(r) for r in np.geomspace(r_max, r_min, count)]
 
 
-def _solver_options(config: RunConfig, profile):
-    from .solver import SolverOptions, suggested_tol
+def _solver_options(config: RunConfig):
+    """--tol as solver options; None leaves the solver's own default."""
+    from .solver import SolverOptions
 
-    tol = config.tol
-    if tol is None:
-        tol = suggested_tol(profile, config.r_min)
-    return SolverOptions(tol=tol)
+    return None if config.tol is None else SolverOptions(tol=config.tol)
 
 
 def _ray_path(config: RunConfig, profile):
     from .solver import solve_path
 
-    return solve_path(
-        profile, config.ray, _radii(config), _solver_options(config, profile)
-    )
+    return solve_path(profile, config.ray, _radii(config), _solver_options(config))
+
+
+def _single_inner(config: RunConfig, default):
+    """The one --N value that mc and reduce take, or default without one."""
+    if len(config.inner_list) > 1:
+        raise ValueError(
+            f"{config.command} takes a single --N value, got {len(config.inner_list)}"
+        )
+    return config.inner_list[0] if config.inner_list else default
 
 
 def _cmd_classify(config: RunConfig, profile) -> list[str]:
@@ -188,6 +194,8 @@ def _parse_egrid(spec: str, profile):
         if len(parts) != 4:
             raise ValueError(f"bad egrid spec {spec!r}, want lin:lo:hi:count")
         lo, hi, count = float(parts[1]), float(parts[2]), int(parts[3])
+        if count < 1:
+            raise ValueError(f"bad egrid spec {spec!r}, count must be at least 1")
         return np.linspace(lo, hi, count)
     return np.array([float(v) for v in spec.split(",")])
 
@@ -202,8 +210,7 @@ def _cmd_density(config: RunConfig, profile) -> list[str]:
 
     schedule = config.eta_schedule or DEFAULT_ETA_SCHEDULE
     grid = _parse_egrid(config.e_grid, profile)
-    opts = None if config.tol is None else _solver_options(config, profile)
-    dp = rho_grid(profile, grid, schedule, opts)
+    dp = rho_grid(profile, grid, schedule, _solver_options(config))
     lines = [
         f"# total_mass {_fmt(dp.total_mass)}",
         f"# divergent_points {int(dp.divergent.sum())}",
@@ -229,7 +236,7 @@ def _cmd_mc(config: RunConfig, profile) -> list[str]:
     # [-delta, delta], which is 0 at delta = 0
     if not config.delta > 0:
         raise ValueError(f"mc needs delta > 0, got {config.delta}")
-    inner = config.inner_list[0] if config.inner_list else DEFAULT_MC_INNER
+    inner = _single_inner(config, DEFAULT_MC_INNER)
     spec = EnsembleSpec(
         small_profile=profile,
         inner_N=inner,
@@ -259,15 +266,14 @@ def _cmd_mc(config: RunConfig, profile) -> list[str]:
 def _expanded_profile(config: RunConfig, profile):
     from .profiles import expand_profile
 
+    inner = _single_inner(config, None)
     if profile.block_meta is not None:
         return profile
-    if not config.inner_list:
+    if inner is None:
         raise ValueError(
             "reduce needs a profile with block metadata or --N to expand"
         )
-    return expand_profile(
-        profile, config.inner_list[0], noise=config.noise, seed=config.seed
-    )
+    return expand_profile(profile, inner, noise=config.noise, seed=config.seed)
 
 
 def _cmd_reduce(config: RunConfig, profile) -> list[str]:
@@ -298,7 +304,6 @@ def _cmd_sweep(config: RunConfig, profile) -> list[str]:
 
     if not config.inner_list:
         raise ValueError("sweep needs --N with at least one block size")
-    opts = None if config.tol is None else _solver_options(config, profile)
     result = uniform_bound_sweep(
         profile,
         config.inner_list,
@@ -306,7 +311,7 @@ def _cmd_sweep(config: RunConfig, profile) -> list[str]:
         seed=config.seed,
         ray_angle=config.ray,
         radii=_radii(config),
-        opts=opts,
+        opts=_solver_options(config),
     )
     lines = [
         f"# spread_factor {_fmt(result.spread_factor)}",
@@ -360,75 +365,58 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _int_list(text: str) -> tuple[int, ...]:
+    return tuple(int(v) for v in text.split(","))
+
+
+def _float_list(text: str) -> tuple[float, ...]:
+    return tuple(float(v) for v in text.split(","))
+
+
 def _build_parser() -> argparse.ArgumentParser:
+    # dest names the RunConfig field; SUPPRESS leaves an omitted flag out of
+    # the namespace so the field keeps its default
     parser = _Parser(
         prog="vdelab",
         description="Vector Dyson equation laboratory for block-staircase "
         "variance profiles.",
+        argument_default=argparse.SUPPRESS,
     )
-    parser.add_argument("--command", required=True, choices=COMMANDS)
-    parser.add_argument("--profile", required=True, help="profile JSON path")
-    parser.add_argument("--out", required=True, help="output report path")
+    parser.add_argument("--command", required=True, choices=_HANDLERS)
     parser.add_argument(
-        "--ray", type=float, default=math.pi / 2, help="ray angle in (0, pi)"
+        "--profile", dest="profile_path", required=True, help="profile JSON path"
     )
-    parser.add_argument("--rmax", type=float, default=1e-1)
-    parser.add_argument("--rmin", type=float, default=1e-6)
     parser.add_argument(
-        "--ppd", type=int, default=8, help="radii per decade along the ray"
+        "--out", dest="output_path", required=True, help="output report path"
+    )
+    parser.add_argument("--ray", type=float, help="ray angle in (0, pi)")
+    parser.add_argument("--rmax", dest="r_max", type=float)
+    parser.add_argument("--rmin", dest="r_min", type=float)
+    parser.add_argument(
+        "--ppd", dest="points_per_decade", type=int, help="radii per decade along the ray"
     )
     parser.add_argument(
         "--eta-schedule",
-        default=None,
+        type=_float_list,
         help="comma-separated descending eta values",
     )
     parser.add_argument(
         "--egrid",
-        default="default",
+        dest="e_grid",
         help='"default", "lin:lo:hi:count", or comma-separated energies',
     )
     parser.add_argument(
         "--N",
-        dest="inner",
-        default="",
+        dest="inner_list",
+        type=_int_list,
         help="comma-separated inner block sizes (sweep) or one size (mc/reduce)",
     )
-    parser.add_argument("--noise", type=float, default=0.0)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--trials", type=int, default=1)
-    parser.add_argument(
-        "--tol", type=float, default=None, help="solver tolerance override"
-    )
-    parser.add_argument(
-        "--delta", type=float, default=0.1, help="near-zero half-width for mc"
-    )
+    parser.add_argument("--noise", type=float)
+    parser.add_argument("--seed", type=int)
+    parser.add_argument("--trials", type=int)
+    parser.add_argument("--tol", type=float, help="solver tolerance override")
+    parser.add_argument("--delta", type=float, help="near-zero half-width for mc")
     return parser
-
-
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    eta = None
-    if args.eta_schedule:
-        eta = tuple(float(v) for v in args.eta_schedule.split(","))
-    inner = ()
-    if args.inner:
-        inner = tuple(int(v) for v in args.inner.split(","))
-    return RunConfig(
-        command=args.command,
-        profile_path=args.profile,
-        output_path=args.out,
-        ray=args.ray,
-        r_max=args.rmax,
-        r_min=args.rmin,
-        points_per_decade=args.ppd,
-        eta_schedule=eta,
-        e_grid=args.egrid,
-        inner_list=inner,
-        noise=args.noise,
-        seed=args.seed,
-        trials=args.trials,
-        tol=args.tol,
-        delta=args.delta,
-    )
 
 
 def _apply_thread_env() -> None:
@@ -455,7 +443,7 @@ def main(argv=None) -> int:
 
     try:
         args = _build_parser().parse_args(argv)
-        run(_config_from_args(args))
+        run(RunConfig(**vars(args)))
     except SolverError as exc:
         print(f"vdelab: solver failure: {exc}", file=sys.stderr)
         return 2

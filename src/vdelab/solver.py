@@ -251,10 +251,9 @@ def solve_path(
     it.  Rays within 1e-15 of the imaginary axis are snapped onto it
     exactly so the pure-imaginary symmetry is preserved.  Radii below 1e-8
     are rejected: double precision cannot resolve the singular scales
-    beneath that.
+    beneath that.  Without opts the tolerance is suggested_tol at the last
+    (smallest) radius, the roundoff floor the deepest point can reach.
     """
-    if opts is None:
-        opts = SolverOptions()
     if not 0.0 < ray_angle < math.pi:
         raise ValueError(f"ray angle must lie in (0, pi), got {ray_angle}")
     radii = [float(r) for r in radii]
@@ -269,6 +268,8 @@ def solve_path(
             )
     if any(b >= a for a, b in zip(radii, radii[1:])):
         raise ValueError("radii must be strictly descending")
+    if opts is None:
+        opts = SolverOptions(tol=suggested_tol(profile, radii[-1]))
     cos_phi = math.cos(ray_angle)
     sin_phi = math.sin(ray_angle)
     if abs(cos_phi) < 1e-15:

@@ -279,6 +279,11 @@ def test_sweep_requires_inner_sizes():
             staircase_profile(2), [], noise=0.0, seed=0,
             ray_angle=math.pi / 2, radii=[1e-1, 1e-2],
         )
+    with pytest.raises(ValueError, match="radius"):
+        uniform_bound_sweep(
+            staircase_profile(2), [2], noise=0.0, seed=0,
+            ray_angle=math.pi / 2, radii=[],
+        )
 
 
 def test_noise_zero_expansion_matches_small_solution():

@@ -248,6 +248,18 @@ def test_validation_failures_exit_one(tmp_path):
                    "--egrid", "lin:1:2"])
     fails_cleanly(["--command", "mc", "--profile", good, "--out", out,
                    "--N", "4", "--delta", "0"])
+    fails_cleanly(["--command", "scan", "--profile", good, "--out", out,
+                   "--rmax", "inf"])
+    fails_cleanly(["--command", "scan", "--profile", good, "--out", out,
+                   "--ppd", "100000000"])
+    fails_cleanly(["--command", "density", "--profile", good, "--out", out,
+                   "--egrid", "lin:0.1:1:0"])
+    fails_cleanly(["--command", "mc", "--profile", good, "--out", out,
+                   "--N", "4,8"])
+    fails_cleanly(["--command", "mc", "--profile", good, "--out", out,
+                   "--N", ""])
+    fails_cleanly(["--command", "density", "--profile", good, "--out", out,
+                   "--eta-schedule", ""])
     tiny = fails_cleanly(["--command", "mc", "--profile", good, "--out", out,
                           "--N", "4", "--delta", "1e-300"])
     assert tiny.stderr.startswith("vdelab: ") and "floor" in tiny.stderr
@@ -338,3 +350,39 @@ def test_run_config_digest_is_stable():
     assert a.digest() == b.digest()
     c = cli.RunConfig(command="solve", profile_path="p", output_path="o", seed=1)
     assert c.digest() != a.digest()
+
+
+def test_parser_leaves_defaults_to_run_config():
+    argv = ["--command", "solve", "--profile", "p", "--out", "o"]
+    parsed = cli.RunConfig(**vars(cli._build_parser().parse_args(argv)))
+    plain = cli.RunConfig(command="solve", profile_path="p", output_path="o")
+    assert parsed == plain
+    assert parsed.digest() == plain.digest()
+
+
+def test_parser_sets_every_field():
+    argv = [
+        "--command", "sweep", "--profile", "p", "--out", "o",
+        "--ray", "1.5", "--rmax", "0.2", "--rmin", "1e-4", "--ppd", "3",
+        "--eta-schedule", "1e-2,1e-3", "--egrid", "lin:0.1:1:4",
+        "--N", "4,8", "--noise", "0.5", "--seed", "7", "--trials", "3",
+        "--tol", "1e-10", "--delta", "0.2",
+    ]
+    config = cli.RunConfig(**vars(cli._build_parser().parse_args(argv)))
+    assert config == cli.RunConfig(
+        command="sweep",
+        profile_path="p",
+        output_path="o",
+        ray=1.5,
+        r_max=0.2,
+        r_min=1e-4,
+        points_per_decade=3,
+        eta_schedule=(1e-2, 1e-3),
+        e_grid="lin:0.1:1:4",
+        inner_list=(4, 8),
+        noise=0.5,
+        seed=7,
+        trials=3,
+        tol=1e-10,
+        delta=0.2,
+    )

@@ -206,6 +206,15 @@ def test_solve_path_continuation_is_cheap():
     assert all(sol.residual <= opts.tol for sol in path)
 
 
+def test_solve_path_default_tol_reaches_deep_radii():
+    # the default tolerance follows the roundoff floor of the last radius;
+    # a fixed 1e-12 stalls near r = 1.3e-6 on this ray
+    prof = staircase_profile(7)
+    path = solve_path(prof, 0.3 * math.pi, np.geomspace(1e-1, 1e-6, 41))
+    assert len(path) == 41
+    assert all(sol.residual <= suggested_tol(prof, 1e-6) for sol in path)
+
+
 def test_continuation_guess_cases():
     first = np.array([1j, 2j])
     second = np.array([0.5j, 4j])
