@@ -33,6 +33,7 @@ _EXPORTS = {
     "classify_regime": "profiles",
     "expand_profile": "profiles",
     "RECTANGLE_SEARCH_CAP": "profiles",
+    "DIMENSION_CAP": "profiles",
     "REGIME_BOUNDED": "profiles",
     "REGIME_CRITICAL": "profiles",
     "REGIME_RANK_DEFICIENT": "profiles",
@@ -46,8 +47,6 @@ _EXPORTS = {
     "solve_path": "solver",
     "stability_matrix": "solver",
     "saturation_identity_residual": "solver",
-    "BoundsReport": "solver",
-    "check_solution_bounds": "solver",
     "suggested_tol": "solver",
     "RADIUS_FLOOR": "solver",
     # asymptotics
@@ -61,8 +60,6 @@ _EXPORTS = {
     "pair_product_check": "asymptotics",
     "RatioCheck": "asymptotics",
     "ratio_relation_check": "asymptotics",
-    "ZmVanishing": "asymptotics",
-    "zm_vanishing_check": "asymptotics",
     "ReduceDiagnostics": "asymptotics",
     "vde_like_reduce": "asymptotics",
     "SweepRow": "asymptotics",
@@ -84,7 +81,6 @@ _EXPORTS = {
     "support_bound": "density",
     # montecarlo
     "EnsembleSpec": "montecarlo",
-    "SpectralSample": "montecarlo",
     "sample_matrix": "montecarlo",
     "entry_value": "montecarlo",
     "sample_spectrum": "montecarlo",
@@ -95,7 +91,6 @@ _EXPORTS = {
     "EntrywiseResult": "montecarlo",
     "REAL_SYMMETRIC": "montecarlo",
     "COMPLEX_HERMITIAN": "montecarlo",
-    "DIMENSION_CAP": "montecarlo",
     # cli
     "RunConfig": "cli",
     "run": "cli",

@@ -317,27 +317,6 @@ def ratio_relation_check(
 
 
 @dataclass(frozen=True)
-class ZmVanishing:
-    """max_k |z m_k| along the path; vanishes iff no component grows like 1/z."""
-
-    values: np.ndarray
-    final: float
-    decreasing: bool
-
-
-def zm_vanishing_check(path: list[VdeSolution]) -> ZmVanishing:
-    _path_radii_and_angle(path)
-    values = np.array(
-        [float(np.max(np.abs(sol.point.z * sol.m))) for sol in path]
-    )
-    return ZmVanishing(
-        values=values,
-        final=float(values[-1]),
-        decreasing=bool((np.diff(values) < 0).all()),
-    )
-
-
-@dataclass(frozen=True)
 class ReduceDiagnostics:
     residual: float
     zero_pattern_matches: bool

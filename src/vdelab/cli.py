@@ -27,7 +27,8 @@ import sys
 from . import __version__
 
 DEFAULT_MC_INNER = 400
-# a ray is tens of radii; the cap stops a huge --ppd before it allocates
+# a ray is tens of radii and an energy grid a few hundred energies; the
+# cap stops a huge --ppd or lin: count before it allocates
 MAX_RADII = 10_000
 
 
@@ -73,8 +74,9 @@ def _radii(config: RunConfig) -> list[float]:
         raise ValueError(
             f"need finite 0 < rmin <= rmax, got rmin={r_min} rmax={r_max}"
         )
-    if config.points_per_decade < 1:
-        raise ValueError("points per decade must be at least 1")
+    # bounded before the float product below, which overflows on a huge int
+    if not 1 <= config.points_per_decade <= MAX_RADII:
+        raise ValueError(f"points per decade must lie in [1, {MAX_RADII}]")
     if r_min == r_max:
         return [r_min]
     import numpy as np
@@ -194,8 +196,10 @@ def _parse_egrid(spec: str, profile):
         if len(parts) != 4:
             raise ValueError(f"bad egrid spec {spec!r}, want lin:lo:hi:count")
         lo, hi, count = float(parts[1]), float(parts[2]), int(parts[3])
-        if count < 1:
-            raise ValueError(f"bad egrid spec {spec!r}, count must be at least 1")
+        if not 1 <= count <= MAX_RADII:
+            raise ValueError(
+                f"bad egrid spec {spec!r}, count must lie in [1, {MAX_RADII}]"
+            )
         return np.linspace(lo, hi, count)
     return np.array([float(v) for v in spec.split(",")])
 
@@ -232,10 +236,6 @@ def _cmd_mc(config: RunConfig, profile) -> list[str]:
     from .density import DEFAULT_ETA_SCHEDULE
     from .montecarlo import EnsembleSpec, empirical_near_zero
 
-    # the report's relative error divides by the predicted mass in
-    # [-delta, delta], which is 0 at delta = 0
-    if not config.delta > 0:
-        raise ValueError(f"mc needs delta > 0, got {config.delta}")
     inner = _single_inner(config, DEFAULT_MC_INNER)
     spec = EnsembleSpec(
         small_profile=profile,
@@ -263,6 +263,16 @@ def _cmd_mc(config: RunConfig, profile) -> list[str]:
     return lines
 
 
+def _check_expansion(profile, inner: int) -> None:
+    """Reject an expansion to n*N above DIMENSION_CAP before it allocates."""
+    from .profiles import DIMENSION_CAP
+
+    if profile.dim * inner > DIMENSION_CAP:
+        raise ValueError(
+            f"expanded dimension {profile.dim}*{inner} exceeds the cap {DIMENSION_CAP}"
+        )
+
+
 def _expanded_profile(config: RunConfig, profile):
     from .profiles import expand_profile
 
@@ -273,6 +283,7 @@ def _expanded_profile(config: RunConfig, profile):
         raise ValueError(
             "reduce needs a profile with block metadata or --N to expand"
         )
+    _check_expansion(profile, inner)
     return expand_profile(profile, inner, noise=config.noise, seed=config.seed)
 
 
@@ -304,6 +315,7 @@ def _cmd_sweep(config: RunConfig, profile) -> list[str]:
 
     if not config.inner_list:
         raise ValueError("sweep needs --N with at least one block size")
+    _check_expansion(profile, max(config.inner_list))
     result = uniform_bound_sweep(
         profile,
         config.inner_list,

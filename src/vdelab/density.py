@@ -62,7 +62,6 @@ class PointDensity:
 
     value: float
     raw: np.ndarray
-    eta_used: float
     error_estimate: float
     divergent: bool
 
@@ -137,7 +136,6 @@ def rho_at_detailed(
     return PointDensity(
         value=max(value, 0.0),
         raw=raw,
-        eta_used=etas[-1],
         error_estimate=err,
         divergent=divergent,
     )
@@ -228,12 +226,6 @@ class DivergenceFit:
 
     exponent: float
     constant: float
-    window_energies: np.ndarray
-    window_rho: np.ndarray
-
-    def compensated(self, power: float) -> np.ndarray:
-        """rho * |E|^power over the window; flat when power = -exponent."""
-        return self.window_rho * np.abs(self.window_energies) ** power
 
 
 def divergence_fit(dp: DensityProfile, window: tuple[float, float]) -> DivergenceFit:
@@ -261,9 +253,4 @@ def divergence_fit(dp: DensityProfile, window: tuple[float, float]) -> Divergenc
     if (rho_w <= 0).any():
         raise ValueError("window contains non-positive density values")
     slope, intercept = np.polyfit(np.log(abs_e[mask]), np.log(rho_w), 1)
-    return DivergenceFit(
-        exponent=float(slope),
-        constant=float(math.exp(intercept)),
-        window_energies=dp.energies[mask],
-        window_rho=rho_w,
-    )
+    return DivergenceFit(exponent=float(slope), constant=float(math.exp(intercept)))

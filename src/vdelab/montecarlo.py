@@ -20,13 +20,11 @@ from numpy.random import Philox
 from scipy.special import ndtri
 
 from .density import DEFAULT_ETA_SCHEDULE, rho_at
-from .profiles import VarianceProfile
+from .profiles import DIMENSION_CAP, VarianceProfile
 from .solver import AnomalyError, SolverOptions, SpectralPoint, solve
 
 REAL_SYMMETRIC = "real_symmetric"
 COMPLEX_HERMITIAN = "complex_hermitian"
-
-DIMENSION_CAP = 4000
 
 
 @dataclass(frozen=True)
@@ -51,12 +49,6 @@ class EnsembleSpec:
     @property
     def dimension(self) -> int:
         return self.small_profile.dim * self.inner_N
-
-
-@dataclass(frozen=True)
-class SpectralSample:
-    eigenvalues: np.ndarray  # ascending
-    trial_seed: int
 
 
 def _uniforms(raw: np.ndarray) -> np.ndarray:
@@ -131,9 +123,9 @@ def entry_value(spec: EnsembleSpec, trial: int, a: int, b: int) -> complex:
     return complex(math.sqrt(var / 2.0)) * (g0 + 1j * g1)
 
 
-def sample_spectrum(spec: EnsembleSpec, trial: int) -> SpectralSample:
-    eigenvalues = np.linalg.eigvalsh(sample_matrix(spec, trial))
-    return SpectralSample(eigenvalues=eigenvalues, trial_seed=trial)
+def sample_spectrum(spec: EnsembleSpec, trial: int) -> np.ndarray:
+    """Ascending eigenvalues of the trial's matrix."""
+    return np.linalg.eigvalsh(sample_matrix(spec, trial))
 
 
 def predicted_near_zero_mass(
@@ -146,14 +138,13 @@ def predicted_near_zero_mass(
     exponent -(n-1)/(n+1) stays above -1, so the integral is finite; a
     fitted s <= -1 would contradict that and raises AnomalyError.
 
-    A positive delta below 1000 times the schedule's smallest eta raises
-    ValueError: the fit window then reaches energies the eta
-    extrapolation cannot resolve, and the fitted law comes out wrong.
+    Raises ValueError unless delta > 0, and for a delta below 1000 times
+    the schedule's smallest eta, where the fit window reaches energies the
+    eta extrapolation cannot resolve and the fitted law comes out wrong.
+    empirical_near_zero and the mc command rely on this check of delta.
     """
-    if delta < 0:
-        raise ValueError("delta must be non-negative")
-    if delta == 0.0:
-        return 0.0
+    if not delta > 0:
+        raise ValueError(f"delta must be positive, got {delta}")
     floor = 1000.0 * float(min(eta_schedule))
     if delta < floor:
         raise ValueError(
@@ -179,43 +170,35 @@ def predicted_near_zero_mass(
 class NearZeroResult:
     """Empirical eigenvalue mass in [-delta, delta] vs the density's own."""
 
-    delta: float
     fraction: float
     stderr: float
-    prediction: float | None
+    prediction: float
     per_trial: np.ndarray
 
 
 def empirical_near_zero(
     spec: EnsembleSpec,
     delta: float,
-    cap: int = DIMENSION_CAP,
-    predict: bool = True,
     eta_schedule=DEFAULT_ETA_SCHEDULE,
 ) -> NearZeroResult:
     """Average fraction of eigenvalues in [-delta, delta] across trials.
 
     The standard error uses the ddof=1 sample deviation over trials (nan
-    for a single trial).  With predict=True the companion prediction
-    integrates the fitted power law of the self-consistent density; pass
-    predict=False for regimes where the power-law window is meaningless
-    (delta far outside the divergence region).
+    for a single trial).  The companion prediction integrates the fitted
+    power law of the self-consistent density (predicted_near_zero_mass,
+    which also validates delta).
     """
-    if delta < 0:
-        raise ValueError("delta must be non-negative")
     d = spec.dimension
-    if d > cap:
-        raise ValueError(f"matrix side {d} exceeds the eigensolver cap {cap}")
+    if d > DIMENSION_CAP:
+        raise ValueError(
+            f"matrix side {d} exceeds the eigensolver cap {DIMENSION_CAP}"
+        )
     # predict first, so a delta the density cannot resolve fails before
     # any matrix is sampled
-    prediction = None
-    if predict:
-        prediction = predicted_near_zero_mass(
-            spec.small_profile, delta, eta_schedule
-        )
+    prediction = predicted_near_zero_mass(spec.small_profile, delta, eta_schedule)
     fractions = np.empty(spec.trials)
     for trial in range(spec.trials):
-        ev = sample_spectrum(spec, trial).eigenvalues
+        ev = sample_spectrum(spec, trial)
         fractions[trial] = np.count_nonzero(np.abs(ev) <= delta) / ev.size
     stderr = (
         float(fractions.std(ddof=1) / math.sqrt(spec.trials))
@@ -223,7 +206,6 @@ def empirical_near_zero(
         else float("nan")
     )
     return NearZeroResult(
-        delta=delta,
         fraction=float(fractions.mean()),
         stderr=stderr,
         prediction=prediction,
@@ -258,6 +240,9 @@ def entrywise_law_check(
     eta >= max(0.1, dimension^(-1/3)): below that the resolvent no longer
     concentrates around the deterministic value and the comparison is
     meaningless.
+
+    Library-only: the deviations carry no error bound to compare them
+    against, so no report could gate them, and no command prints them.
     """
     floor = max(0.1, spec.dimension ** (-1.0 / 3.0))
     if point.im < floor:

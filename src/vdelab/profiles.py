@@ -24,6 +24,8 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 RECTANGLE_SEARCH_CAP = 20
+# largest dense matrix side n*N: sampled ensembles and block expansions
+DIMENSION_CAP = 4000
 
 REGIME_BOUNDED = "bounded"
 REGIME_CRITICAL = "critical_staircase"
@@ -254,9 +256,7 @@ def _bits(mask: int, dim: int) -> tuple[int, ...]:
     return tuple(j + 1 for j in range(dim) if mask >> j & 1)
 
 
-def maximal_zero_rectangles(
-    profile: VarianceProfile, cap: int = RECTANGLE_SEARCH_CAP
-) -> list[ZeroRectangle]:
+def maximal_zero_rectangles(profile: VarianceProfile) -> list[ZeroRectangle]:
     """All maximal all-zero rectangles (maximal bicliques of the zero pattern).
 
     Row and column index sets need not be contiguous: a zero block in this
@@ -269,8 +269,10 @@ def maximal_zero_rectangles(
     sets for determinism.
     """
     dim = profile.dim
-    if dim > cap:
-        raise EnumerationCapError(f"dim {dim} exceeds rectangle search cap {cap}")
+    if dim > RECTANGLE_SEARCH_CAP:
+        raise EnumerationCapError(
+            f"dim {dim} exceeds rectangle search cap {RECTANGLE_SEARCH_CAP}"
+        )
     row_masks = _row_zero_masks(profile.entries)
     closures: set[int] = set()
     frontier = {m for m in row_masks if m}
@@ -417,9 +419,7 @@ def antidiagonal_irreducibility(
     return out
 
 
-def classify_regime(
-    profile: VarianceProfile, cap: int = RECTANGLE_SEARCH_CAP
-) -> StructureReport:
+def classify_regime(profile: VarianceProfile) -> StructureReport:
     """Classify the profile by maximal zero-rectangle perimeter.
 
     Thresholds: bounded when the maximum perimeter is strictly below
@@ -427,7 +427,7 @@ def classify_regime(
     for the gap in between.  Critical blocks are the maximal rectangles
     with perimeter in [2*dim, 2*dim + 1].
     """
-    rects = maximal_zero_rectangles(profile, cap=cap)
+    rects = maximal_zero_rectangles(profile)
     dim = profile.dim
     maxp = rects[0].perimeter if rects else 0
     if maxp >= 2 * (dim + 1):

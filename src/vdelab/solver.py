@@ -105,16 +105,6 @@ class VdeSolution:
             "f_norm": float(self.f_norm),
         }
 
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "VdeSolution":
-        return cls(
-            point=SpectralPoint(re=float(doc["z"][0]), im=float(doc["z"][1])),
-            m=np.array([complex(re, im) for re, im in doc["m"]]),
-            residual=float(doc["residual"]),
-            iterations=int(doc["iterations"]),
-            f_norm=float(doc["f_norm"]),
-        )
-
 
 def _symmetric_norm2(a: np.ndarray) -> float:
     """||a||_2 of a real symmetric matrix: max(-lambda_min, lambda_max).
@@ -331,50 +321,6 @@ def saturation_identity_residual(
     f = stability_matrix(m, profile)
     defect = f @ (f @ u) - u - (np.conj(z) * am - z * (f @ am))
     return float(np.sqrt(np.mean(np.abs(defect) ** 2)))
-
-
-@dataclass(frozen=True)
-class BoundsReport:
-    """Measured solution-size ratios against the near-zero growth bounds."""
-
-    products: np.ndarray  # |m_k| * |z| per component
-    inverse_ratios: np.ndarray  # |z| / |m_k| per component
-    min_product: float
-    max_inverse_ratio: float
-    product_bound: float
-    inverse_bound: float
-    passed: bool
-
-
-def check_solution_bounds(
-    solution: VdeSolution, profile: VarianceProfile
-) -> BoundsReport:
-    """Check c|z| < |m_k| < C/|z| witnesses for |z| < 1.
-
-    The smallest |m_k|*|z| must stay <= 2 (the normalized-L2 bound
-    ||m|| <= 2/|z|) and the largest |z|/|m_k| must stay <= |z|^2 + 2||S||
-    with ||S|| = max(-lambda_min, lambda_max) of the symmetric S.  A failed
-    bound flags non-convergence in the report rather than raising.
-    """
-    z = solution.point.z
-    az = abs(z)
-    if not az < 1.0:
-        raise ValueError(f"bounds require |z| < 1, got |z| = {az:.6g}")
-    am = np.abs(solution.m)
-    products = am * az
-    inverse_ratios = az / am
-    inverse_bound = az**2 + 2.0 * _symmetric_norm2(profile.entries)
-    min_product = float(products.min())
-    max_inverse = float(inverse_ratios.max())
-    return BoundsReport(
-        products=products,
-        inverse_ratios=inverse_ratios,
-        min_product=min_product,
-        max_inverse_ratio=max_inverse,
-        product_bound=2.0,
-        inverse_bound=inverse_bound,
-        passed=bool(min_product <= 2.0 and max_inverse <= inverse_bound),
-    )
 
 
 def suggested_tol(profile: VarianceProfile, r_min: float) -> float:

@@ -26,7 +26,6 @@ from vdelab import (
     suggested_tol,
     uniform_bound_sweep,
     vde_like_reduce,
-    zm_vanishing_check,
 )
 
 # 4^(-1/3) and 4^(1/3): the hand-solved constants for S = [[4, 1], [1, 0]]
@@ -196,22 +195,13 @@ def test_ratio_relations_need_dim_two():
         ratio_relation_check(path, staircase_profile(1))
 
 
-def test_zm_vanishes_on_staircase_rays():
-    _, path = ones_path(2, r_min=1e-5, count=21)
-    chk = zm_vanishing_check(path)
-    assert chk.decreasing
-    assert chk.final < 1e-3
-    assert chk.values[0] > chk.final
-
-
 def test_zm_does_not_vanish_for_rank_deficient_profile():
-    # with S = [[1, 0], [0, 0]] the second component is exactly -1/z, so
-    # max_k |z m_k| sticks at 1 instead of decaying
+    # with S = [[1, 0], [0, 0]] the second component solves -1/m_2 = z, so
+    # z m_2 stays at -1 along the ray instead of decaying
     prof = VarianceProfile(np.array([[1.0, 0.0], [0.0, 0.0]]))
     path = solve_path(prof, math.pi / 2, np.geomspace(1e-1, 1e-3, 9))
-    chk = zm_vanishing_check(path)
-    assert not chk.decreasing
-    assert chk.final == pytest.approx(1.0, abs=1e-9)
+    for sol in path:
+        assert sol.point.z * sol.m[1] == pytest.approx(-1.0, abs=1e-9)
 
 
 # ----------------------------------------------------------------- reduction

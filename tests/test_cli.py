@@ -233,6 +233,7 @@ def test_validation_failures_exit_one(tmp_path):
         proc = run_cli(args, env_extra)
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
+        assert "vdelab: " in proc.stderr
         return proc
 
     fails_cleanly(["--command", "classify", "--profile",
@@ -246,14 +247,24 @@ def test_validation_failures_exit_one(tmp_path):
     fails_cleanly(["--command", "bogus", "--profile", good, "--out", out])
     fails_cleanly(["--command", "density", "--profile", good, "--out", out,
                    "--egrid", "lin:1:2"])
-    fails_cleanly(["--command", "mc", "--profile", good, "--out", out,
-                   "--N", "4", "--delta", "0"])
+    for delta in ("0", "nan", "-1"):
+        fails_cleanly(["--command", "mc", "--profile", good, "--out", out,
+                       "--N", "4", "--delta", delta])
     fails_cleanly(["--command", "scan", "--profile", good, "--out", out,
                    "--rmax", "inf"])
     fails_cleanly(["--command", "scan", "--profile", good, "--out", out,
                    "--ppd", "100000000"])
-    fails_cleanly(["--command", "density", "--profile", good, "--out", out,
-                   "--egrid", "lin:0.1:1:0"])
+    # too large for a float: must not overflow inside the radii product
+    fails_cleanly(["--command", "scan", "--profile", good, "--out", out,
+                   "--ppd", "1" + "0" * 400])
+    for count in ("0", "99999999"):
+        fails_cleanly(["--command", "density", "--profile", good, "--out", out,
+                       "--egrid", f"lin:0.1:1:{count}"])
+    # n*N = 2e6 is far above the dimension cap; rejected before expanding
+    fails_cleanly(["--command", "reduce", "--profile", good, "--out", out,
+                   "--N", "1000000"])
+    fails_cleanly(["--command", "sweep", "--profile", good, "--out", out,
+                   "--N", "4,1000000"])
     fails_cleanly(["--command", "mc", "--profile", good, "--out", out,
                    "--N", "4,8"])
     fails_cleanly(["--command", "mc", "--profile", good, "--out", out,
@@ -285,7 +296,8 @@ def test_validation_failures_exit_one(tmp_path):
 def test_solver_failure_exits_two(tmp_path):
     prof = write_profile(tmp_path, "p.json", STAIR2)
     out = str(tmp_path / "o.txt")
-    # an off-axis point cannot reach 1e-30, so the damping search bottoms out
+    # an off-axis point cannot reach 1e-30, so the residual stalls: 50
+    # iterations without a new best
     proc = run_cli(
         [
             "--command", "solve", "--profile", prof, "--out", out,

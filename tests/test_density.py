@@ -39,7 +39,6 @@ def test_semicircle_density_values():
 def test_point_density_diagnostics():
     pd = rho_at_detailed(staircase_profile(1), 0.5)
     assert pd.raw.shape == (len(DEFAULT_ETA_SCHEDULE),)
-    assert pd.eta_used == DEFAULT_ETA_SCHEDULE[-1]
     assert not pd.divergent
     assert pd.error_estimate >= 0.0
     assert pd.value >= 0.0
@@ -144,8 +143,6 @@ def test_divergence_fit_recovers_synthetic_power_law():
     fit = divergence_fit(dp, DEFAULT_FIT_WINDOW)
     assert fit.exponent == pytest.approx(-1.0 / 3.0, abs=1e-12)
     assert fit.constant == pytest.approx(0.7, rel=1e-12)
-    flat = fit.compensated(1.0 / 3.0)
-    assert np.max(np.abs(flat - 0.7)) < 1e-12
 
 
 def test_divergence_fit_validation():

@@ -9,6 +9,7 @@ from oracles import brute_maximal_rectangles, staircase_entries
 from vdelab import (
     EnumerationCapError,
     ProfileError,
+    RECTANGLE_SEARCH_CAP,
     REGIME_BOUNDED,
     REGIME_CRITICAL,
     REGIME_RANK_DEFICIENT,
@@ -213,10 +214,11 @@ def test_rectangles_match_brute_force_property(seed, dim):
 
 
 def test_enumeration_cap():
+    big = staircase_profile(RECTANGLE_SEARCH_CAP + 1)
     with pytest.raises(EnumerationCapError):
-        maximal_zero_rectangles(staircase_profile(4), cap=3)
+        maximal_zero_rectangles(big)
     with pytest.raises(EnumerationCapError):
-        classify_regime(staircase_profile(4), cap=3)
+        classify_regime(big)
 
 
 def test_zero_rectangle_perimeter():

@@ -1,5 +1,6 @@
 """Solver correctness against closed forms, symmetries, and error paths."""
 
+import json
 import math
 
 import numpy as np
@@ -14,7 +15,6 @@ from vdelab import (
     SpectralPoint,
     VarianceProfile,
     VdeSolution,
-    check_solution_bounds,
     expand_profile,
     random_staircase_profile,
     saturation_identity_residual,
@@ -168,11 +168,13 @@ def test_fixed_point_fallback_converges(prof, monkeypatch):
 
 def test_solution_serialization_round_trip():
     sol = solve(staircase_profile(2), SpectralPoint(re=0.2, im=0.3))
-    doc = sol.to_json_dict()
-    back = VdeSolution.from_json_dict(doc)
-    assert (back.m == sol.m).all()
-    assert back.point.z == sol.point.z
-    assert back.residual == sol.residual
+    # through JSON text, as the solve report writes it: floats survive exactly
+    doc = json.loads(json.dumps(sol.to_json_dict()))
+    assert doc["z"] == [0.2, 0.3]
+    assert [complex(re, im) for re, im in doc["m"]] == list(sol.m)
+    assert doc["residual"] == sol.residual
+    assert doc["iterations"] == sol.iterations
+    assert doc["f_norm"] == sol.f_norm
     with pytest.raises(ValueError):
         sol.m[0] = 0.0  # solution vectors are read-only
 
@@ -294,19 +296,6 @@ def test_saturation_identity_residual_scales_with_error():
     # a relative O(1e-3) error in m must surface at a comparable scale
     fudged = make_solution(sol.point.z, sol.m * (1.0 + 1e-3))
     assert saturation_identity_residual(fudged, prof) > 1e-5
-
-
-def test_check_solution_bounds():
-    prof = staircase_profile(3)
-    sol = solve(prof, SpectralPoint(re=0.0, im=1e-3), SolverOptions(tol=1e-11))
-    report = check_solution_bounds(sol, prof)
-    assert report.passed
-    assert report.min_product <= report.product_bound == 2.0
-    assert report.max_inverse_ratio <= report.inverse_bound
-    assert report.products.shape == (3,)
-    far = solve(prof, SpectralPoint(re=0.0, im=2.0))
-    with pytest.raises(ValueError, match="bounds require"):
-        check_solution_bounds(far, prof)
 
 
 def test_suggested_tol():
