@@ -1,13 +1,14 @@
 """Self-consistent density of states and its divergence at E = 0.
 
 rho(E) is the eta -> 0 limit of (1/(pi dim)) sum_k Im m_k(E + i eta).
-Each grid point runs a warm-started descent over an eta schedule and
+Each energy runs a warm-started descent over an eta schedule and
 extrapolates with the model a + b eta^beta, beta fitted from the last
 three schedule points; when the increments grow instead of shrinking the
-point is flagged divergent and the last raw value is reported.  The
-staircase profiles this package targets have an integrable power-law
-divergence at E = 0, characterized by a log-log window fit rather than a
-pointwise value.
+point is flagged divergent and the last raw value is reported.
+rho_at_detailed descends one energy, rho_grid every energy of its mesh
+together, one batched solve per eta level.  The staircase profiles this
+package targets have an integrable power-law divergence at E = 0,
+characterized by a log-log window fit rather than a pointwise value.
 """
 
 from __future__ import annotations
@@ -16,11 +17,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .profiles import VarianceProfile
 from .solver import (
-    SolverOptions, SpectralPoint, continuation_guess, solve, suggested_tol
+    SolverOptions, SpectralPoint, _solve_points, continuation_guess, solve,
+    suggested_tol,
 )
 
 DEFAULT_ETA_SCHEDULE: tuple[float, ...] = tuple(np.geomspace(1e-2, 1e-6, 5))
@@ -33,6 +34,8 @@ DEFAULT_FIT_WINDOW: tuple[float, float] = (2e-4, 2e-3)
 _LINEAR_STEP = 0.05
 _LOG_FLOOR = 1e-5
 _LOG_POINTS_PER_DECADE = 6
+# bytes a (P, dim, dim) complex stack of rho_grid's batched solve may take
+_STACK_BYTES = 1 << 22
 
 
 def support_bound(profile: VarianceProfile) -> float:
@@ -79,6 +82,40 @@ def _validate_schedule(eta_schedule) -> list[float]:
     return etas
 
 
+def _brentq(f, xpre: float, xcur: float) -> float:
+    """scipy.optimize.brentq(f, xpre, xcur) step for step, for f(xpre) < 0 < f(xcur).
+
+    Written out here: importing scipy.optimize costs the process 12 MB.
+    """
+    xtol, rtol = 2e-12, 4 * float(np.finfo(float).eps)
+    fpre, fcur = f(xpre), f(xcur)
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(100):
+        if fpre != 0 and fcur != 0 and (fpre > 0) != (fcur > 0):
+            xblk, fblk, spre, scur = xpre, fpre, xcur - xpre, xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk, fpre, fcur, fblk = xcur, xblk, xcur, fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        stry = math.inf  # bisect unless the interpolation step is safe
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic interpolation
+                dpre, dblk = (fpre - fcur) / (xpre - xcur), (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+        if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+            spre, scur = scur, stry
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = f(xcur)
+    raise RuntimeError("Brent's method did not converge in 100 iterations")
+
+
 def _extrapolate(etas: list[float], vals: np.ndarray) -> tuple[float, float, bool]:
     """eta -> 0 limit from the last three points of a + b eta^beta.
 
@@ -103,10 +140,15 @@ def _extrapolate(etas: list[float], vals: np.ndarray) -> tuple[float, float, boo
         return f3, abs(d23), True
     if gap(hi) <= 0.0:
         return f3, abs(d23), False
-    beta = brentq(gap, lo, hi)
+    beta = _brentq(gap, lo, hi)
     b = d23 / (e2**beta - e3**beta)
     a = f3 - b * e3**beta
     return a, abs(a - f3), False
+
+
+def _descent_tol(profile, e_val: float, eta_min: float) -> float:
+    """The default tolerance of a descent: suggested_tol at its smallest |E + i*eta|."""
+    return suggested_tol(profile, math.hypot(e_val, eta_min))
 
 
 def rho_at_detailed(
@@ -123,10 +165,7 @@ def rho_at_detailed(
     opts the tolerance is suggested_tol at the smallest |E + i*eta|.
     """
     etas = _validate_schedule(eta_schedule)
-    if opts is None:
-        opts = SolverOptions(
-            tol=suggested_tol(profile, math.hypot(e_val, etas[-1]))
-        )
+    opts = opts or SolverOptions(tol=_descent_tol(profile, e_val, etas[-1]))
     ms: list[np.ndarray] = []
     for eta in etas:
         point = SpectralPoint(re=float(e_val), im=eta)
@@ -179,7 +218,10 @@ def rho_grid(
     The grid must be strictly increasing and avoid E = 0 exactly (the
     staircase density diverges there).  Mass is integrated by trapezoid
     over the union of the grid with a linear mesh reaching the support
-    bound on both sides, so partial grids still report total mass.
+    bound on both sides, so partial grids still report total mass.  Each
+    mesh energy gets rho_at_detailed's descent, all solved together in
+    slices of the mesh; a failure raises in the first slice and eta level
+    where one occurs and names that energy, not always the lowest failing.
     """
     grid = np.atleast_1d(np.asarray(e_grid, dtype=float))
     etas = tuple(_validate_schedule(eta_schedule))
@@ -205,18 +247,28 @@ def rho_grid(
     mesh = np.union1d(
         grid, np.concatenate([-lin[::-1], lin, [-e_max, e_max]])
     )
-    points = [rho_at_detailed(profile, float(e), etas, opts) for e in mesh]
-    mesh_rho = np.array([pd.value for pd in points])
-    mesh_err = np.array([pd.error_estimate for pd in points])
-    mesh_divergent = np.array([pd.divergent for pd in points], dtype=bool)
+    # rho_at_detailed's descent, one batched solve per eta level and slice
+    tol = (np.full(mesh.size, opts.tol) if opts else
+           np.array([_descent_tol(profile, e, etas[-1]) for e in mesh]))
+    max_iter = (opts or SolverOptions()).max_iter
+    raw = np.empty((mesh.size, len(etas)))
+    size = max(1, _STACK_BYTES // (16 * profile.dim**2))
+    for rows in (slice(i, i + size) for i in range(0, mesh.size, size)):
+        ms: list[np.ndarray] = []
+        for j, eta in enumerate(etas):
+            z, warm = mesh[rows] + 1j * eta, continuation_guess(ms)
+            ms.append(_solve_points(profile, z, tol[rows], warm, max_iter)[0])
+            raw[rows, j] = ms[-1].imag.sum(axis=1) / (math.pi * profile.dim)
+    value, err, divergent = map(np.array, zip(*(_extrapolate(etas, v) for v in raw)))
+    rho = np.where(value < 0.0, 0.0, value)  # rho_at_detailed's max(value, 0.0)
     on_grid = np.isin(mesh, grid)
     return DensityProfile(
         energies=grid,
-        rho=mesh_rho[on_grid],
+        rho=rho[on_grid],
         eta_schedule=etas,
-        total_mass=float(np.trapezoid(mesh_rho, mesh)),
-        error_estimates=mesh_err[on_grid],
-        divergent=mesh_divergent[on_grid],
+        total_mass=float(np.trapezoid(rho, mesh)),
+        error_estimates=err[on_grid],
+        divergent=divergent[on_grid],
     )
 
 

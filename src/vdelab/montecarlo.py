@@ -23,6 +23,8 @@ from .density import DEFAULT_ETA_SCHEDULE, rho_at
 from .profiles import DIMENSION_CAP, VarianceProfile
 from .solver import AnomalyError, SolverOptions, SpectralPoint, solve
 
+TRIALS_CAP = 10_000  # each trial is a full eigensolve
+
 REAL_SYMMETRIC = "real_symmetric"
 COMPLEX_HERMITIAN = "complex_hermitian"
 
@@ -38,8 +40,8 @@ class EnsembleSpec:
     def __post_init__(self) -> None:
         if self.inner_N < 2:
             raise ValueError("inner_N must be at least 2")
-        if self.trials < 1:
-            raise ValueError("trials must be at least 1")
+        if not 1 <= self.trials <= TRIALS_CAP:
+            raise ValueError(f"trials must lie in [1, {TRIALS_CAP}], got {self.trials}")
         if self.symmetry not in (REAL_SYMMETRIC, COMPLEX_HERMITIAN):
             raise ValueError(f"unknown symmetry class {self.symmetry!r}")
         # the seed is the first word of a 64-bit Philox key

@@ -11,11 +11,14 @@ either way.  The solve fails after 50 straight iterations without a new
 best residual.  The log parametrization m <- m*exp(delta) matters: the
 Jacobian of the raw defect is ill-conditioned like r^{-2(n-1)/(n+1)} near
 the singularity, while the log-coordinate Jacobian stays benign all the
-way down to the radius floor.
+way down to the radius floor.  The iteration is written once, batched
+over P points that each keep their own state; solve is its P=1 case, and
+rho_grid solves a whole eta level in it.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 
@@ -106,49 +109,125 @@ class VdeSolution:
         }
 
 
-def _symmetric_norm2(a: np.ndarray) -> float:
-    """||a||_2 of a real symmetric matrix: max(-lambda_min, lambda_max).
+def _symmetric_norm2(a: np.ndarray) -> np.ndarray:
+    """||a||_2 of a real symmetric matrix or stack: max(-lambda_min, lambda_max).
 
     Both ends of the spectrum count: near the singularity F = |m| S |m|
     can have eigenvalues close to -1 and to +1 at once.
     """
     w = np.linalg.eigvalsh(a)
-    return float(max(-w[0], w[-1]))
+    return np.maximum(-w[..., 0], w[..., -1])
 
 
-def _defect_norm(m: np.ndarray, z: complex, s: np.ndarray) -> float:
-    return float(np.max(np.abs(1.0 / m + z + s @ m)))
+def _matvec(s: np.ndarray, m: np.ndarray) -> np.ndarray:
+    # S m per row, bit for bit the s @ m of one vector (m @ s.T is not)
+    return (s @ m[..., None])[..., 0]
 
 
-def _try_log_newton(m: np.ndarray, z: complex, s: np.ndarray) -> np.ndarray | None:
+def _defect_norms(m: np.ndarray, z: np.ndarray, s: np.ndarray) -> np.ndarray:
+    return np.abs(1.0 / m + z[:, None] + _matvec(s, m)).max(axis=1)
+
+
+def _newton_directions(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve each jac[p] delta[p] = rhs[p]; a singular jac[p] gives NaNs."""
+    try:
+        return np.linalg.solve(jac, rhs[..., None])[..., 0]
+    except np.linalg.LinAlgError:  # one singular matrix fails the whole stack
+        delta = np.full_like(rhs, np.nan)
+        for p in range(len(rhs)):
+            with contextlib.suppress(np.linalg.LinAlgError):
+                delta[p] = np.linalg.solve(jac[p], rhs[p])
+        return delta
+
+
+def _log_newton(m: np.ndarray, z: np.ndarray, s: np.ndarray):
     """One backtracked Newton step on g(m) = m*(z+Sm)+1 in log coordinates.
 
-    Returns the accepted iterate or None when no step with the required
-    decrease in max|g| keeps the iterate in the upper half-plane.
+    Each row halves its step up to 30 times until it is below the cap, the
+    iterate stays in the upper half-plane and max|g| drops.  Returns the
+    new iterates and a mask of the rows that stepped; the rest keep theirs.
     """
-    g = 1.0 + m * (z + s @ m)
+    z = z[:, None]
+    g = 1.0 + m * (z + _matvec(s, m))
     # diag(g - 1) + M S M, built in place in the order (m_k s_kj) m_j
-    jac = m[:, None] * s
-    jac *= m
-    jac.flat[:: m.size + 1] += g - 1.0
-    try:
-        delta = np.linalg.solve(jac, -g)
-    except np.linalg.LinAlgError:
-        return None
-    if not np.isfinite(delta).all():
-        return None
-    g_ref = np.max(np.abs(g))
-    t = 1.0
+    jac = m[:, :, None] * s
+    jac *= m[:, None, :]
+    jac.reshape(len(m), -1)[:, :: m.shape[1] + 1] += g - 1.0
+    delta = _newton_directions(jac, -g)
+    g_ref = np.abs(g).max(axis=1)
+    finite = todo = np.isfinite(delta).all(axis=1)
+    out, t = m, 1.0
     for _ in range(_MAX_BACKTRACK):
         step = t * delta
-        if np.max(np.abs(step)) < _LOG_STEP_CAP:
-            trial = m * np.exp(step)
-            if (trial.imag > 0).all():
-                g_new = np.max(np.abs(1.0 + trial * (z + s @ trial)))
-                if np.isfinite(g_new) and g_new < g_ref:
-                    return trial
+        trial = m * np.exp(step)
+        g_new = np.abs(1.0 + trial * (z + _matvec(s, trial))).max(axis=1)
+        ok = todo & (np.abs(step).max(axis=1) < _LOG_STEP_CAP)
+        ok &= (trial.imag > 0).all(axis=1) & (g_new < g_ref)  # NaN fails too
+        if ok.all():
+            return trial, ok
+        out = np.where(ok[:, None], trial, out)
+        todo = todo & ~ok
+        if not todo.any():
+            break
         t *= 0.5
-    return None
+    return out, finite & ~todo
+
+
+def _solve_points(profile: VarianceProfile, z, tol, m, max_iter: int):
+    """Solve -1/m = z + Sm at P points at once, each by the rules of solve.
+
+    z and tol have shape (P,), the start vectors m (P, dim), None for
+    i*(1,...,1).  A failing row raises the error of solve, naming its z.
+    Returns m, the residuals, the iteration counts and the f_norms.
+    """
+    s = profile.entries.astype(complex)  # not a copy per mixed product
+    m = np.full((len(z), profile.dim), 1j) if m is None else np.array(m, dtype=complex)
+    residual = _defect_norms(m, z, s)
+    iterations = np.zeros(len(z), dtype=int)
+    # the rows still iterating with their packed state; best_at is the
+    # iteration of a row's best residual
+    rows = np.flatnonzero(residual > tol)
+    ma, za, ta, best = m[rows], z[rows], tol[rows], residual[rows]
+    best_at = np.zeros(rows.size, dtype=int)
+    k = 0
+    # each row computes every trial step and drops it when done, past the
+    # cap or out of the half-plane, so overflow there is harmless
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        while rows.size:
+            if k >= max_iter:
+                raise SolverError(f"no convergence in {max_iter} iterations at z = "
+                                  f"{za[0]}, last residual {residual[rows[0]]:.3e}")
+            ma, newton = _log_newton(ma, za, s)
+            if not newton.all():
+                half = ~newton
+                step = 0.5 * (ma[half] - 1.0 / (za[half, None] + _matvec(s, ma[half])))
+                bad = ~(np.isfinite(step).all(axis=1) & (step.imag > 0).all(axis=1))
+                if bad.any():
+                    i = np.flatnonzero(half)[bad.argmax()]
+                    raise SolverError("fixed-point half-step is non-finite or left "
+                                      f"the upper half-plane at z = {za[i]}, last "
+                                      f"residual {residual[rows[i]]:.3e}")
+                ma[half] = step
+            k += 1
+            res = residual[rows] = _defect_norms(ma, za, s)
+            best_at[res < best] = k
+            best = np.fmin(best, res)  # a NaN residual is no new best
+            if k - best_at.min() >= _STALL_LIMIT:
+                i = best_at.argmin()
+                raise SolverError(f"residual stalled at z = {za[i]}: no new best "
+                                  f"in {_STALL_LIMIT} iterations, best {best[i]:.3e}")
+            go = res > ta
+            if not go.all():
+                m[rows[~go]], iterations[rows[~go]] = ma[~go], k
+                state = (rows, ma, za, ta, best, best_at)
+                rows, ma, za, ta, best, best_at = (a[go] for a in state)
+
+    f_norm = _symmetric_norm2(stability_matrix(m, profile))
+    if not (f_norm < 1.0).all():
+        i = (~(f_norm < 1.0)).argmax()
+        raise AnomalyError(f"saturation matrix norm {f_norm[i]} >= 1 at z = {z[i]}; "
+                           "the theory forbids this in the upper half-plane")
+    return m, residual, iterations, f_norm
 
 
 def solve(
@@ -157,7 +236,7 @@ def solve(
     opts: SolverOptions | None = None,
     warm_start=None,
 ) -> VdeSolution:
-    """Solve -1/m = z + Sm at one point.
+    """Solve -1/m = z + Sm at one point: the P=1 case of the batched solve.
 
     Starts from i*(1,...,1) unless warm_start is given.  When z is exactly
     on the imaginary axis (re == 0.0) and the start vector is purely
@@ -168,65 +247,24 @@ def solve(
     iterations without a new best residual, or when a fixed-point
     half-step is non-finite or leaves the upper half-plane; AnomalyError
     unless the solved point has ||F||_2 < 1 for F = |m| S |m|, with
-    ||F||_2 = max(-lambda_min, lambda_max) of F.
+    ||F||_2 = max(-lambda_min, lambda_max) of F.  Each message names z.
     """
     if opts is None:
         opts = SolverOptions()
-    # one complex copy of S per solve; a mixed real/complex s @ m would
-    # make the same copy inside numpy on every product
-    s = profile.entries.astype(complex)
-    z = point.z
-    if warm_start is not None:
-        m = np.array(warm_start, dtype=complex)
+    m = warm_start
+    if m is not None:
+        m = np.array(m, dtype=complex)
         if m.shape != (profile.dim,):
             raise ValueError(
                 f"warm start shape {m.shape} does not match dim {profile.dim}"
             )
         if not (m.imag > 0).all():
             raise ValueError("warm start must lie in the upper half-plane")
-    else:
-        m = 1j * np.ones(profile.dim)
-
-    iterations = 0
-    residual = best = _defect_norm(m, z, s)
-    stalled = 0
-    while residual > opts.tol:
-        if iterations >= opts.max_iter:
-            raise SolverError(
-                f"no convergence in {opts.max_iter} iterations, "
-                f"last residual {residual:.3e}"
-            )
-        trial = _try_log_newton(m, z, s)
-        if trial is None:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                trial = 0.5 * (m - 1.0 / (z + s @ m))
-            if not (np.isfinite(trial).all() and (trial.imag > 0).all()):
-                raise SolverError(
-                    "fixed-point half-step is non-finite or left the upper "
-                    f"half-plane, last residual {residual:.3e}"
-                )
-        m = trial
-        iterations += 1
-        residual = _defect_norm(m, z, s)
-        if residual < best:
-            best, stalled = residual, 0
-        else:
-            stalled += 1
-            if stalled >= _STALL_LIMIT:
-                raise SolverError(
-                    f"residual stalled: no new best in {_STALL_LIMIT} "
-                    f"iterations, best {best:.3e}"
-                )
-
-    f_norm = _symmetric_norm2(stability_matrix(m, profile))
-    if not f_norm < 1.0:
-        raise AnomalyError(
-            f"saturation matrix norm {f_norm} >= 1 at z = {z}; "
-            "the theory forbids this in the upper half-plane"
-        )
-    return VdeSolution(
-        point=point, m=m, residual=residual, iterations=iterations, f_norm=f_norm
-    )
+        m = m[None]
+    z, tol = np.array([point.z]), np.array([opts.tol])
+    m, residual, iterations, f_norm = _solve_points(profile, z, tol, m, opts.max_iter)
+    return VdeSolution(point, m[0], float(residual[0]), int(iterations[0]),
+                       float(f_norm[0]))
 
 
 def solve_path(
@@ -280,12 +318,13 @@ def continuation_guess(previous) -> np.ndarray | None:
     """Warm start for the next point of a descending continuation.
 
     previous holds the solution vectors of the points already solved,
-    oldest first.  With none the answer is None (a cold start), with one
-    it is that vector, and with two or more it is the componentwise secant
-    m*(m/m_prev) of the last two, which tracks the power-law drift of the
-    components and typically lands within a few Newton steps of the
-    solution.  A secant that overflows or leaves the upper half-plane
-    falls back to the last vector.
+    oldest first, each one vector or a (P, dim) stack of them.  With none
+    the answer is None (a cold start), with one it is that vector, and
+    with two or more it is the componentwise secant m*(m/m_prev) of the
+    last two, which tracks the power-law drift of the components and
+    typically lands within a few Newton steps of the solution.  A secant
+    that overflows or leaves the upper half-plane falls back to the last
+    vector, row by row in a stack.
     """
     if not previous:
         return None
@@ -293,15 +332,16 @@ def continuation_guess(previous) -> np.ndarray | None:
     if len(previous) == 1:
         return m
     secant = m * (m / previous[-2])
-    if np.isfinite(secant).all() and (secant.imag > 0).all():
+    ok = np.isfinite(secant).all(axis=-1) & (secant.imag > 0).all(axis=-1)
+    if ok.all():
         return secant
-    return m
+    return np.where(ok[..., None], secant, m) if m.ndim > 1 else m
 
 
 def stability_matrix(m: np.ndarray, profile: VarianceProfile) -> np.ndarray:
-    """Saturation matrix F with F_kj = |m_k| s_kj |m_j|, exactly symmetric."""
+    """Saturation matrix F_kj = |m_k| s_kj |m_j|, exactly symmetric (m may stack)."""
     am = np.abs(m)
-    return profile.entries * np.outer(am, am)
+    return profile.entries * (am[..., :, None] * am[..., None, :])
 
 
 def saturation_identity_residual(

@@ -274,6 +274,9 @@ def test_validation_failures_exit_one(tmp_path):
     tiny = fails_cleanly(["--command", "mc", "--profile", good, "--out", out,
                           "--N", "4", "--delta", "1e-300"])
     assert tiny.stderr.startswith("vdelab: ") and "floor" in tiny.stderr
+    # the cap keeps empirical_near_zero from reserving a huge trial array
+    fails_cleanly(["--command", "mc", "--profile", good, "--out", out,
+                   "--N", "4", "--trials", "100000000"])
     for seed in ("-1", "18446744073709551616"):
         fails_cleanly(["--command", "mc", "--profile", good, "--out", out,
                        "--N", "4", "--seed", seed])
@@ -307,6 +310,13 @@ def test_solver_failure_exits_two(tmp_path):
     )
     assert proc.returncode == 2
     assert "solver failure" in proc.stderr
+    # a density failure names the point, energy included
+    proc = run_cli(
+        ["--command", "density", "--profile", prof, "--out", out,
+         "--egrid=-0.3,0.3", "--tol", "1e-18"]
+    )
+    assert proc.returncode == 2
+    assert "solver failure" in proc.stderr and "at z = (" in proc.stderr
 
 
 def test_invariant_violations_exit_three(tmp_path, monkeypatch):

@@ -10,14 +10,20 @@ from vdelab import (
     DEFAULT_ETA_SCHEDULE,
     DEFAULT_FIT_WINDOW,
     DensityProfile,
+    SolverError,
+    SolverOptions,
     default_energy_grid,
     divergence_fit,
+    expand_profile,
+    random_staircase_profile,
     rho_at,
     rho_at_detailed,
     rho_grid,
     staircase_profile,
     support_bound,
 )
+from vdelab import density
+from vdelab.density import _LINEAR_STEP, _brentq
 
 RHO_AT_ZERO = 0.3183098861837907  # 1 / pi
 
@@ -126,6 +132,98 @@ def test_rho_grid_semicircle_mass_and_values():
         assert got == pytest.approx(semicircle_rho(e_val), abs=1e-6)
     assert dp.error_estimates.shape == grid.shape
     assert not dp.divergent.any()
+
+
+def _mesh(prof, grid):
+    # rho_grid's mesh: the grid and a linear mesh out to the support bound
+    e_max = support_bound(prof)
+    lin = np.arange(_LINEAR_STEP, e_max, _LINEAR_STEP)
+    return np.union1d(grid, np.concatenate([-lin[::-1], lin, [-e_max, e_max]]))
+
+
+def _pointwise_grid(prof, grid, opts=None):
+    # rho_grid's fields from one rho_at_detailed per mesh energy plus a trapezoid
+    mesh = _mesh(prof, grid)
+    points = [rho_at_detailed(prof, float(e), opts=opts) for e in mesh]
+    on_grid = np.isin(mesh, grid)
+    rho = np.array([pd.value for pd in points])
+    err = np.array([pd.error_estimate for pd in points])
+    divergent = np.array([pd.divergent for pd in points])
+    return rho[on_grid], err[on_grid], divergent[on_grid], np.trapezoid(rho, mesh)
+
+
+@pytest.mark.parametrize(
+    "prof, opts, ulps",
+    [
+        (staircase_profile(2), None, 0),
+        (staircase_profile(4), None, 0),  # holds divergent points
+        (random_staircase_profile(5, 0), None, 0),
+        (staircase_profile(3), SolverOptions(tol=1e-10), 0),
+        # dim 1: numpy rounds the one-element Jacobian product of a lone
+        # point without the fused arithmetic of its vector loop, so the
+        # batch agrees with the lone descents to 2 ulps of the largest rho
+        (staircase_profile(1), None, 2),
+    ],
+)
+def test_rho_grid_matches_pointwise_descent(prof, opts, ulps):
+    grid = default_energy_grid(prof)
+    rho, err, divergent, mass = _pointwise_grid(prof, grid, opts)
+    dp = rho_grid(prof, grid, opts=opts)
+    bound = ulps * np.spacing(rho.max())
+    assert (np.abs(dp.rho - rho) <= bound).all()
+    assert (np.abs(dp.error_estimates - err) <= bound).all()
+    assert (dp.divergent == divergent).all()
+    assert abs(dp.total_mass - mass) <= ulps * np.spacing(mass)
+
+
+def test_rho_grid_slices_match_pointwise_descent(monkeypatch):
+    # a mesh whose stacked Jacobians pass the byte budget is solved in
+    # slices, the last one a single energy here; rows are independent, so
+    # the result stays bit for bit the pointwise one.  The grid is the whole
+    # mesh, so every row is compared.
+    prof = expand_profile(staircase_profile(2), 3, noise=0.5, seed=1)
+    grid = _mesh(prof, [-0.42, -0.13, -0.01, 0.02, 0.17, 0.33, 0.44])
+    want = _pointwise_grid(prof, grid)
+    rows = next(k for k in range(2, grid.size) if grid.size % k == 1)
+    monkeypatch.setattr(density, "_STACK_BYTES", 16 * prof.dim**2 * rows)
+    dp = rho_grid(prof, grid)
+    got = (dp.rho, dp.error_estimates, dp.divergent, dp.total_mass)
+    assert all((np.asarray(g) == w).all() for g, w in zip(got, want))
+
+
+def test_rho_grid_failure_names_the_energy():
+    prof = staircase_profile(2)
+    unreachable = SolverOptions(tol=1e-18)
+    with pytest.raises(SolverError, match=r"at z = \(") as info:
+        rho_grid(prof, [-0.3, 0.3], opts=unreachable)
+    z = complex(str(info.value).split("at z = ")[1].split(")")[0] + ")")
+    assert repr(z.real) in str(info.value)
+    # the named energy fails on its own as well
+    with pytest.raises(SolverError):
+        rho_at_detailed(prof, z.real, opts=unreachable)
+
+
+def test_brentq_matches_scipy_bit_for_bit():
+    # the eta extrapolation's root finder is scipy's brentq written out;
+    # scipy stays the reference
+    from scipy.optimize import brentq
+
+    rng = np.random.default_rng(3)
+    for _ in range(500):
+        e1, e2, e3 = sorted(10.0 ** rng.uniform(-7, 0, 3), reverse=True)
+        ratio = float(rng.uniform(0.1, 1e4))
+
+        def gap(beta):
+            return (e1**beta - e2**beta) / (e2**beta - e3**beta) - ratio
+
+        if gap(1e-6) < 0.0 < gap(12.0):
+            assert _brentq(gap, 1e-6, 12.0) == brentq(gap, 1e-6, 12.0)
+        c = float(rng.uniform(-2, 2))
+
+        def cubic(x):
+            return (x - c) ** 3 + 0.1 * (x - c)
+
+        assert _brentq(cubic, -3.0, 3.0) == brentq(cubic, -3.0, 3.0)
 
 
 def test_divergence_fit_recovers_synthetic_power_law():

@@ -18,6 +18,7 @@ from vdelab import (
     sample_spectrum,
     staircase_profile,
 )
+from vdelab.montecarlo import TRIALS_CAP
 
 # semicircle mass of [-1, 1] and of [-0.5, 0.5]
 MASS_1 = 0.6089977810442294
@@ -39,6 +40,9 @@ def test_spec_validation():
         spec_for(inner=1)
     with pytest.raises(ValueError):
         spec_for(trials=0)
+    with pytest.raises(ValueError, match="trials"):
+        spec_for(trials=TRIALS_CAP + 1)
+    assert spec_for(trials=TRIALS_CAP).trials == TRIALS_CAP
     with pytest.raises(ValueError):
         spec_for(symmetry="quaternion")
     for seed in (-1, 2**64):

@@ -155,7 +155,9 @@ def test_fixed_point_fallback_converges(prof, monkeypatch):
             re = 0.0 if phi == math.pi / 2 else r * math.cos(phi)
             point = SpectralPoint(re=re, im=r * math.sin(phi))
             newton[point] = solve(prof, point)
-    monkeypatch.setattr(solver, "_try_log_newton", lambda m, z, s: None)
+    monkeypatch.setattr(
+        solver, "_log_newton", lambda m, z, s: (m, np.zeros(len(m), dtype=bool))
+    )
     opts = SolverOptions()
     for point, want in newton.items():
         sol = solve(prof, point, opts)
@@ -164,6 +166,42 @@ def test_fixed_point_fallback_converges(prof, monkeypatch):
         assert np.max(np.abs(sol.m - want.m) / np.abs(want.m)) <= 1e-8
         if point.re == 0.0:
             assert (sol.m.real == 0.0).all()
+
+
+def test_newton_directions_retry_row_by_row():
+    # a stacked solve raises for the whole stack when one matrix is
+    # singular; only that row may lose its Newton direction
+    rng = np.random.default_rng(0)
+    jac = rng.standard_normal((3, 4, 4)) + 1j * rng.standard_normal((3, 4, 4))
+    jac[1] = 0.0
+    rhs = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(jac, rhs[..., None])
+    delta = solver._newton_directions(jac, rhs)
+    assert np.isnan(delta[1]).all()
+    for p in (0, 2):
+        assert (delta[p] == np.linalg.solve(jac[p], rhs[p])).all()
+
+
+def test_batched_rows_fall_back_alone():
+    # the second row starts so far out that its Newton system overflows;
+    # it alone takes half-steps, and the first row is the P=1 solve
+    prof = staircase_profile(2)
+    z = np.array([0.1 + 0.2j, 0.1 + 0.2j])
+    start = np.array([[1j, 1j], [1e200j, 1e200j]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, took = solver._log_newton(start, z, prof.entries.astype(complex))
+        m, residual, iterations, f_norm = solver._solve_points(
+            prof, z, np.array([1e-12, 1e-12]), start, 10**6
+        )
+    assert took.tolist() == [True, False]
+    solo = solve(prof, SpectralPoint(re=0.1, im=0.2))
+    assert (m[0] == solo.m).all()
+    assert (residual[0], iterations[0], f_norm[0]) == (
+        solo.residual, solo.iterations, solo.f_norm
+    )
+    assert iterations[1] > 100 and residual[1] <= 1e-12
+    assert np.max(np.abs(m[1] - solo.m)) < 1e-12
 
 
 def test_solution_serialization_round_trip():
@@ -226,6 +264,11 @@ def test_continuation_guess_cases():
     # the secant of 1j -> -1+1j lands on the real axis, so the last one wins
     last = np.array([-1 + 1j])
     assert continuation_guess([np.array([1j]), last]) is last
+    # stacked, the fallback is row by row
+    older = np.array([[1j, 2j], [1j, 1j]])
+    newer = np.array([[0.5j, 4j], [-1 + 1j, 1j]])
+    guess = continuation_guess([older, newer])
+    assert (guess == [[0.25j, 8j], [-1 + 1j, 1j]]).all()
 
 
 def test_solve_path_off_axis_points():
