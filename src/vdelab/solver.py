@@ -14,6 +14,21 @@ the singularity, while the log-coordinate Jacobian stays benign all the
 way down to the radius floor.  The iteration is written once, batched
 over P points that each keep their own state; solve is its P=1 case, and
 rho_grid solves a whole eta level in it.
+
+The Newton step solves J delta = -g with J = diag(g-1) + M S M, M =
+diag(m).  Small profiles factor J densely.  A profile with block metadata
+(n outer blocks of size N) and dim at least _KRYLOV_MIN_DIM never builds
+J: each row runs right-preconditioned GMRES on the matvec
+J v = (g-1)v + m(S(mv)) (Knoll & Keyes, JCP 2004).  The preconditioner
+is J with S replaced by its block means S_bar = U C U^T, C the n x n
+means and U the block indicator, so it is diagonal plus rank n and
+Woodbury applies its inverse in O(dim*n + n^3) without inverting C; this
+is the reduced n-dim system of vde_like_reduce.  A row whose GMRES misses
+its tolerance within the iteration cap, or whose n x n Woodbury system is
+singular or non-finite, takes the dense direction for that step.  The
+line search, fallback, stall rule, residual test and f_norm check judge
+every step the same way on either path, so an inexact direction can cost
+a backtrack but never an accepted iterate.
 """
 
 from __future__ import annotations
@@ -31,6 +46,13 @@ RADIUS_FLOOR = 1e-8
 _STALL_LIMIT = 50
 _MAX_BACKTRACK = 30
 _LOG_STEP_CAP = 20.0
+# Block profiles from this dim up take the GMRES step.  Whole noisy rays
+# on one BLAS thread: dense wins up to dim 120, the two tie at 144 and
+# GMRES wins from 168 up (ROADMAP item 1 has the table).
+_KRYLOV_MIN_DIM = 144
+# block rays need at most 8 iterations; a row past the cap takes the dense LU
+_GMRES_RTOL = 1e-10
+_GMRES_MAX_ITER = 20
 
 
 class SolverError(RuntimeError):
@@ -128,6 +150,14 @@ def _defect_norms(m: np.ndarray, z: np.ndarray, s: np.ndarray) -> np.ndarray:
     return np.abs(1.0 / m + z[:, None] + _matvec(s, m)).max(axis=1)
 
 
+def _jacobian(m: np.ndarray, g: np.ndarray, s: np.ndarray) -> np.ndarray:
+    # diag(g - 1) + M S M per row, built in place in the order (m_k s_kj) m_j
+    jac = m[:, :, None] * s
+    jac *= m[:, None, :]
+    jac.reshape(len(m), -1)[:, :: m.shape[1] + 1] += g - 1.0
+    return jac
+
+
 def _newton_directions(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve each jac[p] delta[p] = rhs[p]; a singular jac[p] gives NaNs."""
     try:
@@ -140,20 +170,115 @@ def _newton_directions(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         return delta
 
 
-def _log_newton(m: np.ndarray, z: np.ndarray, s: np.ndarray):
+def _block_mean_preconditioner(m: np.ndarray, gm1: np.ndarray, means: np.ndarray):
+    """Inverse of P = D + A C A^T, D = diag(gm1), A = diag(m) U, by Woodbury.
+
+    P is the log-coordinate Jacobian of one row with S replaced by its
+    block means U C U^T.  P^-1 = D^-1 - D^-1 A C (I + diag(w) C)^-1 A^T D^-1
+    with w_a = sum over block a of m_k^2 / gm1_k needs no inverse of C,
+    which a staircase makes singular.  Returns the map v -> P^-1 v, or
+    None when D or the n x n system is singular or non-finite.
+    """
+    n = len(means)
+    a = m / gm1
+    w = (m * a).reshape(n, -1).sum(axis=1)
+    try:
+        core = means @ np.linalg.inv(np.eye(n) + w[:, None] * means)
+    except np.linalg.LinAlgError:
+        return None
+    if not (np.isfinite(core).all() and np.isfinite(a).all()):
+        return None
+    blocks = a.reshape(n, -1)
+
+    def apply(v: np.ndarray) -> np.ndarray:
+        y = core @ (blocks * v.reshape(n, -1)).sum(axis=1)
+        return v / gm1 - (blocks * y[:, None]).ravel()
+
+    return apply
+
+
+def _gmres(apply_j, apply_p, b: np.ndarray):
+    """Solve J x = b by right-preconditioned GMRES from x = 0.
+
+    apply_j and apply_p map a vector to J v and P^-1 v.  Stops once the
+    residual |b - J x| is at most _GMRES_RTOL |b|.  Returns x and the
+    iteration count; x is None when the tolerance is missed within
+    _GMRES_MAX_ITER iterations or the iteration breaks down.
+    """
+    cap = _GMRES_MAX_ITER
+    beta = float(np.linalg.norm(b))
+    if not 0.0 < beta < math.inf:
+        return None, 0
+    basis = np.empty((cap + 1, b.size), dtype=complex)
+    basis[0] = b / beta
+    tri = np.zeros((cap, cap), dtype=complex)  # the rotated Hessenberg matrix
+    rot: list[tuple[float, complex]] = []
+    res = [complex(beta)]  # the rotated right-hand side beta e_1
+    for j in range(cap):
+        w = apply_j(apply_p(basis[j]))
+        h = np.zeros(j + 1, dtype=complex)
+        for _ in range(2):  # classical Gram-Schmidt, once more to reorthogonalize
+            proj = basis[: j + 1].conj() @ w
+            w -= proj @ basis[: j + 1]
+            h += proj
+        norm = float(np.linalg.norm(w))
+        col = h.tolist()
+        col.append(complex(norm))
+        for i, (c, sn) in enumerate(rot):
+            col[i], col[i + 1] = (c * col[i] + sn * col[i + 1],
+                                  c * col[i + 1] - sn.conjugate() * col[i])
+        r = math.hypot(abs(col[j]), norm)
+        if not 0.0 < r < math.inf:
+            return None, j + 1
+        c = abs(col[j]) / r
+        sn = (col[j] / abs(col[j]) if col[j] else 1.0) * norm / r
+        rot.append((c, sn))
+        col[j] = c * col[j] + sn * norm
+        tri[: j + 1, j] = col[: j + 1]
+        res.append(-sn.conjugate() * res[j])
+        res[j] *= c
+        if abs(res[j + 1]) <= _GMRES_RTOL * beta:
+            y = np.linalg.solve(tri[: j + 1, : j + 1], res[: j + 1])
+            return apply_p(y @ basis[: j + 1]), j + 1
+        basis[j + 1] = w / norm
+    return None, cap
+
+
+def _krylov_directions(m: np.ndarray, g: np.ndarray, s: np.ndarray,
+                       means: np.ndarray) -> np.ndarray:
+    """Newton directions by GMRES row by row; a row it fails takes the dense one."""
+    delta = np.empty_like(g)
+    dense = []
+    for p in range(len(m)):
+        mp, gm1 = m[p], g[p] - 1.0
+        precond = _block_mean_preconditioner(mp, gm1, means)
+        x = None
+        if precond is not None:
+            x, _ = _gmres(lambda v: gm1 * v + mp * (s @ (mp * v)), precond, -g[p])
+        if x is None or not np.isfinite(x).all():
+            dense.append(p)
+        else:
+            delta[p] = x
+    if dense:
+        delta[dense] = _newton_directions(_jacobian(m[dense], g[dense], s), -g[dense])
+    return delta
+
+
+def _log_newton(m: np.ndarray, z: np.ndarray, s: np.ndarray, means=None):
     """One backtracked Newton step on g(m) = m*(z+Sm)+1 in log coordinates.
 
-    Each row halves its step up to 30 times until it is below the cap, the
-    iterate stays in the upper half-plane and max|g| drops.  Returns the
-    new iterates and a mask of the rows that stepped; the rest keep theirs.
+    The direction comes from a dense solve, or from GMRES when means holds
+    the n x n block means of S.  Each row halves its step up to 30 times
+    until it is below the cap, the iterate stays in the upper half-plane
+    and max|g| drops.  Returns the new iterates and a mask of the rows
+    that stepped; the rest keep theirs.
     """
     z = z[:, None]
     g = 1.0 + m * (z + _matvec(s, m))
-    # diag(g - 1) + M S M, built in place in the order (m_k s_kj) m_j
-    jac = m[:, :, None] * s
-    jac *= m[:, None, :]
-    jac.reshape(len(m), -1)[:, :: m.shape[1] + 1] += g - 1.0
-    delta = _newton_directions(jac, -g)
+    if means is None:
+        delta = _newton_directions(_jacobian(m, g, s), -g)
+    else:
+        delta = _krylov_directions(m, g, s, means)
     g_ref = np.abs(g).max(axis=1)
     finite = todo = np.isfinite(delta).all(axis=1)
     out, t = m, 1.0
@@ -181,6 +306,10 @@ def _solve_points(profile: VarianceProfile, z, tol, m, max_iter: int):
     Returns m, the residuals, the iteration counts and the f_norms.
     """
     s = profile.entries.astype(complex)  # not a copy per mixed product
+    means = None
+    if profile.block_meta is not None and profile.dim >= _KRYLOV_MIN_DIM:
+        n, inner = profile.block_meta
+        means = profile.entries.reshape(n, inner, n, inner).mean(axis=(1, 3))
     m = np.full((len(z), profile.dim), 1j) if m is None else np.array(m, dtype=complex)
     residual = _defect_norms(m, z, s)
     iterations = np.zeros(len(z), dtype=int)
@@ -197,7 +326,7 @@ def _solve_points(profile: VarianceProfile, z, tol, m, max_iter: int):
             if k >= max_iter:
                 raise SolverError(f"no convergence in {max_iter} iterations at z = "
                                   f"{za[0]}, last residual {residual[rows[0]]:.3e}")
-            ma, newton = _log_newton(ma, za, s)
+            ma, newton = _log_newton(ma, za, s, means)
             if not newton.all():
                 half = ~newton
                 step = 0.5 * (ma[half] - 1.0 / (za[half, None] + _matvec(s, ma[half])))
@@ -238,7 +367,12 @@ def solve(
 ) -> VdeSolution:
     """Solve -1/m = z + Sm at one point: the P=1 case of the batched solve.
 
-    Starts from i*(1,...,1) unless warm_start is given.  When z is exactly
+    Starts from i*(1,...,1) unless warm_start is given.  Newton directions
+    come from a dense LU of the log-coordinate Jacobian, or, for a profile
+    with block metadata and dim >= _KRYLOV_MIN_DIM, from GMRES
+    preconditioned by the block-mean Jacobian, with the dense LU as the
+    fallback for a step GMRES misses; convergence is judged on the true
+    defect either way.  When z is exactly
     on the imaginary axis (re == 0.0) and the start vector is purely
     imaginary, every accepted iterate stays purely imaginary in exact
     arithmetic, a symmetry the solver preserves bit-for-bit.

@@ -17,6 +17,7 @@ from vdelab import (
     VdeSolution,
     expand_profile,
     random_staircase_profile,
+    rho_grid,
     saturation_identity_residual,
     solve,
     solve_path,
@@ -156,7 +157,7 @@ def test_fixed_point_fallback_converges(prof, monkeypatch):
             point = SpectralPoint(re=re, im=r * math.sin(phi))
             newton[point] = solve(prof, point)
     monkeypatch.setattr(
-        solver, "_log_newton", lambda m, z, s: (m, np.zeros(len(m), dtype=bool))
+        solver, "_log_newton", lambda m, z, s, means: (m, np.zeros(len(m), dtype=bool))
     )
     opts = SolverOptions()
     for point, want in newton.items():
@@ -202,6 +203,114 @@ def test_batched_rows_fall_back_alone():
     )
     assert iterations[1] > 100 and residual[1] <= 1e-12
     assert np.max(np.abs(m[1] - solo.m)) < 1e-12
+
+
+# ------------------------------------------- GMRES step for block profiles
+
+
+def _record_gmres(monkeypatch) -> list[tuple[int, bool]]:
+    """Record (iterations, converged) of every GMRES call from now on."""
+    calls = []
+    gmres = solver._gmres
+
+    def recorded(*args):
+        x, k = gmres(*args)
+        calls.append((k, x is not None))
+        return x, k
+
+    monkeypatch.setattr(solver, "_gmres", recorded)
+    return calls
+
+
+def _krylov_and_dense_paths(prof, rays, radii, monkeypatch):
+    opts = SolverOptions(tol=suggested_tol(prof, radii[-1]))
+    krylov = [solve_path(prof, ray, radii, opts) for ray in rays]
+    with monkeypatch.context() as patch:
+        patch.setattr(solver, "_KRYLOV_MIN_DIM", 10**9)
+        dense = [solve_path(prof, ray, radii, opts) for ray in rays]
+    return krylov, dense
+
+
+def test_block_mean_preconditioner_is_the_woodbury_inverse():
+    n, inner = 3, 8
+    prof = expand_profile(staircase_profile(n), inner, noise=0.5, seed=2)
+    sol = solve(prof, SpectralPoint(re=0.01, im=0.02))
+    rng = np.random.default_rng(5)
+    m = sol.m * np.exp(1e-2 * rng.standard_normal(prof.dim))
+    g = 1.0 + m * (sol.point.z + prof.entries @ m)
+    means = prof.entries.reshape(n, inner, n, inner).mean(axis=(1, 3))
+    s_bar = np.kron(means, np.ones((inner, inner)))
+    p_dense = np.diag(g - 1.0) + m[:, None] * s_bar * m[None, :]
+    apply = solver._block_mean_preconditioner(m, g - 1.0, means)
+    for _ in range(3):
+        v = rng.standard_normal(prof.dim) + 1j * rng.standard_normal(prof.dim)
+        want = np.linalg.solve(p_dense, v)
+        assert np.linalg.norm(apply(v) - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_gmres_takes_one_iteration_on_constant_blocks(monkeypatch):
+    # at noise 0 the block means are S itself, so the preconditioner is J
+    prof = expand_profile(staircase_profile(3), 64, noise=0.0)
+    assert prof.dim >= solver._KRYLOV_MIN_DIM
+    calls = _record_gmres(monkeypatch)
+    radii = np.geomspace(1e-1, 1e-5, 9)
+    solve_path(prof, math.pi / 2, radii, SolverOptions(tol=suggested_tol(prof, 1e-5)))
+    assert calls and all(call == (1, True) for call in calls)
+
+
+def test_krylov_path_matches_dense_path(monkeypatch):
+    prof = expand_profile(staircase_profile(3), 128, noise=0.5, seed=123)
+    assert prof.dim >= solver._KRYLOV_MIN_DIM
+    calls = _record_gmres(monkeypatch)
+    radii = np.geomspace(1e-1, 1e-5, 17)
+    krylov, dense = _krylov_and_dense_paths(
+        prof, (math.pi / 2, 0.3 * math.pi), radii, monkeypatch
+    )
+    assert calls and all(ok for _, ok in calls)
+    for kpath, dpath in zip(krylov, dense):
+        assert [p.iterations for p in kpath] == [p.iterations for p in dpath]
+        for kp, dp in zip(kpath, dpath):
+            assert np.max(np.abs(kp.m - dp.m) / np.abs(dp.m)) <= 1e-12
+            assert abs(kp.f_norm - dp.f_norm) <= 1e-13
+    for sol in krylov[0]:
+        assert (sol.m.real == 0.0).all()
+
+
+def test_gmres_miss_falls_back_to_the_dense_direction(monkeypatch):
+    prof = expand_profile(staircase_profile(3), 48, noise=0.5, seed=4)
+    assert prof.dim >= solver._KRYLOV_MIN_DIM
+    radii = np.geomspace(1e-1, 1e-4, 7)
+    want = solve_path(prof, 0.3 * math.pi, radii)
+    monkeypatch.setattr(solver, "_GMRES_MAX_ITER", 1)
+    calls = _record_gmres(monkeypatch)
+    dense_rows = []
+    directions = solver._newton_directions
+
+    def counted(jac, rhs):
+        dense_rows.append(len(rhs))
+        return directions(jac, rhs)
+
+    monkeypatch.setattr(solver, "_newton_directions", counted)
+    got = solve_path(prof, 0.3 * math.pi, radii)
+    misses = sum(not ok for _, ok in calls)
+    assert misses > 0 and sum(dense_rows) == misses
+    for g, w in zip(got, want):
+        assert g.residual <= suggested_tol(prof, radii[-1])
+        assert np.max(np.abs(g.m - w.m) / np.abs(w.m)) <= 1e-12
+
+
+def test_rho_grid_on_block_profile_matches_dense_path(monkeypatch):
+    prof = expand_profile(staircase_profile(2, fill=0.25), 72, noise=0.5, seed=6)
+    assert prof.dim >= solver._KRYLOV_MIN_DIM
+    calls = _record_gmres(monkeypatch)
+    grid, etas = [-0.5, -0.01, 0.003, 0.2, 0.9], (1e-1, 1e-2, 1e-3)
+    krylov = rho_grid(prof, grid, etas)
+    assert calls
+    monkeypatch.setattr(solver, "_KRYLOV_MIN_DIM", 10**9)
+    dense = rho_grid(prof, grid, etas)
+    assert np.max(np.abs(krylov.rho - dense.rho)) <= 1e-12 * dense.rho.max()
+    assert abs(krylov.total_mass - dense.total_mass) <= 1e-12
+    assert (krylov.divergent == dense.divergent).all()
 
 
 def test_solution_serialization_round_trip():
