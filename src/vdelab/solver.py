@@ -16,8 +16,8 @@ over P points that each keep their own state; solve is its P=1 case, and
 rho_grid solves a whole eta level in it.
 
 The Newton step solves J delta = -g with J = diag(g-1) + M S M, M =
-diag(m).  Small profiles factor J densely.  A profile with block metadata
-(n outer blocks of size N) and dim at least _KRYLOV_MIN_DIM never builds
+diag(m), by a dense LU, except that a profile with block metadata (n
+outer blocks of size N) and dim at least _KRYLOV_MIN_DIM never builds
 J: each row runs right-preconditioned GMRES on the matvec
 J v = (g-1)v + m(S(mv)) (Knoll & Keyes, JCP 2004).  The preconditioner
 is J with S replaced by its block means S_bar = U C U^T, C the n x n
@@ -28,7 +28,7 @@ its tolerance within the iteration cap, or whose n x n Woodbury system is
 singular or non-finite, takes the dense direction for that step.  The
 line search, fallback, stall rule, residual test and f_norm check judge
 every step the same way on either path, so an inexact direction can cost
-a backtrack but never an accepted iterate.
+a backtrack but cannot let a wrong iterate pass.
 """
 
 from __future__ import annotations

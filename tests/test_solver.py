@@ -222,15 +222,6 @@ def _record_gmres(monkeypatch) -> list[tuple[int, bool]]:
     return calls
 
 
-def _krylov_and_dense_paths(prof, rays, radii, monkeypatch):
-    opts = SolverOptions(tol=suggested_tol(prof, radii[-1]))
-    krylov = [solve_path(prof, ray, radii, opts) for ray in rays]
-    with monkeypatch.context() as patch:
-        patch.setattr(solver, "_KRYLOV_MIN_DIM", 10**9)
-        dense = [solve_path(prof, ray, radii, opts) for ray in rays]
-    return krylov, dense
-
-
 def test_block_mean_preconditioner_is_the_woodbury_inverse():
     n, inner = 3, 8
     prof = expand_profile(staircase_profile(n), inner, noise=0.5, seed=2)
@@ -262,11 +253,12 @@ def test_krylov_path_matches_dense_path(monkeypatch):
     prof = expand_profile(staircase_profile(3), 128, noise=0.5, seed=123)
     assert prof.dim >= solver._KRYLOV_MIN_DIM
     calls = _record_gmres(monkeypatch)
-    radii = np.geomspace(1e-1, 1e-5, 17)
-    krylov, dense = _krylov_and_dense_paths(
-        prof, (math.pi / 2, 0.3 * math.pi), radii, monkeypatch
-    )
+    radii, rays = np.geomspace(1e-1, 1e-5, 17), (math.pi / 2, 0.3 * math.pi)
+    opts = SolverOptions(tol=suggested_tol(prof, radii[-1]))
+    krylov = [solve_path(prof, ray, radii, opts) for ray in rays]
     assert calls and all(ok for _, ok in calls)
+    monkeypatch.setattr(solver, "_KRYLOV_MIN_DIM", 10**9)
+    dense = [solve_path(prof, ray, radii, opts) for ray in rays]
     for kpath, dpath in zip(krylov, dense):
         assert [p.iterations for p in kpath] == [p.iterations for p in dpath]
         for kp, dp in zip(kpath, dpath):
