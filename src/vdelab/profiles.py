@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -97,6 +98,24 @@ class VarianceProfile:
     @property
     def dim(self) -> int:
         return self.entries.shape[0]
+
+    @cached_property
+    def complex_entries(self) -> np.ndarray:
+        """entries cast to complex once per profile, read-only; the solver's
+        complex products take it so they make no cast of their own."""
+        s = self.entries.astype(complex)
+        s.flags.writeable = False
+        return s
+
+    @cached_property
+    def block_means(self) -> np.ndarray | None:
+        """n x n means of the outer blocks, None without block metadata."""
+        if self.block_meta is None:
+            return None
+        n, inner = self.block_meta
+        means = self.entries.reshape(n, inner, n, inner).mean(axis=(1, 3))
+        means.flags.writeable = False
+        return means
 
     def permuted(self, perm) -> "VarianceProfile":
         """Profile with entries s[perm[i], perm[j]] (0-based permutation)."""

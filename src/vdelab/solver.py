@@ -29,6 +29,22 @@ singular or non-finite, takes the dense direction for that step.  The
 line search, fallback, stall rule, residual test and f_norm check judge
 every step the same way on either path, so an inexact direction can cost
 a backtrack but cannot let a wrong iterate pass.
+
+Every solved point must show ||F||_2 < 1 for the saturation matrix
+F = |m| S |m|.  On the dense path f_norm is max(-lambda_min, lambda_max)
+of a symmetric eigensolve of F.  On the GMRES path F is never built: F is
+entrywise non-negative, so ||F||_2 is its Perron root (Perron-Frobenius),
+and a block subspace iteration on the map X -> |m|(S(|m|X)), started
+from the n columns |m| U, brackets that root between the Rayleigh
+quotient theta of its top Ritz vector x and the Collatz-Wielandt bound
+max_k (Fx)_k / x_k, valid once x > 0.  The block start spans the n
+outlier eigenvalues of F together, so the iteration converges at the
+ratio of the noise bulk to the outliers, not at the small gap between the
+top two eigenvalues that stalls a single-vector power or Lanczos
+iteration.  A row is certified, with f_norm = theta, when the two bounds
+agree to 1e-14 relative and the upper one is below 1; a row that is not
+certified within _PERRON_MAX_STEPS steps takes the eigensolve.  The
+complex S and the block means are computed once per profile.
 """
 
 from __future__ import annotations
@@ -53,6 +69,11 @@ _KRYLOV_MIN_DIM = 144
 # block rays need at most 8 iterations; a row past the cap takes the dense LU
 _GMRES_RTOL = 1e-10
 _GMRES_MAX_ITER = 20
+# block rays certify their Perron root in 8-14 steps (1 at noise 0); a row
+# past the cap takes the eigensolve.  The bounds enclose ||F||_2, so bounds
+# 1e-14 apart give it to 1e-14 relative, up to the roundoff of F x.
+_PERRON_MAX_STEPS = 30
+_PERRON_RTOL = 1e-14
 
 
 class SolverError(RuntimeError):
@@ -105,9 +126,11 @@ class VdeSolution:
     """Solution vector at one spectral point with convergence diagnostics.
 
     residual is the max-norm defect max_k |1/m_k + z + (Sm)_k|; f_norm is
-    ||F||_2 of the real symmetric saturation matrix F = |m| S |m|, taken as
-    the larger of -lambda_min and lambda_max from a symmetric eigensolve,
-    and stays below 1 for every point in the upper half-plane.
+    ||F||_2 of the real symmetric saturation matrix F = |m| S |m| and stays
+    below 1 for every point in the upper half-plane.  It is the larger of
+    -lambda_min and lambda_max from a symmetric eigensolve, except on the
+    GMRES path, where it is the Perron root of F certified to 1e-14
+    relative by a block subspace iteration (see the module docstring).
     """
 
     point: SpectralPoint
@@ -139,6 +162,50 @@ def _symmetric_norm2(a: np.ndarray) -> np.ndarray:
     """
     w = np.linalg.eigvalsh(a)
     return np.maximum(-w[..., 0], w[..., -1])
+
+
+def _perron_root(s: np.ndarray, am: np.ndarray, n: int) -> float:
+    """Certified ||F||_2 of F = diag(am) S diag(am) for a block profile.
+
+    s is the real non-negative S with n outer blocks and am = |m| > 0, so
+    ||F||_2 is the Perron root of F.  Block subspace iteration from the n
+    columns am * U, U the block indicator, with a thin QR and a
+    Rayleigh-Ritz step each time; F is applied as am * (S (am * X)) and
+    never built.  The top Ritz vector x, once positive, brackets the root
+    between theta = x^T F x / x^T x and c = max_k (Fx)_k / x_k.  Returns
+    theta once c - theta <= _PERRON_RTOL * theta and c < 1, and NaN when
+    the bounds meet at c >= 1 or have not met within _PERRON_MAX_STEPS.
+    """
+    # the iterates are the rows of x: X^T S is (S X)^T for the symmetric S
+    # and runs faster than S X with so few columns
+    x = (np.eye(n)[:, :, None] * am.reshape(n, -1)).reshape(n, -1)
+    for _ in range(_PERRON_MAX_STEPS):
+        q = np.linalg.qr(x.T)[0].T
+        fq = ((q * am) @ s) * am
+        w = np.linalg.eigh(fq @ q.T)[1][:, -1]
+        v, fv = w @ q, w @ fq
+        if v.sum() < 0.0:
+            v, fv = -v, -fv
+        if (v > 0.0).all():
+            theta = float(v @ fv / (v @ v))
+            c = float((fv / v).max())
+            if c - theta <= _PERRON_RTOL * theta:
+                return theta if c < 1.0 else math.nan
+        x = fq
+    return math.nan
+
+
+def _f_norms(m: np.ndarray, profile: VarianceProfile, perron: bool) -> np.ndarray:
+    """||F||_2 of each row of m: by the eigensolve, or if perron by
+    _perron_root, with the eigensolve for the rows it does not certify."""
+    if not perron:
+        return _symmetric_norm2(stability_matrix(m, profile))
+    n = profile.block_meta[0]
+    out = np.array([_perron_root(profile.entries, am, n) for am in np.abs(m)])
+    rest = np.isnan(out)
+    if rest.any():
+        out[rest] = _symmetric_norm2(stability_matrix(m[rest], profile))
+    return out
 
 
 def _matvec(s: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -305,17 +372,14 @@ def _solve_points(profile: VarianceProfile, z, tol, m, max_iter: int):
     i*(1,...,1).  A failing row raises the error of solve, naming its z.
     Returns m, the residuals, the iteration counts and the f_norms.
     """
-    s = profile.entries.astype(complex)  # not a copy per mixed product
-    means = None
-    if profile.block_meta is not None and profile.dim >= _KRYLOV_MIN_DIM:
-        n, inner = profile.block_meta
-        means = profile.entries.reshape(n, inner, n, inner).mean(axis=(1, 3))
+    s = profile.complex_entries
+    means = profile.block_means if profile.dim >= _KRYLOV_MIN_DIM else None
     m = np.full((len(z), profile.dim), 1j) if m is None else np.array(m, dtype=complex)
     residual = _defect_norms(m, z, s)
     iterations = np.zeros(len(z), dtype=int)
     # the rows still iterating with their packed state; best_at is the
     # iteration of a row's best residual
-    rows = np.flatnonzero(residual > tol)
+    rows = np.flatnonzero(~(residual <= tol))  # a NaN residual iterates
     ma, za, ta, best = m[rows], z[rows], tol[rows], residual[rows]
     best_at = np.zeros(rows.size, dtype=int)
     k = 0
@@ -345,13 +409,13 @@ def _solve_points(profile: VarianceProfile, z, tol, m, max_iter: int):
                 i = best_at.argmin()
                 raise SolverError(f"residual stalled at z = {za[i]}: no new best "
                                   f"in {_STALL_LIMIT} iterations, best {best[i]:.3e}")
-            go = res > ta
+            go = ~(res <= ta)
             if not go.all():
                 m[rows[~go]], iterations[rows[~go]] = ma[~go], k
                 state = (rows, ma, za, ta, best, best_at)
                 rows, ma, za, ta, best, best_at = (a[go] for a in state)
 
-    f_norm = _symmetric_norm2(stability_matrix(m, profile))
+    f_norm = _f_norms(m, profile, means is not None)
     if not (f_norm < 1.0).all():
         i = (~(f_norm < 1.0)).argmax()
         raise AnomalyError(f"saturation matrix norm {f_norm[i]} >= 1 at z = {z[i]}; "
@@ -377,11 +441,16 @@ def solve(
     imaginary, every accepted iterate stays purely imaginary in exact
     arithmetic, a symmetry the solver preserves bit-for-bit.
 
-    Raises SolverError on iteration-budget exhaustion, on 50 straight
-    iterations without a new best residual, or when a fixed-point
-    half-step is non-finite or leaves the upper half-plane; AnomalyError
-    unless the solved point has ||F||_2 < 1 for F = |m| S |m|, with
-    ||F||_2 = max(-lambda_min, lambda_max) of F.  Each message names z.
+    Raises ValueError for a warm start of the wrong shape, not finite or
+    outside the upper half-plane; SolverError on iteration-budget
+    exhaustion, on 50 straight iterations without a new best residual, or
+    when a fixed-point half-step is non-finite or leaves the upper
+    half-plane; AnomalyError unless the solved point has ||F||_2 < 1 for
+    F = |m| S |m|.  Each message names z.  On the GMRES path ||F||_2 is the
+    Perron root of F, certified by Rayleigh and Collatz-Wielandt bounds
+    that agree to 1e-14 relative with the upper one below 1; otherwise,
+    and for a point the bounds do not certify, it is max(-lambda_min,
+    lambda_max) of F from a symmetric eigensolve.
     """
     if opts is None:
         opts = SolverOptions()
@@ -392,6 +461,8 @@ def solve(
             raise ValueError(
                 f"warm start shape {m.shape} does not match dim {profile.dim}"
             )
+        if not np.isfinite(m).all():
+            raise ValueError("warm start must be finite")
         if not (m.imag > 0).all():
             raise ValueError("warm start must lie in the upper half-plane")
         m = m[None]

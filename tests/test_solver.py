@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from oracles import semicircle_m
 from vdelab import (
+    AnomalyError,
     SolverError,
     SolverOptions,
     SpectralPoint,
@@ -114,6 +115,20 @@ def test_warm_start_validation():
         solve(prof, point, warm_start=np.array([1j]))
     with pytest.raises(ValueError, match="upper half-plane"):
         solve(prof, point, warm_start=np.array([1j, -1j]))
+    # 1j*inf has imaginary part inf > 0, so only a finiteness check stops it
+    with pytest.raises(ValueError, match="finite"):
+        solve(prof, SpectralPoint(re=0.0, im=1.0), warm_start=[1j * math.inf, 1j])
+
+
+def test_nan_residual_is_never_converged():
+    # the start's residual is NaN; NaN > tol is False, so a row picked by
+    # it would count as converged and reach the f_norm check unsolved
+    start = np.array([[1j * math.inf, 1j]])
+    with np.errstate(invalid="ignore"):
+        assert np.isnan(solver._defect_norms(start, np.array([1j]), np.eye(2)))
+        with pytest.raises(SolverError, match="non-finite"):
+            solver._solve_points(staircase_profile(2), np.array([1j]),
+                                 np.array([1e-12]), start, 10**6)
 
 
 def test_option_and_point_validation():
@@ -303,6 +318,117 @@ def test_rho_grid_on_block_profile_matches_dense_path(monkeypatch):
     assert np.max(np.abs(krylov.rho - dense.rho)) <= 1e-12 * dense.rho.max()
     assert abs(krylov.total_mass - dense.total_mass) <= 1e-12
     assert (krylov.divergent == dense.divergent).all()
+
+
+# ------------------------------------- certified Perron f_norm for blocks
+
+
+def _record_eigensolves(monkeypatch) -> list[int]:
+    """Record the number of matrices in every f_norm eigensolve from now on."""
+    calls = []
+    norm2 = solver._symmetric_norm2
+
+    def recorded(a):
+        calls.append(len(a))
+        return norm2(a)
+
+    monkeypatch.setattr(solver, "_symmetric_norm2", recorded)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "n, inner, noise, ray",
+    [
+        (2, 72, 0.9, 0.02),
+        (3, 64, 0.5, math.pi / 2),
+        (5, 48, 0.0, 0.3 * math.pi),
+        (3, 96, 0.9, 0.3 * math.pi),
+        (3, 256, 0.5, 0.02),
+    ],
+)
+def test_certified_f_norm_is_the_two_norm(n, inner, noise, ray, monkeypatch):
+    prof = expand_profile(staircase_profile(n), inner, noise=noise, seed=11)
+    assert prof.dim >= solver._KRYLOV_MIN_DIM
+    eigensolves = _record_eigensolves(monkeypatch)
+    radii = np.geomspace(1e-1, 1e-5, 9)
+    path = solve_path(prof, ray, radii)
+    assert eigensolves == []
+    for sol in path if prof.dim < 500 else path[::4]:  # spare dim-768 SVDs
+        f = stability_matrix(sol.m, prof)
+        assert sol.f_norm == pytest.approx(np.linalg.norm(f, 2), rel=1e-13)
+    assert 1.0 - path[-1].f_norm < 0.01
+
+
+def test_certified_f_norm_in_rho_grid(monkeypatch):
+    prof = expand_profile(staircase_profile(3), 48, noise=0.5, seed=3)
+    assert prof.dim >= solver._KRYLOV_MIN_DIM
+    eigensolves = _record_eigensolves(monkeypatch)
+    seen = []
+    f_norms = solver._f_norms
+
+    def recorded(m, profile, perron):
+        out = f_norms(m, profile, perron)
+        seen.append((m, out, perron))
+        return out
+
+    monkeypatch.setattr(solver, "_f_norms", recorded)
+    rho_grid(prof, [-0.2, 0.004, 0.3], (1e-1, 1e-2, 1e-3))
+    assert eigensolves == [] and all(perron for _, _, perron in seen)
+    assert sum(len(m) for m, _, _ in seen) > 50
+    for m, out, _ in seen:
+        for row, f_norm in zip(m[::3], out[::3]):
+            f = stability_matrix(row, prof)
+            assert f_norm == pytest.approx(np.linalg.norm(f, 2), rel=1e-13)
+
+
+def test_uncertified_f_norm_is_the_eigensolve(monkeypatch):
+    prof = expand_profile(staircase_profile(3), 48, noise=0.5, seed=3)
+    radii = np.geomspace(1e-1, 1e-4, 7)
+    certified = solve_path(prof, 0.3 * math.pi, radii)
+    monkeypatch.setattr(solver, "_PERRON_MAX_STEPS", 0)
+    eigensolves = _record_eigensolves(monkeypatch)
+    forced = solve_path(prof, 0.3 * math.pi, radii)
+    assert eigensolves == [1] * len(radii)
+    for c, f in zip(certified, forced):
+        assert (c.m == f.m).all()
+        assert f.f_norm == _symmetric_norm2(stability_matrix(f.m, prof))
+        assert c.f_norm == pytest.approx(f.f_norm, rel=1e-13)
+
+
+def test_f_norm_at_least_one_is_not_certified(monkeypatch):
+    n = 3
+    prof = expand_profile(staircase_profile(n), 48, noise=0.5, seed=3)
+    sol = solve_path(prof, math.pi / 2, np.geomspace(1e-1, 1e-4, 7))[-1]
+    assert sol.f_norm > 0.99
+    m = 1.01 * sol.m  # F grows by 1.0201, so ||F||_2 > 1
+    assert np.linalg.norm(stability_matrix(m, prof), 2) > 1.0
+    assert math.isnan(solver._perron_root(prof.entries, np.abs(m), n))
+    eigensolves = _record_eigensolves(monkeypatch)
+    with pytest.raises(AnomalyError, match="saturation matrix norm"):
+        # a tolerance this loose accepts the start, so only f_norm can fail it
+        solver._solve_points(prof, np.array([sol.point.z]), np.array([1e6]), m[None],
+                             10**6)
+    assert eigensolves == [1]
+
+
+def test_complex_entries_are_cast_once_per_profile():
+    # a ray casts S once; every per-point solve on a fresh copy of the
+    # profile casts it anew, and both give the same bits
+    prof = expand_profile(staircase_profile(3), 64, noise=0.5, seed=8)
+    radii = np.geomspace(1e-1, 1e-5, 13)
+    opts = SolverOptions(tol=suggested_tol(prof, radii[-1]))
+    path = solve_path(prof, 0.3 * math.pi, radii, opts)
+    s = prof.complex_entries
+    assert prof.complex_entries is s and not s.flags.writeable
+    assert (s == prof.entries).all() and prof.block_means.shape == (3, 3)
+    fresh, guess = [], None
+    for sol in path:
+        copy = expand_profile(staircase_profile(3), 64, noise=0.5, seed=8)
+        fresh.append(solve(copy, sol.point, opts, warm_start=guess))
+        guess = continuation_guess([f.m for f in fresh[-2:]])
+    for a, b in zip(path, fresh):
+        assert (a.m == b.m).all()
+        assert (a.residual, a.iterations, a.f_norm) == (b.residual, b.iterations, b.f_norm)
 
 
 def test_solution_serialization_round_trip():
