@@ -3,8 +3,9 @@
 rho(E) is the eta -> 0 limit of (1/(pi dim)) sum_k Im m_k(E + i eta).
 Each energy runs a warm-started descent over an eta schedule and
 extrapolates with the model a + b eta^beta, beta fitted from the last
-three schedule points; when the increments grow instead of shrinking the
-point is flagged divergent and the last raw value is reported.
+three schedule points, every energy's beta found together by bisection;
+when the increments grow instead of shrinking the point is flagged
+divergent and the last raw value is reported.
 rho_at_detailed descends one energy, rho_grid every energy of its mesh
 together, one batched solve per eta level.  The staircase profiles this
 package targets have an integrable power-law divergence at E = 0,
@@ -36,6 +37,9 @@ _LOG_FLOOR = 1e-5
 _LOG_POINTS_PER_DECADE = 6
 # bytes a (P, dim, dim) complex stack of rho_grid's batched solve may take
 _STACK_BYTES = 1 << 22
+# halvings of the bracket [1e-6, 12] of the eta extrapolation's beta: 52
+# take its width to 12 * 2**-52 ~ 2.7e-15, far below brentq's xtol of 2e-12
+_BISECTIONS = 52
 
 
 def support_bound(profile: VarianceProfile) -> float:
@@ -82,68 +86,45 @@ def _validate_schedule(eta_schedule) -> list[float]:
     return etas
 
 
-def _brentq(f, xpre: float, xcur: float) -> float:
-    """scipy.optimize.brentq(f, xpre, xcur) step for step, for f(xpre) < 0 < f(xcur).
+def _bisect(f, lo: float, hi: float) -> np.ndarray:
+    """Roots of f, increasing in each element, with f(lo) < 0 < f(hi)."""
+    x, step = lo, hi - lo  # x takes the shape of f's values
+    for _ in range(_BISECTIONS):
+        step /= 2
+        x = np.where(f(x + step) < 0.0, x + step, x)
+    return x + step / 2  # the midpoint of the last bracket
 
-    Written out here: importing scipy.optimize costs the process 12 MB.
+
+def _extrapolate(etas: list[float], raw: np.ndarray):
+    """eta -> 0 limits of the (P, len(etas)) descents raw from a + b eta^beta.
+
+    Returns the limits, error estimates and divergent flags of the rows.
+    Degenerate increments (zero or mixed sign) and a beta above the bracket
+    keep the last value; increments that grow as eta shrinks admit no
+    positive beta and flag the row divergent.  The other rows bisect together.
     """
-    xtol, rtol = 2e-12, 4 * float(np.finfo(float).eps)
-    fpre, fcur = f(xpre), f(xcur)
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(100):
-        if fpre != 0 and fcur != 0 and (fpre > 0) != (fcur > 0):
-            xblk, fblk, spre, scur = xpre, fpre, xcur - xpre, xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk, fpre, fcur, fblk = xcur, xblk, xcur, fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-        stry = math.inf  # bisect unless the interpolation step is safe
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # secant
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # inverse quadratic interpolation
-                dpre, dblk = (fpre - fcur) / (xpre - xcur), (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-        if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-            spre, scur = scur, stry
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = f(xcur)
-    raise RuntimeError("Brent's method did not converge in 100 iterations")
+    # etas relative to the last one, through expm1: no eta^beta underflows
+    # and a small beta keeps its digits
+    lp, lq = math.log(etas[-3] / etas[-1]), math.log(etas[-2] / etas[-1])
+    f2, f3 = raw[:, -2], raw[:, -1]
+    d12, d23 = raw[:, -3] - f2, f2 - f3
+    limit, err = f3.copy(), np.abs(d23)
+    rows = np.flatnonzero((d12 != 0.0) & (d23 != 0.0) & ((d12 > 0) == (d23 > 0)))
+    ratio = d12[rows] / d23[rows]
 
-
-def _extrapolate(etas: list[float], vals: np.ndarray) -> tuple[float, float, bool]:
-    """eta -> 0 limit from the last three points of a + b eta^beta.
-
-    Returns (limit, error_estimate, divergent).  Degenerate increments
-    (zero or mixed sign) fall back to the last value; increments that grow
-    as eta shrinks admit no positive beta and flag the point divergent.
-    """
-    e1, e2, e3 = etas[-3], etas[-2], etas[-1]
-    f1, f2, f3 = vals[-3], vals[-2], vals[-1]
-    d12 = f1 - f2
-    d23 = f2 - f3
-    if d12 == 0.0 or d23 == 0.0 or (d12 > 0) != (d23 > 0):
-        return f3, abs(d23), False
-    ratio = d12 / d23
-
-    def gap(beta: float) -> float:
-        return (e1**beta - e2**beta) / (e2**beta - e3**beta) - ratio
+    def gap(beta, ratio):
+        return (np.expm1(beta * lp) - np.expm1(beta * lq)) / np.expm1(beta * lq) - ratio
 
     lo, hi = 1e-6, 12.0
-    if gap(lo) >= 0.0:
-        # ratio at or below the beta -> 0 limit: increments not shrinking
-        return f3, abs(d23), True
-    if gap(hi) <= 0.0:
-        return f3, abs(d23), False
-    beta = _brentq(gap, lo, hi)
-    b = d23 / (e2**beta - e3**beta)
-    a = f3 - b * e3**beta
-    return a, abs(a - f3), False
+    divergent = np.zeros(len(raw), dtype=bool)
+    # ratio at or below the beta -> 0 limit: increments not shrinking
+    divergent[rows] = gap(lo, ratio) >= 0.0
+    keep = ~divergent[rows] & (gap(hi, ratio) > 0.0)
+    rows, ratio = rows[keep], ratio[keep]
+    beta = _bisect(lambda beta: gap(beta, ratio), lo, hi)
+    limit[rows] = f3[rows] - d23[rows] / np.expm1(beta * lq)
+    err[rows] = np.abs(limit[rows] - f3[rows])
+    return limit, err, divergent
 
 
 def _descent_tol(profile, e_val: float, eta_min: float) -> float:
@@ -171,13 +152,9 @@ def rho_at_detailed(
         point = SpectralPoint(re=float(e_val), im=eta)
         ms.append(solve(profile, point, opts, warm_start=continuation_guess(ms)).m)
     raw = np.array([m.imag.sum() for m in ms]) / (math.pi * profile.dim)
-    value, err, divergent = _extrapolate(etas, raw)
-    return PointDensity(
-        value=max(value, 0.0),
-        raw=raw,
-        error_estimate=err,
-        divergent=divergent,
-    )
+    (value,), (err,), (divergent,) = _extrapolate(etas, raw[None])
+    return PointDensity(value=max(float(value), 0.0), raw=raw,
+                        error_estimate=float(err), divergent=bool(divergent))
 
 
 def rho_at(
@@ -215,7 +192,7 @@ def rho_grid(
 ) -> DensityProfile:
     """Density on a grid plus total mass over the full support window.
 
-    The grid must be strictly increasing and avoid E = 0 exactly (the
+    The grid must be non-empty, strictly increasing and avoid E = 0 (the
     staircase density diverges there).  Mass is integrated by trapezoid
     over the union of the grid with a linear mesh reaching the support
     bound on both sides, so partial grids still report total mass.  Each
@@ -226,15 +203,7 @@ def rho_grid(
     grid = np.atleast_1d(np.asarray(e_grid, dtype=float))
     etas = tuple(_validate_schedule(eta_schedule))
     if grid.size == 0:
-        empty = np.empty(0)
-        return DensityProfile(
-            energies=empty,
-            rho=empty.copy(),
-            eta_schedule=etas,
-            total_mass=0.0,
-            error_estimates=empty.copy(),
-            divergent=np.zeros(0, dtype=bool),
-        )
+        raise ValueError("energy grid must not be empty")
     if not np.isfinite(grid).all():
         raise ValueError("energy grid must be finite")
     if (np.diff(grid) <= 0).any():
@@ -259,7 +228,7 @@ def rho_grid(
             z, warm = mesh[rows] + 1j * eta, continuation_guess(ms)
             ms.append(_solve_points(profile, z, tol[rows], warm, max_iter)[0])
             raw[rows, j] = ms[-1].imag.sum(axis=1) / (math.pi * profile.dim)
-    value, err, divergent = map(np.array, zip(*(_extrapolate(etas, v) for v in raw)))
+    value, err, divergent = _extrapolate(etas, raw)
     rho = np.where(value < 0.0, 0.0, value)  # rho_at_detailed's max(value, 0.0)
     on_grid = np.isin(mesh, grid)
     return DensityProfile(

@@ -375,17 +375,17 @@ def _solve_points(profile: VarianceProfile, z, tol, m, max_iter: int):
     s = profile.complex_entries
     means = profile.block_means if profile.dim >= _KRYLOV_MIN_DIM else None
     m = np.full((len(z), profile.dim), 1j) if m is None else np.array(m, dtype=complex)
-    residual = _defect_norms(m, z, s)
     iterations = np.zeros(len(z), dtype=int)
-    # the rows still iterating with their packed state; best_at is the
-    # iteration of a row's best residual
-    rows = np.flatnonzero(~(residual <= tol))  # a NaN residual iterates
-    ma, za, ta, best = m[rows], z[rows], tol[rows], residual[rows]
-    best_at = np.zeros(rows.size, dtype=int)
-    k = 0
     # each row computes every trial step and drops it when done, past the
     # cap or out of the half-plane, so overflow there is harmless
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        residual = _defect_norms(m, z, s)
+        # the rows still iterating with their packed state; best_at is the
+        # iteration of a row's best residual
+        rows = np.flatnonzero(~(residual <= tol))  # a NaN residual iterates
+        ma, za, ta, best = m[rows], z[rows], tol[rows], residual[rows]
+        best_at = np.zeros(rows.size, dtype=int)
+        k = 0
         while rows.size:
             if k >= max_iter:
                 raise SolverError(f"no convergence in {max_iter} iterations at z = "

@@ -23,7 +23,7 @@ from vdelab import (
     support_bound,
 )
 from vdelab import density
-from vdelab.density import _LINEAR_STEP, _brentq
+from vdelab.density import _LINEAR_STEP, _bisect, _extrapolate
 
 RHO_AT_ZERO = 0.3183098861837907  # 1 / pi
 
@@ -95,10 +95,9 @@ def test_default_energy_grid_layout():
 
 
 def test_rho_grid_empty():
-    dp = rho_grid(staircase_profile(1), [])
-    assert dp.energies.size == 0
-    assert dp.divergent.size == 0
-    assert dp.total_mass == 0.0
+    # an input error, as a lin: count below 1 is on the command line
+    with pytest.raises(ValueError, match="empty"):
+        rho_grid(staircase_profile(1), [])
 
 
 def test_rho_grid_validation():
@@ -203,27 +202,113 @@ def test_rho_grid_failure_names_the_energy():
         rho_at_detailed(prof, z.real, opts=unreachable)
 
 
-def test_brentq_matches_scipy_bit_for_bit():
-    # the eta extrapolation's root finder is scipy's brentq written out;
-    # scipy stays the reference
+def _one_extrapolation(etas, vals):
+    # the scalar rule of the eta extrapolation, beta from scipy's brentq
+    # run far below its default xtol of 2e-12
+    from scipy.optimize import brentq
+
+    e1, e2, e3 = etas[-3:]
+    f1, f2, f3 = vals[-3:]
+    d12, d23 = f1 - f2, f2 - f3
+    if d12 == 0.0 or d23 == 0.0 or (d12 > 0) != (d23 > 0):
+        return f3, abs(d23), False
+
+    def gap(beta):
+        return (e1**beta - e2**beta) / (e2**beta - e3**beta) - d12 / d23
+
+    if gap(1e-6) >= 0.0:
+        return f3, abs(d23), True
+    if gap(12.0) <= 0.0:
+        return f3, abs(d23), False
+    beta = brentq(gap, 1e-6, 12.0, xtol=1e-15)
+    a = f3 - d23 / (e2**beta - e3**beta) * e3**beta
+    return a, abs(a - f3), False
+
+
+NON_GEOMETRIC = (3e-2, 1e-2, 2e-3, 7e-4, 5e-5, 1e-5)
+
+
+@pytest.mark.parametrize(
+    "etas, unit",
+    [
+        (DEFAULT_ETA_SCHEDULE, 1.0),
+        (NON_GEOMETRIC, 1.0),
+        # eta^12 underflows; b is set per unit of 1e-28 to keep the rows apart
+        (tuple(1e-28 * e for e in DEFAULT_ETA_SCHEDULE), 1e-28),
+    ],
+)
+def test_extrapolate_recovers_exact_power_laws(etas, unit):
+    rng = np.random.default_rng(5)
+    a = rng.uniform(-2.0, 2.0, 200)
+    b = rng.choice([-1.0, 1.0], 200) * 10.0 ** rng.uniform(-2, 2, 200)
+    beta = rng.uniform(0.1, 3.0, 200)
+    raw = a[:, None] + b[:, None] * (np.array(etas) / unit) ** beta[:, None]
+    limit, err, divergent = _extrapolate(list(etas), raw)
+    assert np.abs(limit - a).max() <= 1e-12
+    assert (err == np.abs(limit - raw[:, -1])).all()
+    assert not divergent.any()
+
+
+def test_bisect_matches_scipy_brentq():
+    # scipy's brentq is the reference for beta, on 500 random schedules
     from scipy.optimize import brentq
 
     rng = np.random.default_rng(3)
+    cases = []
     for _ in range(500):
         e1, e2, e3 = sorted(10.0 ** rng.uniform(-7, 0, 3), reverse=True)
         ratio = float(rng.uniform(0.1, 1e4))
 
-        def gap(beta):
+        def gap(beta, e1=e1, e2=e2, e3=e3, ratio=ratio):
             return (e1**beta - e2**beta) / (e2**beta - e3**beta) - ratio
 
         if gap(1e-6) < 0.0 < gap(12.0):
-            assert _brentq(gap, 1e-6, 12.0) == brentq(gap, 1e-6, 12.0)
+            cases.append(((e1, e2, e3, ratio), brentq(gap, 1e-6, 12.0)))
         c = float(rng.uniform(-2, 2))
+        got = _bisect(lambda x: (x - c) ** 3 + 0.1 * (x - c), -3.0, 3.0)
+        assert abs(got - c) <= 2e-12
+    assert len(cases) > 100
+    params, want = zip(*cases)
+    e1, e2, e3, ratio = np.array(params).T
+    beta = _bisect(
+        lambda b: (e1**b - e2**b) / (e2**b - e3**b) - ratio, 1e-6, 12.0
+    )
+    assert np.abs(beta - want).max() <= 2e-12
 
-        def cubic(x):
-            return (x - c) ** 3 + 0.1 * (x - c)
 
-        assert _brentq(cubic, -3.0, 3.0) == brentq(cubic, -3.0, 3.0)
+BRANCH_ROWS = [
+    ([0.3, 0.2, 0.2, 0.1, 0.1], (0.1, 0.0, False)),  # zero increment
+    ([0.3, 0.2, 1.0, 2.0, 1.5], (1.5, 0.5, False)),  # mixed sign
+    ([0.3, 0.2, 1.0, 2.0, 4.0], (4.0, 2.0, True)),  # growing increments
+    # shrinking by 2**44 per decade: beta would be 13.2, above the bracket
+    ([0.3, 0.2, 2.0, 1.0, 1.0 - 2.0**-44], (1.0 - 2.0**-44, 2.0**-44, False)),
+]
+
+
+@pytest.mark.parametrize("row, want", BRANCH_ROWS)
+def test_extrapolate_branches(row, want):
+    limit, err, divergent = _extrapolate(list(DEFAULT_ETA_SCHEDULE), np.array([row]))
+    assert (limit[0], err[0], divergent[0]) == want
+    assert _one_extrapolation(DEFAULT_ETA_SCHEDULE, row) == want
+
+
+def test_extrapolate_rows_match_the_scalar_rule_and_stand_alone():
+    # random descents mixing every branch; a row gives the same bits alone
+    # as inside the batch
+    rng = np.random.default_rng(7)
+    raw = np.cumsum(rng.normal(size=(300, 5)) * 10.0 ** rng.uniform(-3, 0, (300, 1)), axis=1)
+    raw[:20, -1] = raw[:20, -2]
+    raw = np.concatenate([raw, np.array([row for row, _ in BRANCH_ROWS])])
+    etas = list(DEFAULT_ETA_SCHEDULE)
+    limit, err, divergent = _extrapolate(etas, raw)
+    for i, row in enumerate(raw):
+        alone = _extrapolate(etas, row[None])
+        assert (alone[0][0], alone[1][0], alone[2][0]) == (limit[i], err[i], divergent[i])
+        a, e, flag = _one_extrapolation(etas, row)
+        assert divergent[i] == flag
+        assert limit[i] == pytest.approx(a, rel=1e-12, abs=1e-15)
+        assert err[i] == pytest.approx(e, rel=1e-12, abs=1e-15)
+    assert divergent.any() and (limit != raw[:, -1]).any() and (err == 0.0).any()
 
 
 def test_divergence_fit_recovers_synthetic_power_law():

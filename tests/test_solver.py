@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -129,6 +130,15 @@ def test_nan_residual_is_never_converged():
         with pytest.raises(SolverError, match="non-finite"):
             solver._solve_points(staircase_profile(2), np.array([1j]),
                                  np.array([1e-12]), start, 10**6)
+
+
+def test_non_finite_start_fails_without_warnings():
+    # the start's residual is taken under the solve's own errstate
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SolverError, match="non-finite"):
+            solver._solve_points(staircase_profile(2), np.array([1j]), np.array([1e-12]),
+                                 np.array([[1j * math.inf, 1j]]), 10**6)
 
 
 def test_option_and_point_validation():
