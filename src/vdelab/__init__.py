@@ -58,8 +58,6 @@ _EXPORTS = {
     "fit_exponents": "asymptotics",
     "PairProduct": "asymptotics",
     "pair_product_check": "asymptotics",
-    "RatioCheck": "asymptotics",
-    "ratio_relation_check": "asymptotics",
     "ReduceDiagnostics": "asymptotics",
     "vde_like_reduce": "asymptotics",
     "SweepRow": "asymptotics",

@@ -4,7 +4,7 @@ For an n-dim staircase profile the solution components behave like
 m_k(z) ~ c_k e^{i pi k/(n+1)} |z|^{1-2k/(n+1)} e^{i(1-2k/(n+1)) arg z}
 as z -> 0.  This module computes the limiting constants c_k from a small
 log-linear system, fits measured exponents/phases/constants along solved
-rays, checks the pair-product and ratio relations the constants satisfy,
+rays, checks the pair products of opposite components against their limits,
 reduces block-expanded solutions back to an n-dim equation, and sweeps
 normalized moduli across inner block sizes.
 
@@ -261,62 +261,6 @@ def pair_product_check(
 
 
 @dataclass(frozen=True)
-class RatioCheck:
-    """One ratio relation traced along the path.
-
-    values[j] is the ratio at the j-th radius; the expected limit is real
-    and positive, computed from the limiting constants (the exponents and
-    phases cancel exactly in these combinations).
-    """
-
-    label: str
-    values: np.ndarray
-    expected: float
-
-    @property
-    def final_relative_error(self) -> float:
-        return float(abs(self.values[-1] - self.expected) / abs(self.expected))
-
-
-def ratio_relation_check(
-    path: list[VdeSolution], profile: VarianceProfile
-) -> list[RatioCheck]:
-    """Trace the mixed-product ratios that converge to finite limits.
-
-    The anchor ratio m_1 m_{n-1}/(z m_n) tends to 1/s_{1,n-1}; for
-    2 <= k <= n-1 the ratio m_k m_{n-k}/(m_{n+1-k} m_{k-1}) tends to
-    (c_k c_{n-k})/(c_{n+1-k} c_{k-1}).  Needs dim >= 2.
-    """
-    _path_radii_and_angle(path)
-    n = profile.dim
-    if n < 2:
-        raise ValueError("ratio relations need dim >= 2")
-    ok, _ = check_assumption_staircase(profile)
-    if not ok:
-        raise ProfileError("ratio relations need a staircase profile")
-    c = limit_constants(profile)
-    ms = np.array([sol.m for sol in path])
-    zs = np.array([sol.point.z for sol in path])
-    checks = [
-        RatioCheck(
-            label="m1*m(n-1)/(z*mn)",
-            values=ms[:, 0] * ms[:, n - 2] / (zs * ms[:, n - 1]),
-            expected=1.0 / float(profile.entries[0, n - 2]),
-        )
-    ]
-    for k in range(2, n):
-        checks.append(
-            RatioCheck(
-                label=f"m{k}*m{n - k}/(m{n + 1 - k}*m{k - 1})",
-                values=ms[:, k - 1] * ms[:, n - k - 1]
-                / (ms[:, n - k] * ms[:, k - 2]),
-                expected=float(c[k - 1] * c[n - k - 1] / (c[n - k] * c[k - 2])),
-            )
-        )
-    return checks
-
-
-@dataclass(frozen=True)
 class ReduceDiagnostics:
     residual: float
     zero_pattern_matches: bool
@@ -423,11 +367,9 @@ def uniform_bound_sweep(
         sol = path[-1]
         r = abs(sol.point.z)
         k_outer = np.repeat(np.arange(1, n + 1), inner)
-        e = 1.0 - 2.0 * k_outer / (n + 1)
+        e = predicted_exponent(k_outer, n)
         norm_mod = np.abs(sol.m) * r ** (-e)
-        phase_dev = np.abs(
-            np.angle(sol.m) - e * ray_angle - np.pi * k_outer / (n + 1)
-        )
+        phase_dev = np.abs(np.angle(sol.m) - e * ray_angle - predicted_phase(k_outer, n))
         rows.append(
             SweepRow(
                 inner=inner,

@@ -435,14 +435,16 @@ def _apply_thread_env() -> None:
     value = os.environ.get("VDELAB_THREADS")
     if not value:
         return
-    count = str(int(value))
+    count = int(value)
+    if count < 1:
+        raise ValueError(f"{value!r} is not a positive thread count")
     for var in (
         "OMP_NUM_THREADS",
         "OPENBLAS_NUM_THREADS",
         "MKL_NUM_THREADS",
         "NUMEXPR_NUM_THREADS",
     ):
-        os.environ.setdefault(var, count)
+        os.environ.setdefault(var, str(count))
 
 
 def main(argv=None) -> int:

@@ -219,14 +219,13 @@ def rho_grid(
     # rho_at_detailed's descent, one batched solve per eta level and slice
     tol = (np.full(mesh.size, opts.tol) if opts else
            np.array([_descent_tol(profile, e, etas[-1]) for e in mesh]))
-    max_iter = (opts or SolverOptions()).max_iter
     raw = np.empty((mesh.size, len(etas)))
     size = max(1, _STACK_BYTES // (16 * profile.dim**2))
     for rows in (slice(i, i + size) for i in range(0, mesh.size, size)):
         ms: list[np.ndarray] = []
         for j, eta in enumerate(etas):
             z, warm = mesh[rows] + 1j * eta, continuation_guess(ms)
-            ms.append(_solve_points(profile, z, tol[rows], warm, max_iter)[0])
+            ms.append(_solve_points(profile, z, tol[rows], warm)[0])
             raw[rows, j] = ms[-1].imag.sum(axis=1) / (math.pi * profile.dim)
     value, err, divergent = _extrapolate(etas, raw)
     rho = np.where(value < 0.0, 0.0, value)  # rho_at_detailed's max(value, 0.0)

@@ -233,16 +233,23 @@ def load_profile(source) -> VarianceProfile:
         return parse_profile(fh.read())
 
 
+def _staircase_rule(n: int) -> np.ndarray:
+    """The staircase conditions on an n x n profile as one int matrix.
+
+    With 1-based indices: +1 where s_ij must be positive (i + j is n or
+    n+1), -1 where it must be zero (i + j >= n + 2), 0 where it is free.
+    """
+    s = np.add.outer(np.arange(1, n + 1), np.arange(1, n + 1))
+    return np.where(s >= n + 2, -1, (s >= n).astype(int))
+
+
 def staircase_profile(n: int, fill: float = 1.0) -> VarianceProfile:
     """Canonical staircase profile: fill where i+j <= n+1, zero elsewhere."""
     if n < 1:
         raise ProfileError("n must be positive")
     if fill <= 0:
         raise ProfileError("fill must be positive")
-    a = np.zeros((n, n))
-    for i in range(n):
-        a[i, : n - i] = fill
-    return VarianceProfile(a)
+    return VarianceProfile(np.where(_staircase_rule(n) >= 0, float(fill), 0.0))
 
 
 def random_staircase_profile(
@@ -331,23 +338,15 @@ def check_assumption_staircase(
     (positions with i <= j; the matrix is symmetric).
     """
     a = profile.entries
-    n = profile.dim
-    violations = []
-    for i0 in range(n):
-        for j0 in range(i0, n):
-            s = i0 + j0 + 2
-            v = a[i0, j0]
-            if s in (n, n + 1) and not v > 0:
-                violations.append(StaircaseViolation(i0 + 1, j0 + 1, "positive", v))
-            elif s >= n + 2 and v != 0.0:
-                violations.append(StaircaseViolation(i0 + 1, j0 + 1, "zero", v))
+    rule = _staircase_rule(profile.dim)
+    bad = ((rule > 0) & ~(a > 0)) | ((rule < 0) & (a != 0.0))
+    violations = [
+        StaircaseViolation(i + 1, j + 1, "positive" if rule[i, j] > 0 else "zero",
+                           a[i, j])
+        for i, j in np.argwhere(bad).tolist()
+        if i <= j
+    ]
     return not violations, violations
-
-
-def _exact_staircase_zero_pattern(entries: np.ndarray) -> bool:
-    n = entries.shape[0]
-    i, j = np.indices(entries.shape)
-    return bool(((entries == 0.0) == (i + j + 2 >= n + 2)).all())
 
 
 def recover_staircase_permutation(profile: VarianceProfile) -> tuple[int, ...]:
@@ -370,17 +369,13 @@ def recover_staircase_permutation(profile: VarianceProfile) -> tuple[int, ...]:
     # slot[k] is the original row placed at 1-based position k+1
     slot: list[int] = [-1] * dim
     used = [False] * dim
+    rule = _staircase_rule(dim).tolist()
 
     def admissible(row: int, pos0: int) -> bool:
-        k = pos0 + 1
+        need = rule[pos0]
         for j0 in range(pos0, dim):
-            other = row if j0 == pos0 else slot[j0]
-            s = k + (j0 + 1)
-            v = a[row, other]
-            if s >= dim + 2:
-                if v != 0.0:
-                    return False
-            elif s >= dim and not v > 0:
+            v = a[row, row if j0 == pos0 else slot[j0]]
+            if (need[j0] > 0 and not v > 0) or (need[j0] < 0 and v != 0.0):
                 return False
         return True
 
@@ -466,7 +461,7 @@ def classify_regime(profile: VarianceProfile) -> StructureReport:
     if profile.block_meta is not None:
         n, inner = profile.block_meta
         partition: tuple[int, ...] | None = (inner,) * n
-    elif _exact_staircase_zero_pattern(a):
+    elif ((a == 0.0) == (_staircase_rule(dim) < 0)).all():
         partition = (1,) * dim
     else:
         partition = None

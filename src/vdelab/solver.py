@@ -60,6 +60,7 @@ from .profiles import VarianceProfile
 RADIUS_FLOOR = 1e-8
 
 _STALL_LIMIT = 50
+_MAX_ITER = 10**6
 _MAX_BACKTRACK = 30
 _LOG_STEP_CAP = 20.0
 # Block profiles from this dim up take the GMRES step.  Whole noisy rays
@@ -112,13 +113,10 @@ class SpectralPoint:
 @dataclass(frozen=True)
 class SolverOptions:
     tol: float = 1e-12
-    max_iter: int = 10**6
 
     def __post_init__(self) -> None:
         if not self.tol > 0:
             raise ValueError("tol must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be positive")
 
 
 @dataclass(frozen=True)
@@ -365,7 +363,7 @@ def _log_newton(m: np.ndarray, z: np.ndarray, s: np.ndarray, means=None):
     return out, finite & ~todo
 
 
-def _solve_points(profile: VarianceProfile, z, tol, m, max_iter: int):
+def _solve_points(profile: VarianceProfile, z, tol, m):
     """Solve -1/m = z + Sm at P points at once, each by the rules of solve.
 
     z and tol have shape (P,), the start vectors m (P, dim), None for
@@ -387,8 +385,8 @@ def _solve_points(profile: VarianceProfile, z, tol, m, max_iter: int):
         best_at = np.zeros(rows.size, dtype=int)
         k = 0
         while rows.size:
-            if k >= max_iter:
-                raise SolverError(f"no convergence in {max_iter} iterations at z = "
+            if k >= _MAX_ITER:
+                raise SolverError(f"no convergence in {_MAX_ITER} iterations at z = "
                                   f"{za[0]}, last residual {residual[rows[0]]:.3e}")
             ma, newton = _log_newton(ma, za, s, means)
             if not newton.all():
@@ -467,7 +465,7 @@ def solve(
             raise ValueError("warm start must lie in the upper half-plane")
         m = m[None]
     z, tol = np.array([point.z]), np.array([opts.tol])
-    m, residual, iterations, f_norm = _solve_points(profile, z, tol, m, opts.max_iter)
+    m, residual, iterations, f_norm = _solve_points(profile, z, tol, m)
     return VdeSolution(point, m[0], float(residual[0]), int(iterations[0]),
                        float(f_norm[0]))
 

@@ -38,6 +38,35 @@ def brute_maximal_rectangles(entries: np.ndarray) -> list[tuple[tuple, tuple]]:
     return sorted(out, key=lambda rc: (-2 * (len(rc[0]) + len(rc[1])), rc[0], rc[1]))
 
 
+def staircase_violations(entries: np.ndarray) -> list[tuple[int, int, str]]:
+    """Staircase-condition violations (i, j, expected), 1-based with i <= j.
+
+    Straight from the statement: s_ij > 0 where i + j is dim or dim + 1,
+    s_ij = 0 where i + j >= dim + 2, read in row-major order.
+    """
+    dim = entries.shape[0]
+    out = []
+    for i in range(1, dim + 1):
+        for j in range(i, dim + 1):
+            v = entries[i - 1, j - 1]
+            if i + j in (dim, dim + 1) and not v > 0:
+                out.append((i, j, "positive"))
+            elif i + j >= dim + 2 and v != 0.0:
+                out.append((i, j, "zero"))
+    return out
+
+
+def brute_staircase_permutation(entries: np.ndarray) -> tuple[int, ...] | None:
+    """First 0-based permutation p, in lexicographic order, that puts
+    s[p[i], p[j]] in staircase form; None when there is none.  Tries all
+    dim! orderings, fine for dim <= 6."""
+    dim = entries.shape[0]
+    for perm in itertools.permutations(range(dim)):
+        if not staircase_violations(entries[np.ix_(perm, perm)]):
+            return perm
+    return None
+
+
 def semicircle_m(z: complex) -> complex:
     """Stieltjes transform of the semicircle on [-2, 2], upper half-plane branch."""
     root = cmath.sqrt(z * z - 4.0)

@@ -19,7 +19,6 @@ from vdelab import (
     predicted_exponent,
     predicted_phase,
     random_staircase_profile,
-    ratio_relation_check,
     solve,
     solve_path,
     staircase_profile,
@@ -173,26 +172,6 @@ def test_pair_products_respect_profile_entries():
     for c in pair_product_check(path, prof):
         assert c.expected == -1.0 / prof.entries[c.k - 1, 3 - c.k]
         assert c.relative_error < 0.02
-
-
-def test_ratio_relations_four_dim():
-    prof = random_staircase_profile(4, seed=9)
-    radii = np.geomspace(1e-1, 1e-6, 26)
-    opts = SolverOptions(tol=suggested_tol(prof, radii[-1]))
-    path = solve_path(prof, math.pi / 2, radii, opts)
-    checks = ratio_relation_check(path, prof)
-    assert checks[0].label == "m1*m(n-1)/(z*mn)"
-    assert checks[0].expected == 1.0 / prof.entries[0, 2]
-    assert len(checks) == 3  # anchor plus k = 2, 3
-    for chk in checks:
-        assert chk.final_relative_error < 0.02
-        assert chk.values.shape == (len(path),)
-
-
-def test_ratio_relations_need_dim_two():
-    prof, path = ones_path(1, count=21)
-    with pytest.raises(ValueError, match="dim >= 2"):
-        ratio_relation_check(path, staircase_profile(1))
 
 
 def test_zm_does_not_vanish_for_rank_deficient_profile():

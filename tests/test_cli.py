@@ -289,11 +289,13 @@ def test_validation_failures_exit_one(tmp_path):
     )):
         loose = write_profile(tmp_path, f"loose{i}.json", doc)
         fails_cleanly(["--command", "classify", "--profile", loose, "--out", out])
-    env_bad = fails_cleanly(
-        ["--command", "classify", "--profile", good, "--out", out],
-        env_extra={"VDELAB_THREADS": "lots"},
-    )
-    assert "VDELAB_THREADS" in env_bad.stderr
+    # 0 or a negative count would be written into OMP_NUM_THREADS as no cap
+    for threads in ("lots", "0", "-1"):
+        env_bad = fails_cleanly(
+            ["--command", "classify", "--profile", good, "--out", out],
+            env_extra={"VDELAB_THREADS": threads},
+        )
+        assert "bad VDELAB_THREADS value" in env_bad.stderr
 
 
 def test_solver_failure_exits_two(tmp_path):

@@ -5,7 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_maximal_rectangles, staircase_entries
+from oracles import (
+    brute_maximal_rectangles,
+    brute_staircase_permutation,
+    staircase_entries,
+    staircase_violations,
+)
 from vdelab import (
     EnumerationCapError,
     ProfileError,
@@ -269,6 +274,38 @@ def test_recover_with_zeros_in_free_region():
         shuffled = base.permuted(tuple(rng.permutation(5).tolist()))
         rec = recover_staircase_permutation(shuffled)
         assert check_assumption_staircase(shuffled.permuted(rec))[0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 6),
+       flip=st.sampled_from([0.0, 0.1, 0.3, 0.5]))
+def test_staircase_rule_matches_oracle(seed, dim, flip):
+    # a shuffled staircase zero pattern with a share of its upper-triangle
+    # entries flipped between zero and positive, so both outcomes occur
+    rng = np.random.default_rng(seed)
+    zero = np.triu(staircase_entries(dim) == 0.0)
+    zero ^= np.triu(rng.random((dim, dim)) < flip)
+    zero |= zero.T
+    a = np.where(zero, 0.0, rng.uniform(0.5, 2.0, (dim, dim)))
+    a = np.triu(a) + np.triu(a, 1).T
+    perm = rng.permutation(dim)
+    prof = VarianceProfile(a[np.ix_(perm, perm)])
+
+    ok, violations = check_assumption_staircase(prof)
+    assert [(v.i, v.j, v.expected) for v in violations] == (
+        staircase_violations(prof.entries)
+    )
+    assert ok == (not violations)
+    assert all(type(v.i) is int and type(v.j) is int for v in violations)
+
+    want = brute_staircase_permutation(prof.entries)
+    try:
+        rec = recover_staircase_permutation(prof)
+    except StaircasePatternError:
+        assert want is None
+    else:
+        assert want is not None
+        assert check_assumption_staircase(prof.permuted(rec))[0]
 
 
 def test_recover_failure_cases():
