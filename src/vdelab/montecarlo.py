@@ -5,9 +5,12 @@ Matrices follow the block variance layout of an expanded profile: entry
 s_jk/N.  Entries come from a counter-based generator (Philox keyed by
 (seed, trial)) that dedicates one counter block to each matrix position,
 so a single entry is reproducible in isolation and whole trials can be
-generated independently without sequence coupling.  Eigenvalue statistics
-near zero are compared against the integrated power-law divergence of the
-density module, and resolvent diagonals against the VDE components.
+generated independently without sequence coupling.  A draw fills its
+output one upper-triangle row at a time, skipping the lower triangle's
+blocks, so it costs one matrix plus one row of words.  Eigenvalue
+statistics near zero are compared against the integrated power-law
+divergence of the density module, and resolvent diagonals against the
+VDE components.
 """
 
 from __future__ import annotations
@@ -64,7 +67,42 @@ def _normals(raw: np.ndarray) -> np.ndarray:
 
 
 def _trial_generator(spec: EnsembleSpec, trial: int) -> Philox:
+    # the trial is the second word of the 64-bit Philox key
+    if not 0 <= trial < 2**64:
+        raise ValueError(f"trial must lie in [0, 2**64), got {trial}")
     return Philox(key=np.array([spec.seed, trial], dtype=np.uint64))
+
+
+def _upper_row(
+    spec: EnsembleSpec, gen: Philox, a: int, start: int, stop: int
+) -> np.ndarray:
+    """Entries H[a, start:stop] of the upper triangle (a <= start).
+
+    gen must stand just before counter block a*dim + start; the row reads
+    the blocks up to a*dim + stop - 1.  Real symmetric: standard deviation
+    sqrt(v) off the diagonal and sqrt(2 v) on it, for v = s_jk/N.  Complex
+    Hermitian: real and imaginary parts each sqrt(v/2) off the diagonal,
+    a real diagonal with sqrt(v).  Adding +0.0 turns the -0.0 that zero
+    blocks give into +0.0, the zero of the sum of a triangle and its
+    conjugate transpose; LAPACK's Householder sign choice reads the sign
+    of a zero, so the spectrum's last bits depend on it.
+    """
+    inner = spec.inner_N
+    var = np.repeat(spec.small_profile.entries[a // inner], inner)[start:stop] / inner
+    raw = gen.random_raw(4 * (stop - start))
+    g0 = _normals(raw[0::4])
+    if spec.symmetry == REAL_SYMMETRIC:
+        std = np.sqrt(var)
+        if start == a:
+            std[0] = np.sqrt(2.0 * var[0])
+        row = std * g0
+    else:
+        g1 = _normals(raw[1::4])
+        row = np.sqrt(var / 2.0) * (g0 + 1j * g1)
+        if start == a:
+            row[0] = np.sqrt(var[0]) * g0[0]
+    row += 0.0
+    return row
 
 
 def sample_matrix(spec: EnsembleSpec, trial: int) -> np.ndarray:
@@ -74,55 +112,42 @@ def sample_matrix(spec: EnsembleSpec, trial: int) -> np.ndarray:
     Philox stream and uses its first word (real case) or first two words
     (complex case).  Real symmetric: off-diagonal variance s_jk/N,
     diagonal 2 s_jj/N; complex Hermitian: real and imaginary parts each
-    s_jk/(2N) off the diagonal, real diagonal with variance s_jj/N.  The
-    lower triangle mirrors the upper exactly, and zero blocks of the
-    profile come out exactly zero.
+    s_jk/(2N) off the diagonal, real diagonal with variance s_jj/N.  Each
+    upper-triangle row is drawn on its own, skipping the blocks of the
+    lower triangle, and mirrored into its column, so a draw holds the
+    matrix plus one row of words.  The lower triangle mirrors the upper
+    exactly, and zero blocks of the profile come out exactly zero.
+    Raises ValueError for a trial outside [0, 2**64).
     """
-    n = spec.small_profile.dim
-    inner = spec.inner_N
-    d = n * inner
-    var = np.repeat(
-        np.repeat(spec.small_profile.entries, inner, axis=0), inner, axis=1
-    ) / inner
-    raw = _trial_generator(spec, trial).random_raw(4 * d * d)
-    g0 = _normals(raw[0::4]).reshape(d, d)
-    if spec.symmetry == REAL_SYMMETRIC:
-        std = np.sqrt(var)
-        np.fill_diagonal(std, np.sqrt(2.0 * np.diag(var)))
-        upper = np.triu(std * g0)
-        return upper + upper.T - np.diag(np.diag(upper))
-    g1 = _normals(raw[1::4]).reshape(d, d)
-    off = np.sqrt(var / 2.0) * (g0 + 1j * g1)
-    h = np.triu(off, 1)
-    h = h + h.conj().T
-    return h + np.diag(np.sqrt(np.diag(var)) * np.diag(g0))
+    d = spec.dimension
+    gen = _trial_generator(spec, trial)
+    dtype = np.float64 if spec.symmetry == REAL_SYMMETRIC else np.complex128
+    h = np.empty((d, d), dtype=dtype)
+    for a in range(d):
+        # the previous row ended at block a*d - 1; skip (a, 0) .. (a, a-1)
+        gen.advance(a)
+        row = _upper_row(spec, gen, a, a, d)
+        h[a, a:] = row
+        # +0.0 again: conjugating flips the sign of zero imaginary parts
+        h[a + 1 :, a] = row[1:].conj() + 0.0
+    return h
 
 
 def entry_value(spec: EnsembleSpec, trial: int, a: int, b: int) -> complex:
     """Reconstruct the single entry H[a, b] from its own counter block.
 
     Bit-identical to sample_matrix(spec, trial)[a, b] without generating
-    the rest of the matrix.
+    the rest of the matrix: a one-column slice of row min(a, b),
+    conjugated below the diagonal.
     """
     d = spec.dimension
     if not (0 <= a < d and 0 <= b < d):
         raise ValueError(f"entry ({a},{b}) outside a {d}x{d} matrix")
-    if a > b:
-        v = entry_value(spec, trial, b, a)
-        return v.conjugate() if spec.symmetry == COMPLEX_HERMITIAN else v
-    inner = spec.inner_N
-    var = float(spec.small_profile.entries[a // inner, b // inner]) / inner
+    lo, hi = min(a, b), max(a, b)
     gen = _trial_generator(spec, trial)
-    gen.advance(a * d + b)
-    raw = gen.random_raw(4)
-    g0 = float(_normals(raw[:1])[0])
-    if spec.symmetry == REAL_SYMMETRIC:
-        std = math.sqrt(2.0 * var) if a == b else math.sqrt(var)
-        return complex(std * g0)
-    if a == b:
-        return complex(math.sqrt(var) * g0)
-    g1 = float(_normals(raw[1:2])[0])
-    return complex(math.sqrt(var / 2.0)) * (g0 + 1j * g1)
+    gen.advance(lo * d + hi)
+    v = _upper_row(spec, gen, lo, hi, hi + 1)
+    return complex(v[0] if a <= b else (v.conj() + 0.0)[0])
 
 
 def sample_spectrum(spec: EnsembleSpec, trial: int) -> np.ndarray:

@@ -11,6 +11,8 @@ import itertools
 import math
 
 import numpy as np
+from numpy.random import Philox
+from scipy.special import ndtri
 
 
 def brute_maximal_rectangles(entries: np.ndarray) -> list[tuple[tuple, tuple]]:
@@ -91,3 +93,36 @@ def staircase_entries(n: int, fill: float = 1.0) -> np.ndarray:
     for i in range(n):
         a[i, : n - i] = fill
     return a
+
+
+def dense_sample_matrix(spec, trial: int) -> np.ndarray:
+    """Whole-matrix draw of vdelab.montecarlo.sample_matrix's layout.
+
+    Draws all 4*d*d Philox words of the trial at once, position (a, b) in
+    counter block a*d + b, and builds the Hermitian matrix from full d x d
+    arrays: upper + upper^H, so zero blocks come out +0.0.
+    """
+    n = spec.small_profile.dim
+    inner = spec.inner_N
+    d = n * inner
+    var = np.repeat(
+        np.repeat(spec.small_profile.entries, inner, axis=0), inner, axis=1
+    ) / inner
+    gen = Philox(key=np.array([spec.seed, trial], dtype=np.uint64))
+    raw = gen.random_raw(4 * d * d)
+
+    def normals(words):
+        u = (words >> np.uint64(11)).astype(np.float64) * 2.0**-53
+        return ndtri(np.maximum(u, 2.0**-54))
+
+    g0 = normals(raw[0::4]).reshape(d, d)
+    if spec.symmetry == "real_symmetric":
+        std = np.sqrt(var)
+        np.fill_diagonal(std, np.sqrt(2.0 * np.diag(var)))
+        upper = np.triu(std * g0)
+        return upper + upper.T - np.diag(np.diag(upper))
+    g1 = normals(raw[1::4]).reshape(d, d)
+    off = np.sqrt(var / 2.0) * (g0 + 1j * g1)
+    h = np.triu(off, 1)
+    h = h + h.conj().T
+    return h + np.diag(np.sqrt(np.diag(var)) * np.diag(g0))

@@ -1,11 +1,14 @@
 """Deterministic sampling, ensemble statistics, and spectral cross-checks."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import semicircle_mass
+from oracles import dense_sample_matrix, semicircle_mass
 from vdelab import (
     COMPLEX_HERMITIAN,
     EnsembleSpec,
@@ -14,6 +17,7 @@ from vdelab import (
     entry_value,
     entrywise_law_check,
     predicted_near_zero_mass,
+    random_staircase_profile,
     sample_matrix,
     sample_spectrum,
     staircase_profile,
@@ -89,6 +93,64 @@ def test_entry_value_matches_bulk_sampling():
             assert entry_value(spec, 5, a, b) == complex(h[a, b])
     with pytest.raises(ValueError):
         entry_value(spec_for(), 0, 0, 99)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 4),
+    profile_seed=st.none() | st.integers(0, 2**32 - 1),
+    inner=st.integers(2, 9),
+    symmetry=st.sampled_from(["real_symmetric", COMPLEX_HERMITIAN]),
+    seed=st.integers(0, 2**64 - 1),
+    trials=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=3),
+    data=st.data(),
+)
+def test_sample_matrix_matches_dense_oracle(
+    n, profile_seed, inner, symmetry, seed, trials, data
+):
+    # byte for byte, signed zeros included: LAPACK's Householder signs
+    # can see a -0.0 where the whole-matrix sum gave +0.0
+    if profile_seed is None:
+        profile = staircase_profile(n)
+    else:
+        profile = random_staircase_profile(n, profile_seed)
+    spec = EnsembleSpec(profile, inner, symmetry, seed=seed)
+    d = spec.dimension
+    for trial in trials:
+        h = sample_matrix(spec, trial)
+        want = dense_sample_matrix(spec, trial)
+        assert h.dtype == want.dtype and h.shape == want.shape
+        assert (h.view(np.uint8) == want.view(np.uint8)).all()
+        a = data.draw(st.integers(0, d - 1))
+        b = data.draw(st.integers(0, d - 1))
+        got = np.array([entry_value(spec, trial, a, b)])
+        assert got.tobytes() == np.array([complex(want[a, b])]).tobytes()
+
+
+def test_sample_matrix_peak_memory_is_one_matrix():
+    # the whole-matrix draw peaked at 7.5-10 times the matrix's bytes
+    for symmetry in ("real_symmetric", COMPLEX_HERMITIAN):
+        spec = spec_for(n=3, inner=200, symmetry=symmetry)  # d = 600
+        # a first draw pays the one-time set-up outside the trace
+        sample_matrix(spec_for(n=1, inner=2, symmetry=symmetry), 0)
+        tracemalloc.start()
+        try:
+            h = sample_matrix(spec, trial=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * h.nbytes, (symmetry, peak / h.nbytes)
+
+
+def test_trial_index_range():
+    spec = spec_for(n=2, inner=3)
+    for trial in (-1, 2**64):
+        with pytest.raises(ValueError, match=r"trial must lie in \[0, 2\*\*64\)"):
+            sample_matrix(spec, trial)
+        with pytest.raises(ValueError, match="trial"):
+            entry_value(spec, trial, 0, 0)
+    last = sample_matrix(spec, 2**64 - 1)
+    assert entry_value(spec, 2**64 - 1, 1, 4) == complex(last[1, 4])
 
 
 def test_real_moments():
