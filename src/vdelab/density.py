@@ -4,8 +4,9 @@ rho(E) is the eta -> 0 limit of (1/(pi dim)) sum_k Im m_k(E + i eta).
 Each energy runs a warm-started descent over an eta schedule and
 extrapolates with the model a + b eta^beta, beta fitted from the last
 three schedule points, every energy's beta found together by bisection;
-when the increments grow instead of shrinking the point is flagged
-divergent and the last raw value is reported.
+when the increments grow instead of shrinking, or a positive descent
+extrapolates below minus its last value, the point is flagged divergent
+and the last raw value is reported.
 rho_at_detailed descends one energy, rho_grid every energy of its mesh
 together, one batched solve per eta level.  The staircase profiles this
 package targets have an integrable power-law divergence at E = 0,
@@ -101,7 +102,9 @@ def _extrapolate(etas: list[float], raw: np.ndarray):
     Returns the limits, error estimates and divergent flags of the rows.
     Degenerate increments (zero or mixed sign) and a beta above the bracket
     keep the last value; increments that grow as eta shrinks admit no
-    positive beta and flag the row divergent.  The other rows bisect together.
+    positive beta and flag the row divergent.  The other rows bisect
+    together, and a row of positive values whose fit lies below minus its
+    last value is flagged divergent too, keeping that last value.
     """
     # etas relative to the last one, through expm1: no eta^beta underflows
     # and a small beta keeps its digits
@@ -122,8 +125,16 @@ def _extrapolate(etas: list[float], raw: np.ndarray):
     keep = ~divergent[rows] & (gap(hi, ratio) > 0.0)
     rows, ratio = rows[keep], ratio[keep]
     beta = _bisect(lambda beta: gap(beta, ratio), lo, hi)
-    limit[rows] = f3[rows] - d23[rows] / np.expm1(beta * lq)
-    err[rows] = np.abs(limit[rows] - f3[rows])
+    fit = f3[rows] - d23[rows] / np.expm1(beta * lq)
+    # a positive descent whose fit lies further below zero than its last
+    # value lies above it has increments that barely shrink (beta near 0),
+    # so flag it like a growing one; outside the support raw ~ eta and the
+    # fit misses 0 by under 1% of the last value
+    crossed = (fit < -f3[rows]) & (raw[rows] > 0.0).all(axis=1)
+    divergent[rows[crossed]] = True
+    rows, fit = rows[~crossed], fit[~crossed]
+    limit[rows] = fit
+    err[rows] = np.abs(fit - f3[rows])
     return limit, err, divergent
 
 

@@ -5,12 +5,19 @@ Matrices follow the block variance layout of an expanded profile: entry
 s_jk/N.  Entries come from a counter-based generator (Philox keyed by
 (seed, trial)) that dedicates one counter block to each matrix position,
 so a single entry is reproducible in isolation and whole trials can be
-generated independently without sequence coupling.  A draw fills its
-output one upper-triangle row at a time, skipping the lower triangle's
-blocks, so it costs one matrix plus one row of words.  Eigenvalue
-statistics near zero are compared against the integrated power-law
-divergence of the density module, and resolvent diagonals against the
-VDE components.
+generated independently without sequence coupling.  A draw fills a
+zeroed output one upper-triangle row at a time, skipping the lower
+triangle's blocks and each row's trailing zero blocks, so it costs one
+matrix plus one row of words.
+
+The eigenvalue count near zero is compared against the integrated
+power-law divergence of the density module, and resolvent diagonals
+against the VDE components.  The count needs no eigenvalues of the full
+matrix: the staircase's zero blocks Z make H_ZZ exactly zero, so
+Haynsworth's inertia additivity gives the number of eigenvalues in
+[-delta, delta] from two eigensolves of the complement C, of side d/2
+for n = 2 and 2d/3 for n = 3 (Haynsworth, "Determination of the inertia
+of a partitioned Hermitian matrix", Linear Algebra Appl. 1968).
 """
 
 from __future__ import annotations
@@ -19,6 +26,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 from numpy.random import Philox
 from scipy.special import ndtri
 
@@ -26,7 +34,7 @@ from .density import DEFAULT_ETA_SCHEDULE, rho_at
 from .profiles import DIMENSION_CAP, VarianceProfile
 from .solver import AnomalyError, SolverOptions, SpectralPoint, solve
 
-TRIALS_CAP = 10_000  # each trial is a full eigensolve
+TRIALS_CAP = 10_000  # each trial is a draw and a count of up to two eigensolves
 
 REAL_SYMMETRIC = "real_symmetric"
 COMPLEX_HERMITIAN = "complex_hermitian"
@@ -113,23 +121,32 @@ def sample_matrix(spec: EnsembleSpec, trial: int) -> np.ndarray:
     (complex case).  Real symmetric: off-diagonal variance s_jk/N,
     diagonal 2 s_jj/N; complex Hermitian: real and imaginary parts each
     s_jk/(2N) off the diagonal, real diagonal with variance s_jj/N.  Each
-    upper-triangle row is drawn on its own, skipping the blocks of the
-    lower triangle, and mirrored into its column, so a draw holds the
-    matrix plus one row of words.  The lower triangle mirrors the upper
-    exactly, and zero blocks of the profile come out exactly zero.
+    upper-triangle row is drawn on its own up to the last nonzero block of
+    its block row, skipping the other blocks, and mirrored into its
+    column, so a draw holds the matrix plus one row of words.  The lower
+    triangle mirrors the upper exactly, and zero blocks of the profile
+    come out exactly +0.0.
     Raises ValueError for a trial outside [0, 2**64).
     """
-    d = spec.dimension
+    d, inner = spec.dimension, spec.inner_N
+    entries = spec.small_profile.entries
     gen = _trial_generator(spec, trial)
     dtype = np.float64 if spec.symmetry == REAL_SYMMETRIC else np.complex128
-    h = np.empty((d, d), dtype=dtype)
+    h = np.zeros((d, d), dtype=dtype)
+    # one past the last nonzero column of each block row (all of it for a
+    # zero row, which draws zeros)
+    ends = inner * (len(entries) - np.argmax(entries[:, ::-1] != 0.0, axis=1))
+    drawn = 0  # counter blocks consumed so far
     for a in range(d):
-        # the previous row ended at block a*d - 1; skip (a, 0) .. (a, a-1)
-        gen.advance(a)
-        row = _upper_row(spec, gen, a, a, d)
-        h[a, a:] = row
+        stop = int(ends[a // inner])
+        if stop <= a:  # the rest of the row lies in zero blocks
+            continue
+        gen.advance(a * d + a - drawn)
+        row = _upper_row(spec, gen, a, a, stop)
+        drawn = a * d + stop
+        h[a, a:stop] = row
         # +0.0 again: conjugating flips the sign of zero imaginary parts
-        h[a + 1 :, a] = row[1:].conj() + 0.0
+        h[a + 1 : stop, a] = row[1:].conj() + 0.0
     return h
 
 
@@ -153,6 +170,61 @@ def entry_value(spec: EnsembleSpec, trial: int, a: int, b: int) -> complex:
 def sample_spectrum(spec: EnsembleSpec, trial: int) -> np.ndarray:
     """Ascending eigenvalues of the trial's matrix."""
     return np.linalg.eigvalsh(sample_matrix(spec, trial))
+
+
+def _zero_blocks(entries: np.ndarray) -> list[int]:
+    """Blocks Z of the profile whose principal submatrix entries[Z, Z] is zero.
+
+    Goes greedily over the zero-diagonal blocks in order of increasing
+    row support (ties by index) and takes each one that is zero against
+    those already taken.  For a staircase of n blocks, permuted or not,
+    that is the floor(n/2) blocks below the anti-diagonal.
+    """
+    zero: list[int] = []
+    for k in np.argsort(np.count_nonzero(entries, axis=1), kind="stable"):
+        if entries[k, k] == 0.0 and not entries[k, zero].any():
+            zero.append(int(k))
+    return zero
+
+
+def _near_zero_count(spec: EnsembleSpec, trial: int, delta: float) -> int:
+    """Number of eigenvalues of the trial's matrix in [-delta, delta].
+
+    With the zero blocks Z of the profile (_zero_blocks) and the rest C,
+    H_ZZ = 0, so for sigma != 0 Haynsworth's inertia additivity gives
+    In(H - sigma) = In(-sigma I_Z) + In(H_CC - sigma + H_CZ H_ZC / sigma).
+    With W = H_CZ H_CZ^* / delta - delta I and |Z|, |C| counted in rows,
+    the count is |Z| + #neg(H_CC + W) - #neg(H_CC - W): two eigensolves of
+    side |C|.  They cost less than one of side d while 2 |C|^3 < d^3;
+    otherwise (n = 1, or no zero diagonal block) the count reads
+    sample_spectrum.  The matrix is freed once its C rows are copied out,
+    so the eigensolves run beside the complements alone.
+    """
+    entries, inner = spec.small_profile.entries, spec.inner_N
+    in_z = np.repeat(np.isin(np.arange(len(entries)), _zero_blocks(entries)), inner)
+    z, c = np.flatnonzero(in_z), np.flatnonzero(~in_z)
+    if 2 * c.size**3 >= spec.dimension**3:
+        ev = sample_spectrum(spec, trial)
+        return int(np.count_nonzero(np.abs(ev) <= delta))
+    h = sample_matrix(spec, trial)
+    h_cz = h[np.ix_(c, z)]
+    h_cc = h[np.ix_(c, c)]
+    del h
+    w = h_cz @ h_cz.conj().T
+    del h_cz
+    w /= delta
+    w[np.diag_indices(c.size)] -= delta
+    plus = h_cc + w
+    minus = np.subtract(h_cc, w, out=w)
+    del h_cc
+
+    def negatives(a: np.ndarray) -> int:
+        # a.T is Fortran-ordered, so LAPACK works in a's own memory; it is
+        # Hermitian, so its spectrum is a's
+        ev = scipy.linalg.eigvalsh(a.T, overwrite_a=True, check_finite=False)
+        return int(np.count_nonzero(ev < 0.0))
+
+    return z.size + negatives(plus) - negatives(minus)
 
 
 def predicted_near_zero_mass(
@@ -210,6 +282,7 @@ def empirical_near_zero(
 ) -> NearZeroResult:
     """Average fraction of eigenvalues in [-delta, delta] across trials.
 
+    Each trial's eigenvalues in the window are counted by _near_zero_count.
     The standard error uses the ddof=1 sample deviation over trials (nan
     for a single trial).  The companion prediction integrates the fitted
     power law of the self-consistent density (predicted_near_zero_mass,
@@ -225,8 +298,7 @@ def empirical_near_zero(
     prediction = predicted_near_zero_mass(spec.small_profile, delta, eta_schedule)
     fractions = np.empty(spec.trials)
     for trial in range(spec.trials):
-        ev = sample_spectrum(spec, trial)
-        fractions[trial] = np.count_nonzero(np.abs(ev) <= delta) / ev.size
+        fractions[trial] = _near_zero_count(spec, trial, delta) / d
     stderr = (
         float(fractions.std(ddof=1) / math.sqrt(spec.trials))
         if spec.trials > 1

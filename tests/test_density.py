@@ -120,6 +120,16 @@ def test_rho_grid_keeps_divergent_flags():
     assert flagged == pytest.approx([-6.929e-5, 6.929e-5], rel=1e-3)
 
 
+def test_positive_descent_never_extrapolates_below_zero():
+    # stair6 at E = 6.929e-5 reported rho 0.0 with error 52.8, unflagged,
+    # between neighbours of 17.7 and 32.5
+    pd = rho_at_detailed(staircase_profile(6), 6.929e-5)
+    assert (pd.raw > 0.0).all()
+    assert pd.divergent
+    assert pd.value == pd.raw[-1]
+    assert pd.error_estimate == abs(pd.raw[-2] - pd.raw[-1])
+
+
 def test_rho_grid_semicircle_mass_and_values():
     # sparse request grid; the mass integral runs over the union with a
     # linear mesh out to the support bound, so it still covers [-2, 2]
@@ -222,6 +232,8 @@ def _one_extrapolation(etas, vals):
         return f3, abs(d23), False
     beta = brentq(gap, 1e-6, 12.0, xtol=1e-15)
     a = f3 - d23 / (e2**beta - e3**beta) * e3**beta
+    if a < -f3 and min(vals) > 0.0:
+        return f3, abs(d23), True
     return a, abs(a - f3), False
 
 
@@ -244,9 +256,12 @@ def test_extrapolate_recovers_exact_power_laws(etas, unit):
     beta = rng.uniform(0.1, 3.0, 200)
     raw = a[:, None] + b[:, None] * (np.array(etas) / unit) ** beta[:, None]
     limit, err, divergent = _extrapolate(list(etas), raw)
-    assert np.abs(limit - a).max() <= 1e-12
-    assert (err == np.abs(limit - raw[:, -1])).all()
-    assert not divergent.any()
+    # a positive descent is not fitted to a limit below minus its last value
+    crossed = (a < -raw[:, -1]) & (raw > 0.0).all(axis=1)
+    assert (divergent == crossed).all()
+    assert (limit[crossed] == raw[crossed, -1]).all()
+    assert np.abs(limit - a)[~crossed].max() <= 1e-12
+    assert (err[~crossed] == np.abs(limit - raw[:, -1])[~crossed]).all()
 
 
 def test_bisect_matches_scipy_brentq():
@@ -282,6 +297,9 @@ BRANCH_ROWS = [
     ([0.3, 0.2, 1.0, 2.0, 4.0], (4.0, 2.0, True)),  # growing increments
     # shrinking by 2**44 per decade: beta would be 13.2, above the bracket
     ([0.3, 0.2, 2.0, 1.0, 1.0 - 2.0**-44], (1.0 - 2.0**-44, 2.0**-44, False)),
+    # the staircase_profile(6) descent at E = +-6.929e-5: beta 0.031 fits a
+    # limit of -28.5 to positive values
+    ([1.84, 8.33, 32.36, 28.18, 24.30], (24.30, 28.18 - 24.30, True)),
 ]
 
 

@@ -22,7 +22,7 @@ from vdelab import (
     sample_spectrum,
     staircase_profile,
 )
-from vdelab.montecarlo import TRIALS_CAP
+from vdelab.montecarlo import TRIALS_CAP, _near_zero_count, _zero_blocks
 
 # semicircle mass of [-1, 1] and of [-0.5, 0.5]
 MASS_1 = 0.6089977810442294
@@ -95,6 +95,15 @@ def test_entry_value_matches_bulk_sampling():
         entry_value(spec_for(), 0, 0, 99)
 
 
+def staircase(n, profile_seed, data):
+    """All-ones (profile_seed None) or random staircase, randomly permuted."""
+    if profile_seed is None:
+        profile = staircase_profile(n)
+    else:
+        profile = random_staircase_profile(n, profile_seed)
+    return profile.permuted(data.draw(st.permutations(range(n))))
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     n=st.integers(1, 4),
@@ -109,12 +118,9 @@ def test_sample_matrix_matches_dense_oracle(
     n, profile_seed, inner, symmetry, seed, trials, data
 ):
     # byte for byte, signed zeros included: LAPACK's Householder signs
-    # can see a -0.0 where the whole-matrix sum gave +0.0
-    if profile_seed is None:
-        profile = staircase_profile(n)
-    else:
-        profile = random_staircase_profile(n, profile_seed)
-    spec = EnsembleSpec(profile, inner, symmetry, seed=seed)
+    # can see a -0.0 where the whole-matrix sum gave +0.0; permuted
+    # profiles put zero blocks before a row's last nonzero one
+    spec = EnsembleSpec(staircase(n, profile_seed, data), inner, symmetry, seed=seed)
     d = spec.dimension
     for trial in trials:
         h = sample_matrix(spec, trial)
@@ -140,6 +146,62 @@ def test_sample_matrix_peak_memory_is_one_matrix():
         finally:
             tracemalloc.stop()
         assert peak <= 1.25 * h.nbytes, (symmetry, peak / h.nbytes)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(1, 8),
+    profile_seed=st.none() | st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_zero_blocks_of_every_permuted_staircase(n, profile_seed, data):
+    entries = staircase(n, profile_seed, data).entries
+    zero = _zero_blocks(entries)
+    assert len(set(zero)) == len(zero) == n // 2
+    assert (entries[np.ix_(zero, zero)] == 0.0).all()
+
+
+def test_zero_blocks_of_general_profiles():
+    assert _zero_blocks(np.ones((3, 3))) == []
+    assert _zero_blocks(np.array([[0.0, 1.0], [1.0, 0.0]])) == [0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 6),
+    profile_seed=st.none() | st.integers(0, 2**32 - 1),
+    inner=st.integers(2, 9),
+    symmetry=st.sampled_from(["real_symmetric", COMPLEX_HERMITIAN]),
+    seed=st.integers(0, 2**64 - 1),
+    trial=st.integers(0, 2**64 - 1),
+    delta=st.floats(1e-3, 2.0),
+    data=st.data(),
+)
+def test_near_zero_count_matches_the_full_spectrum(
+    n, profile_seed, inner, symmetry, seed, trial, delta, data
+):
+    # n = 1 takes the full eigensolve, n >= 2 the zero blocks' complement
+    spec = EnsembleSpec(staircase(n, profile_seed, data), inner, symmetry, seed=seed)
+    ev = np.linalg.eigvalsh(sample_matrix(spec, trial))
+    want = np.count_nonzero(np.abs(ev) <= delta)
+    assert _near_zero_count(spec, trial, delta) == want
+
+
+def test_near_zero_count_peak_memory_is_under_two_matrices():
+    # the draw, its complement blocks and the two shifted complements
+    for symmetry in ("real_symmetric", COMPLEX_HERMITIAN):
+        for n, inner in ((2, 300), (3, 200)):  # d = 600
+            spec = spec_for(n=n, inner=inner, symmetry=symmetry)
+            # a first count pays the one-time set-up outside the trace
+            _near_zero_count(spec_for(n=n, inner=2, symmetry=symmetry), 0, 0.1)
+            tracemalloc.start()
+            try:
+                _near_zero_count(spec, 0, 0.1)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            nbytes = 600**2 * (8 if symmetry == "real_symmetric" else 16)
+            assert peak <= 2.0 * nbytes, (symmetry, n, peak / nbytes)
 
 
 def test_trial_index_range():
