@@ -12,12 +12,13 @@ matrix plus one row of words.
 
 The eigenvalue count near zero is compared against the integrated
 power-law divergence of the density module, and resolvent diagonals
-against the VDE components.  The count needs no eigenvalues of the full
-matrix: the staircase's zero blocks Z make H_ZZ exactly zero, so
-Haynsworth's inertia additivity gives the number of eigenvalues in
-[-delta, delta] from two eigensolves of the complement C, of side d/2
-for n = 2 and 2d/3 for n = 3 (Haynsworth, "Determination of the inertia
-of a partitioned Hermitian matrix", Linear Algebra Appl. 1968).
+against the VDE components.  The count needs no eigenvalues: the
+staircase's zero blocks Z make H_ZZ exactly zero, so Haynsworth's inertia
+additivity gives the number of eigenvalues in [-delta, delta] from the
+inertia of two shifted complements of side |C| (d/2 for n = 2, 2d/3 for
+n = 3, d without zero blocks), each read from a blocked LDL^T
+factorization (Haynsworth, "Determination of the inertia of a
+partitioned Hermitian matrix", Linear Algebra Appl. 1968).
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .density import DEFAULT_ETA_SCHEDULE, rho_at
 from .profiles import DIMENSION_CAP, VarianceProfile
 from .solver import AnomalyError, SolverOptions, SpectralPoint, solve
 
-TRIALS_CAP = 10_000  # each trial is a draw and a count of up to two eigensolves
+TRIALS_CAP = 10_000  # each trial is a draw and two LDL^T factorizations
 
 REAL_SYMMETRIC = "real_symmetric"
 COMPLEX_HERMITIAN = "complex_hermitian"
@@ -187,6 +188,39 @@ def _zero_blocks(entries: np.ndarray) -> list[int]:
     return zero
 
 
+def _negatives(a: np.ndarray) -> int:
+    """Number of negative eigenvalues of the Hermitian matrix a, overwriting a.
+
+    Bunch-Kaufman's a = L D L^* (LAPACK dsytrf, or zhetrf when complex) has
+    D block diagonal with 1x1 and 2x2 blocks, and by Sylvester's law of
+    inertia D has a's inertia: a 1x1 block counts by its sign, a 2x2 block
+    (ipiv < 0 on both its rows) by its determinant and trace (Bunch and
+    Kaufman, "Some stable methods for calculating inertia and solving
+    symmetric linear systems", Math. Comp. 1977).  The workspace comes from
+    the routine's own query: the wrappers' default of one row runs LAPACK's
+    unblocked code, several times slower.
+    """
+    lapack = scipy.linalg.lapack
+    if np.iscomplexobj(a):
+        factor, query = lapack.zhetrf, lapack.zhetrf_lwork
+    else:
+        factor, query = lapack.dsytrf, lapack.dsytrf_lwork
+    work, _ = query(a.shape[0])
+    # a.T is Fortran-ordered, so LAPACK works in a's own memory; it is
+    # Hermitian, so its inertia is a's
+    ldu, ipiv, _ = factor(a.T, lwork=int(work.real), overwrite_a=True)
+    diag = ldu.diagonal().real
+    # negative pivots come in consecutive pairs, one pair per 2x2 block,
+    # whose off-diagonal entry the upper triangle holds
+    first = np.flatnonzero(ipiv < 0)[::2]
+    p, q, b = diag[first], diag[first + 1], ldu[first, first + 1]
+    det, trace = p * q - np.abs(b) ** 2, p + q
+    # a 2x2 block with det < 0 has one negative eigenvalue; otherwise both
+    # (one if det = 0) take the trace's sign
+    pairs = np.where(det < 0.0, 1, (trace < 0.0) * (1 + (det > 0.0)))
+    return int(np.count_nonzero(diag[ipiv > 0] < 0.0) + pairs.sum())
+
+
 def _near_zero_count(spec: EnsembleSpec, trial: int, delta: float) -> int:
     """Number of eigenvalues of the trial's matrix in [-delta, delta].
 
@@ -194,37 +228,37 @@ def _near_zero_count(spec: EnsembleSpec, trial: int, delta: float) -> int:
     H_ZZ = 0, so for sigma != 0 Haynsworth's inertia additivity gives
     In(H - sigma) = In(-sigma I_Z) + In(H_CC - sigma + H_CZ H_ZC / sigma).
     With W = H_CZ H_CZ^* / delta - delta I and |Z|, |C| counted in rows,
-    the count is |Z| + #neg(H_CC + W) - #neg(H_CC - W): two eigensolves of
-    side |C|.  They cost less than one of side d while 2 |C|^3 < d^3;
-    otherwise (n = 1, or no zero diagonal block) the count reads
-    sample_spectrum.  The matrix is freed once its C rows are copied out,
-    so the eigensolves run beside the complements alone.
+    the count is |Z| + #neg(H_CC + W) - #neg(H_CC - W), each read from an
+    LDL^T factorization of side |C| (_negatives).  H_CZ is zero outside
+    the rows R of C whose block row meets Z, so W is formed on R alone
+    and the other rows of C only get -delta I.  Without zero blocks (n = 1)
+    C is everything and the count is #neg(H - delta) - #neg(H + delta).
+    In flops, W and the two factorizations cost at most 3 c^2 - 2 c^3 <= 1
+    times the two of side d, for c = |C|/d, so the complement always pays.
+    The matrix is freed once its C rows are copied out.
     """
     entries, inner = spec.small_profile.entries, spec.inner_N
-    in_z = np.repeat(np.isin(np.arange(len(entries)), _zero_blocks(entries)), inner)
-    z, c = np.flatnonzero(in_z), np.flatnonzero(~in_z)
-    if 2 * c.size**3 >= spec.dimension**3:
-        ev = sample_spectrum(spec, trial)
-        return int(np.count_nonzero(np.abs(ev) <= delta))
+    in_z = np.isin(np.arange(len(entries)), _zero_blocks(entries))
+    z = np.flatnonzero(np.repeat(in_z, inner))
+    c = np.flatnonzero(np.repeat(~in_z, inner))
+    # the rows of C whose block row meets Z, as positions within C
+    coupled = np.repeat(entries[np.ix_(~in_z, in_z)].any(axis=1), inner)
+    r, u = np.flatnonzero(coupled), np.flatnonzero(~coupled)
     h = sample_matrix(spec, trial)
-    h_cz = h[np.ix_(c, z)]
-    h_cc = h[np.ix_(c, c)]
+    h_rz = h[np.ix_(c[r], z)]
+    plus = h[np.ix_(c, c)]
     del h
-    w = h_cz @ h_cz.conj().T
-    del h_cz
+    w = h_rz @ h_rz.conj().T
+    del h_rz
     w /= delta
-    w[np.diag_indices(c.size)] -= delta
-    plus = h_cc + w
-    minus = np.subtract(h_cc, w, out=w)
-    del h_cc
-
-    def negatives(a: np.ndarray) -> int:
-        # a.T is Fortran-ordered, so LAPACK works in a's own memory; it is
-        # Hermitian, so its spectrum is a's
-        ev = scipy.linalg.eigvalsh(a.T, overwrite_a=True, check_finite=False)
-        return int(np.count_nonzero(ev < 0.0))
-
-    return z.size + negatives(plus) - negatives(minus)
+    w[np.diag_indices(r.size)] -= delta
+    minus = plus.copy()
+    plus[np.ix_(r, r)] += w
+    minus[np.ix_(r, r)] -= w
+    del w
+    plus[u, u] -= delta
+    minus[u, u] += delta
+    return z.size + _negatives(plus) - _negatives(minus)
 
 
 def predicted_near_zero_mass(
@@ -291,7 +325,7 @@ def empirical_near_zero(
     d = spec.dimension
     if d > DIMENSION_CAP:
         raise ValueError(
-            f"matrix side {d} exceeds the eigensolver cap {DIMENSION_CAP}"
+            f"matrix side {d} exceeds the dimension cap {DIMENSION_CAP}"
         )
     # predict first, so a delta the density cannot resolve fails before
     # any matrix is sampled

@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,7 +23,7 @@ from vdelab import (
     sample_spectrum,
     staircase_profile,
 )
-from vdelab.montecarlo import TRIALS_CAP, _near_zero_count, _zero_blocks
+from vdelab.montecarlo import TRIALS_CAP, _near_zero_count, _negatives, _zero_blocks
 
 # semicircle mass of [-1, 1] and of [-0.5, 0.5]
 MASS_1 = 0.6089977810442294
@@ -180,7 +181,7 @@ def test_zero_blocks_of_general_profiles():
 def test_near_zero_count_matches_the_full_spectrum(
     n, profile_seed, inner, symmetry, seed, trial, delta, data
 ):
-    # n = 1 takes the full eigensolve, n >= 2 the zero blocks' complement
+    # n = 1 has no zero blocks, so its complement is the whole matrix
     spec = EnsembleSpec(staircase(n, profile_seed, data), inner, symmetry, seed=seed)
     ev = np.linalg.eigvalsh(sample_matrix(spec, trial))
     want = np.count_nonzero(np.abs(ev) <= delta)
@@ -188,10 +189,11 @@ def test_near_zero_count_matches_the_full_spectrum(
 
 
 def test_near_zero_count_peak_memory_is_under_two_matrices():
-    # the draw, its complement blocks and the two shifted complements
+    # the draw, its complement blocks and the two shifted complements; n = 1
+    # has no zero blocks, so it holds two whole matrices and the workspace
     for symmetry in ("real_symmetric", COMPLEX_HERMITIAN):
-        for n, inner in ((2, 300), (3, 200)):  # d = 600
-            spec = spec_for(n=n, inner=inner, symmetry=symmetry)
+        for n, inner, bound in ((1, 600, 2.25), (2, 300, 2.0), (3, 200, 2.0)):
+            spec = spec_for(n=n, inner=inner, symmetry=symmetry)  # d = 600
             # a first count pays the one-time set-up outside the trace
             _near_zero_count(spec_for(n=n, inner=2, symmetry=symmetry), 0, 0.1)
             tracemalloc.start()
@@ -201,7 +203,94 @@ def test_near_zero_count_peak_memory_is_under_two_matrices():
             finally:
                 tracemalloc.stop()
             nbytes = 600**2 * (8 if symmetry == "real_symmetric" else 16)
-            assert peak <= 2.0 * nbytes, (symmetry, n, peak / nbytes)
+            assert peak <= bound * nbytes, (symmetry, n, peak / nbytes)
+
+
+def hermitian_with_spectrum(eigenvalues, complex_, rng):
+    """Q diag(eigenvalues) Q^* for a random unitary Q."""
+    n = len(eigenvalues)
+    g = rng.standard_normal((n, n))
+    if complex_:
+        g = g + 1j * rng.standard_normal((n, n))
+    q, _ = np.linalg.qr(g)
+    a = (q * eigenvalues) @ q.conj().T
+    return (a + a.conj().T) / 2
+
+
+@pytest.fixture
+def factorizations(monkeypatch):
+    """Record (side, lwork, ipiv) of every LDL^T factorization _negatives runs."""
+    calls = []
+    for name in ("dsytrf", "zhetrf"):
+        routine = getattr(scipy.linalg.lapack, name)
+
+        def spy(a, routine=routine, **kwargs):
+            ldu, ipiv, info = routine(a, **kwargs)
+            side = a.shape[0]
+            calls.append((side, kwargs.get("lwork", max(side, 1)), ipiv.copy()))
+            return ldu, ipiv, info
+
+        monkeypatch.setattr(scipy.linalg.lapack, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+def test_negatives_counts_the_negative_eigenvalues(complex_, factorizations):
+    rng = np.random.default_rng(11)
+    dtype = np.complex128 if complex_ else np.float64
+    assert _negatives(np.zeros((0, 0), dtype)) == 0
+    for side in (1, 2, 3, 7, 40, 150):
+        for _ in range(4):
+            # every |eigenvalue| >= 1e-3, far above the factorization's error
+            lam = rng.choice([-1.0, 1.0], side) * rng.uniform(1e-3, 3.0, side)
+            a = hermitian_with_spectrum(lam, complex_, rng)
+            want = np.count_nonzero(np.linalg.eigvalsh(a) < 0.0)
+            assert want == np.count_nonzero(lam < 0.0)
+            assert _negatives(a) == want, (side, lam)
+    # a zero diagonal leaves Bunch-Kaufman no 1x1 pivot at the first step
+    for side in (2, 3, 8, 60):
+        for _ in range(4):
+            a = rng.standard_normal((side, side))
+            if complex_:
+                a = a + 1j * rng.standard_normal((side, side))
+            a = a + a.conj().T
+            a[np.diag_indices(side)] = 0.0
+            ev = np.linalg.eigvalsh(a)
+            assert np.abs(ev).min() >= 1e-3
+            del factorizations[:]
+            assert _negatives(a) == np.count_nonzero(ev < 0.0)
+            ((_, _, ipiv),) = factorizations
+            assert (ipiv < 0).sum() >= 2, ipiv
+
+
+def test_negatives_reads_every_kind_of_pivot_block(monkeypatch):
+    # Bunch-Kaufman's pivot test gives each 2x2 block det < 0, so LAPACK
+    # alone does not reach the reading's other branches: feed it a D
+    d = np.zeros((9, 9))
+    d[0, 0] = -1.0
+    d[1:3, 1:3] = [[1.0, 2.0], [2.0, 1.0]]  # det < 0: one negative
+    d[3:5, 3:5] = [[-2.0, 1.0], [1.0, -2.0]]  # det > 0, trace < 0: two
+    d[5:7, 5:7] = [[2.0, 1.0], [1.0, 2.0]]  # det > 0, trace > 0: none
+    d[7:9, 7:9] = [[-1.0, 1.0], [1.0, -1.0]]  # det = 0, trace < 0: one
+    ipiv = np.array([1, -2, -2, -4, -4, -6, -6, -8, -8], dtype=np.int32)
+    monkeypatch.setattr(scipy.linalg.lapack, "dsytrf", lambda a, **kw: (d, ipiv, 0))
+    assert np.count_nonzero(np.linalg.eigvalsh(d) < -1e-12) == 5
+    assert _negatives(np.eye(9)) == 5
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+def test_negatives_uses_the_blocked_workspace(complex_, factorizations):
+    # scipy's wrappers default to one row of workspace, which runs LAPACK's
+    # unblocked code several times slower
+    lapack = scipy.linalg.lapack
+    query = lapack.zhetrf_lwork if complex_ else lapack.dsytrf_lwork
+    rng = np.random.default_rng(12)
+    for side in (1, 64, 300):
+        a = hermitian_with_spectrum(rng.uniform(-2.0, 2.0, side), complex_, rng)
+        _negatives(a)
+    assert [call[0] for call in factorizations] == [1, 64, 300]
+    for side, lwork, _ in factorizations:
+        assert lwork >= int(query(side)[0].real) > side
 
 
 def test_trial_index_range():
