@@ -5,10 +5,12 @@ Matrices follow the block variance layout of an expanded profile: entry
 s_jk/N.  Entries come from a counter-based generator (Philox keyed by
 (seed, trial)) that dedicates one counter block to each matrix position,
 so a single entry is reproducible in isolation and whole trials can be
-generated independently without sequence coupling.  A draw fills a
-zeroed output one upper-triangle row at a time, skipping the lower
-triangle's blocks and each row's trailing zero blocks, so it costs one
-matrix plus one row of words.
+generated independently without sequence coupling.  A draw generates
+the upper triangle one row at a time, skipping the lower triangle's
+blocks and each row's trailing zero blocks, and turns the words into
+normals in bounded batches of rows.  sample_matrix mirrors the rows into
+one zeroed matrix; the near-zero count writes them straight into the
+blocks it factorizes and holds no d x d matrix.
 
 The eigenvalue count near zero is compared against the integrated
 power-law divergence of the density module, and resolvent diagonals
@@ -24,6 +26,7 @@ partitioned Hermitian matrix", Linear Algebra Appl. 1968).
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,14 +68,19 @@ class EnsembleSpec:
         return self.small_profile.dim * self.inner_N
 
 
-def _uniforms(raw: np.ndarray) -> np.ndarray:
+def _uniforms(raw: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     # 53-bit mantissa uniforms in (0, 1); the floor keeps ndtri finite
-    u = (raw >> np.uint64(11)).astype(np.float64) * 2.0**-53
-    return np.maximum(u, 2.0**-54)
+    u = np.multiply(raw >> np.uint64(11), 2.0**-53, out=out)
+    return np.maximum(u, 2.0**-54, out=u)
 
 
-def _normals(raw: np.ndarray) -> np.ndarray:
-    return ndtri(_uniforms(raw))
+def _normals(raw: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    u = _uniforms(raw, out)
+    return ndtri(u, out=u)
+
+
+# entries whose normals one batch converts; bounds a draw's scratch memory
+_CHUNK = 2**13
 
 
 def _trial_generator(spec: EnsembleSpec, trial: int) -> Philox:
@@ -82,36 +90,91 @@ def _trial_generator(spec: EnsembleSpec, trial: int) -> Philox:
     return Philox(key=np.array([spec.seed, trial], dtype=np.uint64))
 
 
-def _upper_row(
-    spec: EnsembleSpec, gen: Philox, a: int, start: int, stop: int
-) -> np.ndarray:
-    """Entries H[a, start:stop] of the upper triangle (a <= start).
+def _scales(spec: EnsembleSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Standard deviations of the entries by block row j: off[j, b] in column b
+    off the diagonal, diag[j] on it.
 
-    gen must stand just before counter block a*dim + start; the row reads
-    the blocks up to a*dim + stop - 1.  Real symmetric: standard deviation
-    sqrt(v) off the diagonal and sqrt(2 v) on it, for v = s_jk/N.  Complex
-    Hermitian: real and imaginary parts each sqrt(v/2) off the diagonal,
-    a real diagonal with sqrt(v).  Adding +0.0 turns the -0.0 that zero
-    blocks give into +0.0, the zero of the sum of a triangle and its
-    conjugate transpose; LAPACK's Householder sign choice reads the sign
-    of a zero, so the spectrum's last bits depend on it.
+    Real symmetric: sqrt(v) off the diagonal and sqrt(2 v) on it, for
+    v = s_jk/N.  Complex Hermitian: real and imaginary parts each sqrt(v/2)
+    off the diagonal, a real diagonal with sqrt(v).
     """
-    inner = spec.inner_N
-    var = np.repeat(spec.small_profile.entries[a // inner], inner)[start:stop] / inner
-    raw = gen.random_raw(4 * (stop - start))
-    g0 = _normals(raw[0::4])
+    v = spec.small_profile.entries / spec.inner_N
     if spec.symmetry == REAL_SYMMETRIC:
-        std = np.sqrt(var)
-        if start == a:
-            std[0] = np.sqrt(2.0 * var[0])
-        row = std * g0
+        off, diag = np.sqrt(v), np.sqrt(2.0 * v.diagonal())
     else:
-        g1 = _normals(raw[1::4])
-        row = np.sqrt(var / 2.0) * (g0 + 1j * g1)
-        if start == a:
-            row[0] = np.sqrt(var[0]) * g0[0]
-    row += 0.0
-    return row
+        off, diag = np.sqrt(v / 2.0), np.sqrt(v.diagonal())
+    return np.repeat(off, spec.inner_N, axis=1), diag
+
+
+def _draw_spans(
+    spec: EnsembleSpec, trial: int, spans: list[tuple[int, int, int]]
+) -> Iterator[tuple[int, int, np.ndarray]]:
+    """Yield (a, start, H[a, start:stop]) for each span (a, start, stop) of
+    the upper triangle (a <= start), given in increasing a*dim + start.
+
+    Each span reads the counter blocks a*dim + start to a*dim + stop - 1 and
+    skips those in between.  Spans are drawn in batches of at most _CHUNK
+    entries (or one longer span), whose words turn into normals in place
+    and are scaled by _scales; a yielded row is a view that the next batch
+    overwrites.  Adding +0.0 turns the -0.0 that zero blocks give into
+    +0.0, the zero of the sum of a triangle and its conjugate transpose;
+    LAPACK reads the sign of a zero, so the spectrum's last bits depend
+    on it.
+    """
+    d, inner = spec.dimension, spec.inner_N
+    off, diag = _scales(spec)
+    words = 1 if spec.symmetry == REAL_SYMMETRIC else 2
+    gen = _trial_generator(spec, trial)
+    size = max(_CHUNK, max(stop - start for _, start, stop in spans))
+    raw = np.empty((size, words), dtype=np.uint64)
+    normals = np.empty((size, words))
+    values = normals[:, 0] if words == 1 else normals.view(np.complex128)[:, 0]
+    batch: list[tuple[int, int, int, int]] = []  # (a, start, stop, at)
+    filled = drawn = 0  # entries in the batch, counter blocks consumed
+
+    def scaled(batch, filled):
+        g = _normals(raw[:filled], out=normals[:filled])
+        # a diagonal entry takes its own deviation and the real normal alone
+        on_diag = [(a // inner, at) for a, start, _, at in batch if start == a]
+        j, k = np.array(on_diag, dtype=np.intp).reshape(-1, 2).T
+        pivots = diag[j] * g[k, 0]
+        for a, start, stop, at in batch:
+            values[at : at + stop - start] *= off[a // inner, start:stop]
+        values[k] = pivots
+        values[:filled] += 0.0
+        for a, start, stop, at in batch:
+            yield a, start, values[at : at + stop - start]
+
+    for a, start, stop in spans:
+        if batch and filled + stop - start > _CHUNK:
+            yield from scaled(batch, filled)
+            batch, filled = [], 0
+        gen.advance(a * d + start - drawn)
+        words_of_span = gen.random_raw(4 * (stop - start)).reshape(-1, 4)
+        raw[filled : filled + stop - start] = words_of_span[:, :words]
+        drawn = a * d + stop
+        batch.append((a, start, stop, filled))
+        filled += stop - start
+    if batch:
+        yield from scaled(batch, filled)
+
+
+def _upper_rows(spec: EnsembleSpec, trial: int) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (a, H[a, a:stop]) for every upper-triangle row a that a draw fills.
+
+    Row a stops at the last nonzero block of its block row; a row whose
+    nonzero blocks all lie left of the diagonal is not drawn.  Each row is
+    a view that the next batch of _draw_spans overwrites.
+    """
+    d, inner = spec.dimension, spec.inner_N
+    entries = spec.small_profile.entries
+    # one past the last nonzero column of each block row (all of it for a
+    # zero row, which draws zeros)
+    ends = inner * (len(entries) - np.argmax(entries[:, ::-1] != 0.0, axis=1))
+    stops = np.repeat(ends, inner)
+    spans = [(a, a, stop) for a, stop in enumerate(stops.tolist()) if stop > a]
+    for a, _, row in _draw_spans(spec, trial, spans):
+        yield a, row
 
 
 def sample_matrix(spec: EnsembleSpec, trial: int) -> np.ndarray:
@@ -122,29 +185,17 @@ def sample_matrix(spec: EnsembleSpec, trial: int) -> np.ndarray:
     (complex case).  Real symmetric: off-diagonal variance s_jk/N,
     diagonal 2 s_jj/N; complex Hermitian: real and imaginary parts each
     s_jk/(2N) off the diagonal, real diagonal with variance s_jj/N.  Each
-    upper-triangle row is drawn on its own up to the last nonzero block of
-    its block row, skipping the other blocks, and mirrored into its
-    column, so a draw holds the matrix plus one row of words.  The lower
-    triangle mirrors the upper exactly, and zero blocks of the profile
-    come out exactly +0.0.
+    upper-triangle row is drawn up to the last nonzero block of its block
+    row (_upper_rows) and mirrored into its column, so a draw holds the
+    matrix plus one batch of words.  The lower triangle mirrors the upper
+    exactly, and zero blocks of the profile come out exactly +0.0.
     Raises ValueError for a trial outside [0, 2**64).
     """
-    d, inner = spec.dimension, spec.inner_N
-    entries = spec.small_profile.entries
-    gen = _trial_generator(spec, trial)
+    d = spec.dimension
     dtype = np.float64 if spec.symmetry == REAL_SYMMETRIC else np.complex128
     h = np.zeros((d, d), dtype=dtype)
-    # one past the last nonzero column of each block row (all of it for a
-    # zero row, which draws zeros)
-    ends = inner * (len(entries) - np.argmax(entries[:, ::-1] != 0.0, axis=1))
-    drawn = 0  # counter blocks consumed so far
-    for a in range(d):
-        stop = int(ends[a // inner])
-        if stop <= a:  # the rest of the row lies in zero blocks
-            continue
-        gen.advance(a * d + a - drawn)
-        row = _upper_row(spec, gen, a, a, stop)
-        drawn = a * d + stop
+    for a, row in _upper_rows(spec, trial):
+        stop = a + row.size
         h[a, a:stop] = row
         # +0.0 again: conjugating flips the sign of zero imaginary parts
         h[a + 1 : stop, a] = row[1:].conj() + 0.0
@@ -155,16 +206,14 @@ def entry_value(spec: EnsembleSpec, trial: int, a: int, b: int) -> complex:
     """Reconstruct the single entry H[a, b] from its own counter block.
 
     Bit-identical to sample_matrix(spec, trial)[a, b] without generating
-    the rest of the matrix: a one-column slice of row min(a, b),
-    conjugated below the diagonal.
+    the rest of the matrix: a one-entry span of row min(a, b), conjugated
+    below the diagonal.
     """
     d = spec.dimension
     if not (0 <= a < d and 0 <= b < d):
         raise ValueError(f"entry ({a},{b}) outside a {d}x{d} matrix")
     lo, hi = min(a, b), max(a, b)
-    gen = _trial_generator(spec, trial)
-    gen.advance(lo * d + hi)
-    v = _upper_row(spec, gen, lo, hi, hi + 1)
+    ((_, _, v),) = _draw_spans(spec, trial, [(lo, hi, hi + 1)])
     return complex(v[0] if a <= b else (v.conj() + 0.0)[0])
 
 
@@ -189,16 +238,17 @@ def _zero_blocks(entries: np.ndarray) -> list[int]:
 
 
 def _negatives(a: np.ndarray) -> int:
-    """Number of negative eigenvalues of the Hermitian matrix a, overwriting a.
+    """Number of negative eigenvalues of the Hermitian matrix whose upper
+    triangle a holds, overwriting a; a's strictly lower triangle is not read.
 
-    Bunch-Kaufman's a = L D L^* (LAPACK dsytrf, or zhetrf when complex) has
+    Bunch-Kaufman's L D L^* (LAPACK dsytrf, or zhetrf when complex) has
     D block diagonal with 1x1 and 2x2 blocks, and by Sylvester's law of
-    inertia D has a's inertia: a 1x1 block counts by its sign, a 2x2 block
-    (ipiv < 0 on both its rows) by its determinant and trace (Bunch and
-    Kaufman, "Some stable methods for calculating inertia and solving
-    symmetric linear systems", Math. Comp. 1977).  The workspace comes from
-    the routine's own query: the wrappers' default of one row runs LAPACK's
-    unblocked code, several times slower.
+    inertia D has the matrix's inertia: a 1x1 block counts by its sign, a
+    2x2 block (ipiv < 0 on both its rows) by its determinant and trace
+    (Bunch and Kaufman, "Some stable methods for calculating inertia and
+    solving symmetric linear systems", Math. Comp. 1977).  The workspace
+    comes from the routine's own query: the wrappers' default of one row
+    runs LAPACK's unblocked code, several times slower.
     """
     lapack = scipy.linalg.lapack
     if np.iscomplexobj(a):
@@ -206,14 +256,15 @@ def _negatives(a: np.ndarray) -> int:
     else:
         factor, query = lapack.dsytrf, lapack.dsytrf_lwork
     work, _ = query(a.shape[0])
-    # a.T is Fortran-ordered, so LAPACK works in a's own memory; it is
-    # Hermitian, so its inertia is a's
-    ldu, ipiv, _ = factor(a.T, lwork=int(work.real), overwrite_a=True)
+    # a.T is Fortran-ordered, so LAPACK works in a's own memory, and its
+    # lower triangle is a's upper one: the conjugate of the Hermitian
+    # matrix, which has the same inertia
+    ldu, ipiv, _ = factor(a.T, lower=1, lwork=int(work.real), overwrite_a=True)
     diag = ldu.diagonal().real
     # negative pivots come in consecutive pairs, one pair per 2x2 block,
-    # whose off-diagonal entry the upper triangle holds
+    # whose off-diagonal entry the lower triangle holds
     first = np.flatnonzero(ipiv < 0)[::2]
-    p, q, b = diag[first], diag[first + 1], ldu[first, first + 1]
+    p, q, b = diag[first], diag[first + 1], ldu[first + 1, first]
     det, trace = p * q - np.abs(b) ** 2, p + q
     # a 2x2 block with det < 0 has one negative eigenvalue; otherwise both
     # (one if det = 0) take the trace's sign
@@ -235,19 +286,34 @@ def _near_zero_count(spec: EnsembleSpec, trial: int, delta: float) -> int:
     C is everything and the count is #neg(H - delta) - #neg(H + delta).
     In flops, W and the two factorizations cost at most 3 c^2 - 2 c^3 <= 1
     times the two of side d, for c = |C|/d, so the complement always pays.
-    The matrix is freed once its C rows are copied out.
+    The drawn rows go straight into the upper triangle of H_CC, which is
+    all that _negatives reads, and into H_RZ; no d x d matrix is formed.
     """
     entries, inner = spec.small_profile.entries, spec.inner_N
     in_z = np.isin(np.arange(len(entries)), _zero_blocks(entries))
-    z = np.flatnonzero(np.repeat(in_z, inner))
-    c = np.flatnonzero(np.repeat(~in_z, inner))
-    # the rows of C whose block row meets Z, as positions within C
-    coupled = np.repeat(entries[np.ix_(~in_z, in_z)].any(axis=1), inner)
-    r, u = np.flatnonzero(coupled), np.flatnonzero(~coupled)
-    h = sample_matrix(spec, trial)
-    h_rz = h[np.ix_(c[r], z)]
-    plus = h[np.ix_(c, c)]
-    del h
+    # R: the blocks of C whose block row meets Z
+    coupled = entries[:, in_z].any(axis=1) & ~in_z
+    # column masks of C, R and Z, and each one's count of columns before b
+    masks = [np.repeat(m, inner) for m in (~in_z, coupled, in_z)]
+    c_col, r_col, z_col = masks
+    c_at, r_at, z_at = (np.concatenate(([0], np.cumsum(m))) for m in masks)
+    dtype = np.float64 if spec.symmetry == REAL_SYMMETRIC else np.complex128
+    plus = np.zeros((c_at[-1], c_at[-1]), dtype=dtype)
+    h_rz = np.zeros((r_at[-1], z_at[-1]), dtype=dtype)
+    for a, row in _upper_rows(spec, trial):
+        stop = a + row.size
+        if c_col[a]:
+            i = c_at[a]
+            plus[i, i : c_at[stop]] = row[c_col[a:stop]]
+            if r_col[a]:
+                h_rz[r_at[a], z_at[a] : z_at[stop]] = row[z_col[a:stop]]
+        else:
+            # a Z row's R entries are those of H_RZ's column, conjugated
+            # (+0.0 as in sample_matrix's mirror)
+            h_rz[r_at[a] : r_at[stop], z_at[a]] = row[r_col[a:stop]].conj() + 0.0
+    del row  # a view that holds the last batch of the draw
+    r = np.flatnonzero(r_col[c_col])
+    u = np.flatnonzero(~r_col[c_col])
     w = h_rz @ h_rz.conj().T
     del h_rz
     w /= delta
@@ -258,7 +324,7 @@ def _near_zero_count(spec: EnsembleSpec, trial: int, delta: float) -> int:
     del w
     plus[u, u] -= delta
     minus[u, u] += delta
-    return z.size + _negatives(plus) - _negatives(minus)
+    return int(z_at[-1]) + _negatives(plus) - _negatives(minus)
 
 
 def predicted_near_zero_mass(

@@ -23,6 +23,7 @@ from vdelab import (
     sample_spectrum,
     staircase_profile,
 )
+from vdelab import montecarlo
 from vdelab.montecarlo import TRIALS_CAP, _near_zero_count, _negatives, _zero_blocks
 
 # semicircle mass of [-1, 1] and of [-0.5, 0.5]
@@ -189,10 +190,11 @@ def test_near_zero_count_matches_the_full_spectrum(
 
 
 def test_near_zero_count_peak_memory_is_under_two_matrices():
-    # the draw, its complement blocks and the two shifted complements; n = 1
-    # has no zero blocks, so it holds two whole matrices and the workspace
+    # the complement blocks and the two shifted complements, drawn without a
+    # d x d matrix; n = 1 has no zero blocks, so it holds two whole matrices
+    # and the workspace
     for symmetry in ("real_symmetric", COMPLEX_HERMITIAN):
-        for n, inner, bound in ((1, 600, 2.25), (2, 300, 2.0), (3, 200, 2.0)):
+        for n, inner, bound in ((1, 600, 2.25), (2, 300, 1.25), (3, 200, 1.25)):
             spec = spec_for(n=n, inner=inner, symmetry=symmetry)  # d = 600
             # a first count pays the one-time set-up outside the trace
             _near_zero_count(spec_for(n=n, inner=2, symmetry=symmetry), 0, 0.1)
@@ -206,6 +208,30 @@ def test_near_zero_count_peak_memory_is_under_two_matrices():
             assert peak <= bound * nbytes, (symmetry, n, peak / nbytes)
 
 
+@pytest.mark.parametrize("chunk", [1, 7])
+@pytest.mark.parametrize("symmetry", ["real_symmetric", COMPLEX_HERMITIAN])
+def test_draw_batches_split_anywhere(chunk, symmetry, monkeypatch):
+    # 1: one row per batch; 7: short rows share a batch, and a row of more
+    # than 7 entries fills one alone.  A zero block comes first in each
+    # permuted profile, so zero-block rows draw too
+    monkeypatch.setattr(montecarlo, "_CHUNK", chunk)
+    for n, perm in ((4, [3, 0, 1, 2]), (4, [2, 3, 1, 0]), (3, [2, 0, 1]), (1, [0])):
+        profile = staircase_profile(n).permuted(perm)
+        assert 0 in _zero_blocks(profile.entries) or n == 1
+        spec = EnsembleSpec(profile, 5, symmetry, seed=17)
+        for trial in (0, 9):
+            h = sample_matrix(spec, trial)
+            want = dense_sample_matrix(spec, trial)
+            assert (h.view(np.uint8) == want.view(np.uint8)).all()
+            a = spec.dimension - 1
+            got = np.array([entry_value(spec, trial, a, 1)])
+            assert got.tobytes() == np.array([complex(want[a, 1])]).tobytes()
+            ev = np.linalg.eigvalsh(want)
+            for delta in (0.05, 0.4, 1.5):
+                count = np.count_nonzero(np.abs(ev) <= delta)
+                assert _near_zero_count(spec, trial, delta) == count
+
+
 def hermitian_with_spectrum(eigenvalues, complex_, rng):
     """Q diag(eigenvalues) Q^* for a random unitary Q."""
     n = len(eigenvalues)
@@ -215,6 +241,13 @@ def hermitian_with_spectrum(eigenvalues, complex_, rng):
     q, _ = np.linalg.qr(g)
     a = (q * eigenvalues) @ q.conj().T
     return (a + a.conj().T) / 2
+
+
+def nan_below(a):
+    """a with its strictly lower triangle NaN, which _negatives must not read."""
+    a = a.copy()
+    a[np.tril_indices(a.shape[0], -1)] = np.nan
+    return a
 
 
 @pytest.fixture
@@ -246,7 +279,7 @@ def test_negatives_counts_the_negative_eigenvalues(complex_, factorizations):
             a = hermitian_with_spectrum(lam, complex_, rng)
             want = np.count_nonzero(np.linalg.eigvalsh(a) < 0.0)
             assert want == np.count_nonzero(lam < 0.0)
-            assert _negatives(a) == want, (side, lam)
+            assert _negatives(nan_below(a)) == want, (side, lam)
     # a zero diagonal leaves Bunch-Kaufman no 1x1 pivot at the first step
     for side in (2, 3, 8, 60):
         for _ in range(4):
@@ -258,23 +291,25 @@ def test_negatives_counts_the_negative_eigenvalues(complex_, factorizations):
             ev = np.linalg.eigvalsh(a)
             assert np.abs(ev).min() >= 1e-3
             del factorizations[:]
-            assert _negatives(a) == np.count_nonzero(ev < 0.0)
+            assert _negatives(nan_below(a)) == np.count_nonzero(ev < 0.0)
             ((_, _, ipiv),) = factorizations
             assert (ipiv < 0).sum() >= 2, ipiv
 
 
 def test_negatives_reads_every_kind_of_pivot_block(monkeypatch):
     # Bunch-Kaufman's pivot test gives each 2x2 block det < 0, so LAPACK
-    # alone does not reach the reading's other branches: feed it a D
+    # alone does not reach the reading's other branches: feed it a D, each
+    # 2x2 off-diagonal entry only below the diagonal, where the lower
+    # factorization stores it
     d = np.zeros((9, 9))
     d[0, 0] = -1.0
-    d[1:3, 1:3] = [[1.0, 2.0], [2.0, 1.0]]  # det < 0: one negative
-    d[3:5, 3:5] = [[-2.0, 1.0], [1.0, -2.0]]  # det > 0, trace < 0: two
-    d[5:7, 5:7] = [[2.0, 1.0], [1.0, 2.0]]  # det > 0, trace > 0: none
-    d[7:9, 7:9] = [[-1.0, 1.0], [1.0, -1.0]]  # det = 0, trace < 0: one
+    d[1:3, 1:3] = [[-1.0, 0.0], [2.0, -1.0]]  # det < 0: one negative
+    d[3:5, 3:5] = [[-2.0, 0.0], [1.0, -2.0]]  # det > 0, trace < 0: two
+    d[5:7, 5:7] = [[2.0, 0.0], [1.0, 2.0]]  # det > 0, trace > 0: none
+    d[7:9, 7:9] = [[-1.0, 0.0], [1.0, -1.0]]  # det = 0, trace < 0: one
     ipiv = np.array([1, -2, -2, -4, -4, -6, -6, -8, -8], dtype=np.int32)
     monkeypatch.setattr(scipy.linalg.lapack, "dsytrf", lambda a, **kw: (d, ipiv, 0))
-    assert np.count_nonzero(np.linalg.eigvalsh(d) < -1e-12) == 5
+    assert np.count_nonzero(np.linalg.eigvalsh(d, UPLO="L") < -1e-12) == 5
     assert _negatives(np.eye(9)) == 5
 
 
