@@ -410,7 +410,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--eta-schedule",
         type=_float_list,
-        help="comma-separated descending eta values",
+        help="comma-separated descending eta values, the last three geometric",
     )
     parser.add_argument(
         "--egrid",

@@ -2,11 +2,12 @@
 
 rho(E) is the eta -> 0 limit of (1/(pi dim)) sum_k Im m_k(E + i eta).
 Each energy runs a warm-started descent over an eta schedule and
-extrapolates with the model a + b eta^beta, beta fitted from the last
-three schedule points, every energy's beta found together by bisection;
-when the increments grow instead of shrinking, or a positive descent
-extrapolates below minus its last value, the point is flagged divergent
-and the last raw value is reported.
+extrapolates with the model a + b eta^beta through the last three
+schedule points.  Those are geometric, so the fit is Aitken's delta^2
+process on the last three values, in closed form for every energy at
+once; when the increments grow instead of shrinking, or a positive
+descent extrapolates below minus its last value, the point is flagged
+divergent and the last raw value is reported.
 rho_at_detailed descends one energy, rho_grid every energy of its mesh
 together, one batched solve per eta level.  The staircase profiles this
 package targets have an integrable power-law divergence at E = 0,
@@ -38,9 +39,6 @@ _LOG_FLOOR = 1e-5
 _LOG_POINTS_PER_DECADE = 6
 # bytes a (P, dim, dim) complex stack of rho_grid's batched solve may take
 _STACK_BYTES = 1 << 22
-# halvings of the bracket [1e-6, 12] of the eta extrapolation's beta: 52
-# take its width to 12 * 2**-52 ~ 2.7e-15, far below brentq's xtol of 2e-12
-_BISECTIONS = 52
 
 
 def support_bound(profile: VarianceProfile) -> float:
@@ -84,48 +82,33 @@ def _validate_schedule(eta_schedule) -> list[float]:
         raise ValueError("eta schedule must be strictly descending")
     if math.log10(etas[0] / etas[-1]) < 2.0 - 1e-9:
         raise ValueError("eta schedule must span at least 2 decades")
+    if abs(etas[-3] / etas[-2] / (etas[-2] / etas[-1]) - 1.0) > 1e-9:
+        raise ValueError("the last 3 eta schedule values must be geometric")
     return etas
-
-
-def _bisect(f, lo: float, hi: float) -> np.ndarray:
-    """Roots of f, increasing in each element, with f(lo) < 0 < f(hi)."""
-    x, step = lo, hi - lo  # x takes the shape of f's values
-    for _ in range(_BISECTIONS):
-        step /= 2
-        x = np.where(f(x + step) < 0.0, x + step, x)
-    return x + step / 2  # the midpoint of the last bracket
 
 
 def _extrapolate(etas: list[float], raw: np.ndarray):
     """eta -> 0 limits of the (P, len(etas)) descents raw from a + b eta^beta.
 
     Returns the limits, error estimates and divergent flags of the rows.
-    Degenerate increments (zero or mixed sign) and a beta above the bracket
-    keep the last value; increments that grow as eta shrinks admit no
-    positive beta and flag the row divergent.  The other rows bisect
-    together, and a row of positive values whose fit lies below minus its
-    last value is flagged divergent too, keeping that last value.
+    On the geometric last three etas, with q their ratio, the increments
+    d12, d23 of the last three values fit q^beta = d12 / d23, and the limit
+    is Aitken's f3 - d23^2 / (d12 - d23).  Degenerate increments (zero or
+    mixed sign) and a beta of 12 or more keep the last value; increments
+    that shrink slower than beta = 1e-6 allows flag the row divergent, and
+    so does a row of positive values whose fit lies below minus its last
+    value, keeping that last value.
     """
-    # etas relative to the last one, through expm1: no eta^beta underflows
-    # and a small beta keeps its digits
-    lp, lq = math.log(etas[-3] / etas[-1]), math.log(etas[-2] / etas[-1])
+    q = etas[-2] / etas[-1]
     f2, f3 = raw[:, -2], raw[:, -1]
     d12, d23 = raw[:, -3] - f2, f2 - f3
     limit, err = f3.copy(), np.abs(d23)
     rows = np.flatnonzero((d12 != 0.0) & (d23 != 0.0) & ((d12 > 0) == (d23 > 0)))
     ratio = d12[rows] / d23[rows]
-
-    def gap(beta, ratio):
-        return (np.expm1(beta * lp) - np.expm1(beta * lq)) / np.expm1(beta * lq) - ratio
-
-    lo, hi = 1e-6, 12.0
     divergent = np.zeros(len(raw), dtype=bool)
-    # ratio at or below the beta -> 0 limit: increments not shrinking
-    divergent[rows] = gap(lo, ratio) >= 0.0
-    keep = ~divergent[rows] & (gap(hi, ratio) > 0.0)
-    rows, ratio = rows[keep], ratio[keep]
-    beta = _bisect(lambda beta: gap(beta, ratio), lo, hi)
-    fit = f3[rows] - d23[rows] / np.expm1(beta * lq)
+    divergent[rows] = ratio <= q**1e-6
+    rows = rows[~divergent[rows] & (ratio < q**12)]
+    fit = f3[rows] - d23[rows] ** 2 / (d12[rows] - d23[rows])
     # a positive descent whose fit lies further below zero than its last
     # value lies above it has increments that barely shrink (beta near 0),
     # so flag it like a growing one; outside the support raw ~ eta and the

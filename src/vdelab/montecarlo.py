@@ -26,6 +26,7 @@ partitioned Hermitian matrix", Linear Algebra Appl. 1968).
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -207,9 +208,10 @@ def entry_value(spec: EnsembleSpec, trial: int, a: int, b: int) -> complex:
 
     Bit-identical to sample_matrix(spec, trial)[a, b] without generating
     the rest of the matrix: a one-entry span of row min(a, b), conjugated
-    below the diagonal.
+    below the diagonal.  a and b may be any integers, numpy's included.
     """
     d = spec.dimension
+    a, b = operator.index(a), operator.index(b)
     if not (0 <= a < d and 0 <= b < d):
         raise ValueError(f"entry ({a},{b}) outside a {d}x{d} matrix")
     lo, hi = min(a, b), max(a, b)

@@ -312,17 +312,12 @@ def maximal_zero_rectangles(profile: VarianceProfile) -> list[ZeroRectangle]:
                     closures.add(c2)
                     grown.add(c2)
         frontier = grown
+    # each closure is an intersection of row masks, so the rows holding it
+    # intersect back to it: every one is a maximal rectangle
     rects = []
     for cmask in closures:
-        rows = [i for i in range(dim) if row_masks[i] & cmask == cmask]
-        inter = ~0
-        for i in rows:
-            inter &= row_masks[i]
-        if inter != cmask:
-            continue  # not closed: some column extends every row of the set
-        rects.append(
-            ZeroRectangle(rows=tuple(i + 1 for i in rows), cols=_bits(cmask, dim))
-        )
+        rows = tuple(i + 1 for i in range(dim) if row_masks[i] & cmask == cmask)
+        rects.append(ZeroRectangle(rows=rows, cols=_bits(cmask, dim)))
     rects.sort(key=lambda r: (-r.perimeter, r.rows, r.cols))
     return rects
 

@@ -31,11 +31,11 @@ every step the same way on either path, so an inexact direction can cost
 a backtrack but cannot let a wrong iterate pass.
 
 Every solved point must show ||F||_2 < 1 for the saturation matrix
-F = |m| S |m|.  On the dense path f_norm is max(-lambda_min, lambda_max)
-of a symmetric eigensolve of F.  On the GMRES path F is never built: F is
-entrywise non-negative, so ||F||_2 is its Perron root (Perron-Frobenius),
-and a block subspace iteration on the map X -> |m|(S(|m|X)), started
-from the n columns |m| U, brackets that root between the Rayleigh
+F = |m| S |m|.  F is entrywise non-negative, so ||F||_2 is its Perron
+root, its largest eigenvalue (Perron-Frobenius).  On the dense path
+f_norm is lambda_max of a symmetric eigensolve of F.  On the GMRES path F
+is never built: a block subspace iteration on the map X -> |m|(S(|m|X)),
+started from the n columns |m| U, brackets that root between the Rayleigh
 quotient theta of its top Ritz vector x and the Collatz-Wielandt bound
 max_k (Fx)_k / x_k, valid once x > 0.  The block start spans the n
 outlier eigenvalues of F together, so the iteration converges at the
@@ -125,10 +125,11 @@ class VdeSolution:
 
     residual is the max-norm defect max_k |1/m_k + z + (Sm)_k|; f_norm is
     ||F||_2 of the real symmetric saturation matrix F = |m| S |m| and stays
-    below 1 for every point in the upper half-plane.  It is the larger of
-    -lambda_min and lambda_max from a symmetric eigensolve, except on the
-    GMRES path, where it is the Perron root of F certified to 1e-14
-    relative by a block subspace iteration (see the module docstring).
+    below 1 for every point in the upper half-plane.  F is entrywise
+    non-negative, so that is its largest eigenvalue, lambda_max from a
+    symmetric eigensolve, except on the GMRES path, where it is the Perron
+    root of F certified to 1e-14 relative by a block subspace iteration
+    (see the module docstring).
     """
 
     point: SpectralPoint
@@ -153,13 +154,12 @@ class VdeSolution:
 
 
 def _symmetric_norm2(a: np.ndarray) -> np.ndarray:
-    """||a||_2 of a real symmetric matrix or stack: max(-lambda_min, lambda_max).
+    """||a||_2 of a real symmetric entrywise non-negative matrix or stack.
 
-    Both ends of the spectrum count: near the singularity F = |m| S |m|
-    can have eigenvalues close to -1 and to +1 at once.
+    By Perron-Frobenius no eigenvalue of such a matrix, F = |m| S |m| here,
+    exceeds lambda_max in modulus, so the norm is lambda_max.
     """
-    w = np.linalg.eigvalsh(a)
-    return np.maximum(-w[..., 0], w[..., -1])
+    return np.linalg.eigvalsh(a)[..., -1]
 
 
 def _perron_root(s: np.ndarray, am: np.ndarray, n: int) -> float:
@@ -447,8 +447,8 @@ def solve(
     F = |m| S |m|.  Each message names z.  On the GMRES path ||F||_2 is the
     Perron root of F, certified by Rayleigh and Collatz-Wielandt bounds
     that agree to 1e-14 relative with the upper one below 1; otherwise,
-    and for a point the bounds do not certify, it is max(-lambda_min,
-    lambda_max) of F from a symmetric eigensolve.
+    and for a point the bounds do not certify, it is lambda_max of F from
+    a symmetric eigensolve.
     """
     if opts is None:
         opts = SolverOptions()

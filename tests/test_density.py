@@ -23,9 +23,10 @@ from vdelab import (
     support_bound,
 )
 from vdelab import density
-from vdelab.density import _LINEAR_STEP, _bisect, _extrapolate
+from vdelab.density import _LINEAR_STEP, _extrapolate
 
 RHO_AT_ZERO = 0.3183098861837907  # 1 / pi
+NON_GEOMETRIC = (3e-2, 1e-2, 2e-3, 7e-4, 5e-5, 1e-5)
 
 
 def test_default_schedule_shape():
@@ -73,6 +74,11 @@ def test_schedule_validation():
         rho_at(prof, 0.5, eta_schedule=(1e-2, 5e-3, 2e-3))
     with pytest.raises(ValueError, match="positive"):
         rho_at(prof, 0.5, eta_schedule=(1e-2, 1e-3, 0.0))
+    # the extrapolation reads the last three etas as a geometric sequence
+    for etas in (NON_GEOMETRIC, (1e-1, 1e-3, 1e-4, 2e-6)):
+        with pytest.raises(ValueError, match="geometric"):
+            rho_at(prof, 0.5, eta_schedule=etas)
+    assert rho_at(prof, 0.5, eta_schedule=(1e-1, 1e-3, 1e-4, 1e-5)) > 0.0
 
 
 def test_support_bound():
@@ -237,14 +243,10 @@ def _one_extrapolation(etas, vals):
     return a, abs(a - f3), False
 
 
-NON_GEOMETRIC = (3e-2, 1e-2, 2e-3, 7e-4, 5e-5, 1e-5)
-
-
 @pytest.mark.parametrize(
     "etas, unit",
     [
         (DEFAULT_ETA_SCHEDULE, 1.0),
-        (NON_GEOMETRIC, 1.0),
         # eta^12 underflows; b is set per unit of 1e-28 to keep the rows apart
         (tuple(1e-28 * e for e in DEFAULT_ETA_SCHEDULE), 1e-28),
     ],
@@ -262,33 +264,6 @@ def test_extrapolate_recovers_exact_power_laws(etas, unit):
     assert (limit[crossed] == raw[crossed, -1]).all()
     assert np.abs(limit - a)[~crossed].max() <= 1e-12
     assert (err[~crossed] == np.abs(limit - raw[:, -1])[~crossed]).all()
-
-
-def test_bisect_matches_scipy_brentq():
-    # scipy's brentq is the reference for beta, on 500 random schedules
-    from scipy.optimize import brentq
-
-    rng = np.random.default_rng(3)
-    cases = []
-    for _ in range(500):
-        e1, e2, e3 = sorted(10.0 ** rng.uniform(-7, 0, 3), reverse=True)
-        ratio = float(rng.uniform(0.1, 1e4))
-
-        def gap(beta, e1=e1, e2=e2, e3=e3, ratio=ratio):
-            return (e1**beta - e2**beta) / (e2**beta - e3**beta) - ratio
-
-        if gap(1e-6) < 0.0 < gap(12.0):
-            cases.append(((e1, e2, e3, ratio), brentq(gap, 1e-6, 12.0)))
-        c = float(rng.uniform(-2, 2))
-        got = _bisect(lambda x: (x - c) ** 3 + 0.1 * (x - c), -3.0, 3.0)
-        assert abs(got - c) <= 2e-12
-    assert len(cases) > 100
-    params, want = zip(*cases)
-    e1, e2, e3, ratio = np.array(params).T
-    beta = _bisect(
-        lambda b: (e1**b - e2**b) / (e2**b - e3**b) - ratio, 1e-6, 12.0
-    )
-    assert np.abs(beta - want).max() <= 2e-12
 
 
 BRANCH_ROWS = [

@@ -93,8 +93,15 @@ def test_entry_value_matches_bulk_sampling():
         h = sample_matrix(spec, trial=5)
         for a, b in [(0, 0), (0, 1), (2, 4), (4, 2), (5, 5), (1, 0)]:
             assert entry_value(spec, 5, a, b) == complex(h[a, b])
+            # numpy integer indices give the Python-int entry bit for bit
+            want = np.complex128(entry_value(spec, 5, a, b)).tobytes()
+            for kind in (np.int64, np.int32, np.uint64):
+                got = entry_value(spec, 5, kind(a), kind(b))
+                assert np.complex128(got).tobytes() == want
     with pytest.raises(ValueError):
         entry_value(spec_for(), 0, 0, 99)
+    with pytest.raises(TypeError):
+        entry_value(spec_for(), 0, 1.0, 2)
 
 
 def staircase(n, profile_seed, data):

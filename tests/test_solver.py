@@ -529,11 +529,21 @@ def test_stability_matrix_exactly_symmetric():
     assert sol.f_norm < 1.0
 
 
-def test_symmetric_norm_takes_the_larger_end():
-    # the most negative eigenvalue dominates here
-    a = np.array([[-2.0, 0.5], [0.5, 1.0]])
-    assert _symmetric_norm2(a) == pytest.approx(np.linalg.norm(a, 2), rel=1e-13)
-    assert _symmetric_norm2(-a) == pytest.approx(np.linalg.norm(a, 2), rel=1e-13)
+def test_symmetric_norm_is_the_top_eigenvalue_of_a_nonnegative_matrix():
+    # F = |m| S |m| is entrywise non-negative, so no eigenvalue outweighs
+    # the top one (Perron-Frobenius), even where the bottom one is its
+    # mirror: a bipartite pattern, zero on its diagonal blocks, has a
+    # spectrum symmetric about 0
+    rng = np.random.default_rng(11)
+    a = rng.uniform(0.0, 1.0, (40, 6, 6))
+    a = a + a.transpose(0, 2, 1)
+    bipartite = a.copy()
+    bipartite[:, :3, :3] = bipartite[:, 3:, 3:] = 0.0
+    for stack in (a, bipartite):
+        got = _symmetric_norm2(stack)
+        assert got.shape == (40,)
+        assert got == pytest.approx(np.linalg.norm(stack, 2, axis=(1, 2)), rel=1e-13)
+    assert np.linalg.eigvalsh(bipartite)[:, 0] == pytest.approx(-got, rel=1e-13)
 
 
 def test_block_profile_near_singularity():
