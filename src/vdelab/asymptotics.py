@@ -34,10 +34,10 @@ def predicted_phase(k: int, n: int) -> float:
 
 @dataclass(frozen=True)
 class ConstantSystem:
-    """Linear system A x = b for x_k = log c_k."""
+    """A x = b for x_k = log c_k: A, its 2-norm condition number and x."""
 
     coefficient_matrix: np.ndarray
-    rhs: np.ndarray
+    condition_number: float
     solution: np.ndarray
 
 
@@ -105,7 +105,7 @@ def constant_system(profile: VarianceProfile) -> ConstantSystem:
             "so this indicates a bug"
         )
     x = np.linalg.solve(a, b)
-    return ConstantSystem(coefficient_matrix=a, rhs=b, solution=x)
+    return ConstantSystem(coefficient_matrix=a, condition_number=cond, solution=x)
 
 
 def limit_constants(profile: VarianceProfile) -> np.ndarray:

@@ -173,7 +173,7 @@ def _cmd_constants(config: RunConfig, profile) -> list[str]:
     c = np.exp(system.solution)
     n = profile.dim
     lines = [
-        f"# condition_number {_fmt(float(np.linalg.cond(system.coefficient_matrix)))}",
+        f"# condition_number {_fmt(system.condition_number)}",
         f"# relation_residual {_fmt(constant_system_residuals(profile, c))}",
         "# columns: k c_k predicted_exponent predicted_phase",
     ]
@@ -278,6 +278,9 @@ def _expanded_profile(config: RunConfig, profile):
 
     inner = _single_inner(config, None)
     if profile.block_meta is not None:
+        if inner is not None or config.noise != 0.0:
+            raise ValueError("reduce takes no --N or --noise for a profile whose block "
+                             f"metadata (n, N) = {profile.block_meta} fixes them")
         return profile
     if inner is None:
         raise ValueError(

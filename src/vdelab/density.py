@@ -121,11 +121,6 @@ def _extrapolate(etas: list[float], raw: np.ndarray):
     return limit, err, divergent
 
 
-def _descent_tol(profile, e_val: float, eta_min: float) -> float:
-    """The default tolerance of a descent: suggested_tol at its smallest |E + i*eta|."""
-    return suggested_tol(profile, math.hypot(e_val, eta_min))
-
-
 def rho_at_detailed(
     profile: VarianceProfile,
     e_val: float,
@@ -137,10 +132,11 @@ def rho_at_detailed(
     Solves at E + i*eta for each eta in turn, each solve warm-started by
     continuation_guess of the ones before it, records the raw values
     (1/(pi dim)) sum_k Im m_k and extrapolates them to eta -> 0.  Without
-    opts the tolerance is suggested_tol at the smallest |E + i*eta|.
+    opts the tolerance is suggested_tol over |E + i*eta| at both ends.
     """
     etas = _validate_schedule(eta_schedule)
-    opts = opts or SolverOptions(tol=_descent_tol(profile, e_val, etas[-1]))
+    opts = opts or SolverOptions(tol=suggested_tol(
+        profile, math.hypot(e_val, etas[-1]), math.hypot(e_val, etas[0])))
     ms: list[np.ndarray] = []
     for eta in etas:
         point = SpectralPoint(re=float(e_val), im=eta)
@@ -211,8 +207,8 @@ def rho_grid(
         grid, np.concatenate([-lin[::-1], lin, [-e_max, e_max]])
     )
     # rho_at_detailed's descent, one batched solve per eta level and slice
-    tol = (np.full(mesh.size, opts.tol) if opts else
-           np.array([_descent_tol(profile, e, etas[-1]) for e in mesh]))
+    tol = np.array([opts.tol if opts else suggested_tol(
+        profile, math.hypot(e, etas[-1]), math.hypot(e, etas[0])) for e in mesh])
     raw = np.empty((mesh.size, len(etas)))
     size = max(1, _STACK_BYTES // (16 * profile.dim**2))
     for rows in (slice(i, i + size) for i in range(0, mesh.size, size)):

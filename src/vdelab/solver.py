@@ -429,6 +429,9 @@ def solve(
 ) -> VdeSolution:
     """Solve -1/m = z + Sm at one point: the P=1 case of the batched solve.
 
+    Without opts the tolerance is 1e-12, which one point often beats by
+    far (stair8 at r = 1e-8, arg 0.02: 2.2e-16, against 8.5e-10 at
+    suggested_tol); from |z| ~ 1e5 on pass suggested_tol(profile, abs(z)).
     Starts from i*(1,...,1) unless warm_start is given.  Newton directions
     come from a dense LU of the log-coordinate Jacobian, or, for a profile
     with block metadata and dim >= _KRYLOV_MIN_DIM, from GMRES
@@ -482,8 +485,9 @@ def solve_path(
     it.  Rays within 1e-15 of the imaginary axis are snapped onto it
     exactly so the pure-imaginary symmetry is preserved.  Radii below 1e-8
     are rejected: double precision cannot resolve the singular scales
-    beneath that.  Without opts the tolerance is suggested_tol at the last
-    (smallest) radius, the roundoff floor the deepest point can reach.
+    beneath that.  Without opts each point solves at suggested_tol over
+    the smallest radius and its own, so a far-field start cannot loosen
+    the deep end.
     """
     if not 0.0 < ray_angle < math.pi:
         raise ValueError(f"ray angle must lie in (0, pi), got {ray_angle}")
@@ -499,8 +503,6 @@ def solve_path(
             )
     if any(b >= a for a, b in zip(radii, radii[1:])):
         raise ValueError("radii must be strictly descending")
-    if opts is None:
-        opts = SolverOptions(tol=suggested_tol(profile, radii[-1]))
     cos_phi = math.cos(ray_angle)
     sin_phi = math.sin(ray_angle)
     if abs(cos_phi) < 1e-15:
@@ -509,11 +511,8 @@ def solve_path(
     for r in radii:
         point = SpectralPoint(re=cos_phi * r, im=sin_phi * r)
         guess = continuation_guess([sol.m for sol in out[-2:]])
-        try:
-            sol = solve(profile, point, opts, warm_start=guess)
-        except SolverError as exc:
-            raise SolverError(f"path failed at radius {r:.6g}: {exc}") from exc
-        out.append(sol)
+        point_opts = opts or SolverOptions(tol=suggested_tol(profile, radii[-1], r))
+        out.append(solve(profile, point, point_opts, warm_start=guess))
     return out
 
 
@@ -566,17 +565,17 @@ def saturation_identity_residual(
     return float(np.sqrt(np.mean(np.abs(defect) ** 2)))
 
 
-def suggested_tol(profile: VarianceProfile, r_min: float) -> float:
-    """Residual tolerance reachable in double precision at radius r_min.
+def suggested_tol(profile: VarianceProfile, *radii: float) -> float:
+    """The default residual tolerance for a solve spanning radii |z|.
 
-    Components grow like r^-(n-1)/(n+1) near the singularity, and the
-    defect of the solved equation carries a roundoff floor proportional to
-    the largest component, so a fixed 1e-12 is unattainable for deep scans
-    at larger n.  Returns max(1e-12, 100*eps*r_min^-((n-1)/(n+1))) using
-    the outer block count when block metadata is present.
+    The defect |1/m + z + Sm| has a roundoff floor proportional to its
+    largest term: near the singularity the largest component, growing like
+    r^-(n-1)/(n+1), far out z itself, as 1/m ~ -z cancels against it.
+    Returns the largest max(1e-12, 100*eps*max(r^-((n-1)/(n+1)), r)) over
+    the radii, with n the outer block count of a block profile.
     """
-    if not r_min > 0:
-        raise ValueError("r_min must be positive")
+    if not radii or not all(0 < r < math.inf for r in radii):
+        raise ValueError(f"need one or more positive finite radii, got {radii}")
     n = profile.block_meta[0] if profile.block_meta else profile.dim
-    scale = r_min ** (-(n - 1) / (n + 1))
-    return max(1e-12, 100.0 * float(np.finfo(float).eps) * scale)
+    floor = 100.0 * float(np.finfo(float).eps)
+    return max(1e-12, *(floor * max(r ** (-(n - 1) / (n + 1)), r) for r in radii))

@@ -80,7 +80,8 @@ def test_constant_system_shape_and_condition():
     for n in range(1, 9):
         system = constant_system(random_staircase_profile(n, seed=n))
         assert system.coefficient_matrix.shape == (n, n)
-        assert np.linalg.cond(system.coefficient_matrix) < 1e8
+        assert system.condition_number == np.linalg.cond(system.coefficient_matrix)
+        assert system.condition_number < 1e8
 
 
 def test_constants_scaling_covariance():

@@ -76,6 +76,21 @@ def test_solve_command_single_point(tmp_path):
     assert len(doc["m"]) == 2
 
 
+def test_solve_command_far_field(tmp_path):
+    # the default tolerance grows with r far out, where 1e-12 stalls
+    prof = write_profile(tmp_path, "p.json", STAIR2)
+    out = tmp_path / "solve.txt"
+    proc = run_cli(
+        [
+            "--command", "solve", "--profile", prof, "--out", str(out),
+            "--rmax", "1e6", "--rmin", "1e5",
+        ]
+    )
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads("\n".join(read_report(out)[2:]))
+    assert doc["z"] == [0.0, 1e5]
+
+
 def test_scan_command_table(tmp_path):
     prof = write_profile(tmp_path, "p.json", STAIR2)
     out = tmp_path / "scan.txt"
@@ -171,6 +186,16 @@ def test_reduce_command_block_profile(tmp_path):
         ]
     )
     assert proc.returncode == 0, proc.stderr
+    # the block metadata fixes N and the noise, so the flags would be ignored
+    for extra in (["--N", "64"], ["--noise", "0.9"], ["--N", "64", "--noise", "0.9"]):
+        proc = run_cli(
+            [
+                "--command", "reduce", "--profile", prof, "--out", str(out),
+                "--rmin", "1e-4", "--ppd", "4", "--seed", "5", *extra,
+            ]
+        )
+        assert proc.returncode == 1
+        assert "block metadata" in proc.stderr and "Traceback" not in proc.stderr
 
 
 def test_sweep_command(tmp_path):

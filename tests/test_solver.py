@@ -594,8 +594,32 @@ def test_suggested_tol():
 
     big = expand_profile(staircase_profile(5), 3, noise=0.2, seed=0)
     assert suggested_tol(big, 1e-6) == pytest.approx(want)
-    with pytest.raises(ValueError):
-        suggested_tol(staircase_profile(2), 0.0)
+    # for r <= 1 the value is the near-singularity floor, bit for bit
+    p5 = staircase_profile(5)
+    for r in (1e-8, 1e-6, 1e-3, 0.5, 1.0):
+        assert suggested_tol(p5, r) == max(1e-12, 100.0 * EPS * r ** (-4 / 6))
+    # far out 1/m ~ -z cancels against z to about eps*r
+    p2 = staircase_profile(2)
+    assert suggested_tol(p2, 1e6) == 100 * EPS * 1e6
+    assert suggested_tol(p2, 10.0) == 1e-12
+    # several radii give the largest of their values
+    assert suggested_tol(p5, 1e-6, 1e-3, 0.1) == suggested_tol(p5, 1e-6)
+    assert suggested_tol(p5, 1e-6, 1e6) == suggested_tol(p5, 1e6) == 100 * EPS * 1e6
+    for bad in ((), (0.0,), (-1.0,), (1e-6, 0.0), (math.inf,), (math.nan,)):
+        with pytest.raises(ValueError):
+            suggested_tol(p2, *bad)
+
+
+@pytest.mark.parametrize("radii", [[1e6, 1e5], [1e6, 1e-6]])
+def test_solve_path_default_tol_covers_the_far_field(radii):
+    # at a fixed 1e-12 the point at 1e6 stalls near 1.3e-10
+    prof = staircase_profile(2)
+    path = solve_path(prof, math.pi / 2, radii)
+    for sol, r in zip(path, radii):
+        assert sol.residual <= suggested_tol(prof, radii[-1], r)
+    if radii[-1] < 1.0:
+        # a far-field start must not loosen the deep end
+        assert path[-1].residual <= suggested_tol(prof, radii[-1])
 
 
 # ---------------------------------------------------------------- properties
