@@ -6,7 +6,8 @@ solution and of the self-consistent density of states at E = 0, and
 cross-validates against sampled random block matrices.
 
 Submodules load lazily so the command-line entry point can configure BLAS
-thread pools before any numerical import runs.
+thread pools before any numerical import runs.  Only the Monte Carlo count
+uses scipy, and it loads scipy with its first count.
 """
 
 from importlib import import_module

@@ -456,10 +456,11 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"vdelab: bad VDELAB_THREADS value: {exc}", file=sys.stderr)
         return 1
+    # flags parse first, so --help and a bad flag load no numerical module
+    args = _build_parser().parse_args(argv)
     from .solver import AnomalyError, SolverError
 
     try:
-        args = _build_parser().parse_args(argv)
         run(RunConfig(**vars(args)))
     except SolverError as exc:
         print(f"vdelab: solver failure: {exc}", file=sys.stderr)

@@ -21,6 +21,9 @@ inertia of two shifted complements of side |C| (d/2 for n = 2, 2d/3 for
 n = 3, d without zero blocks), each read from a blocked LDL^T
 factorization (Haynsworth, "Determination of the inertia of a
 partitioned Hermitian matrix", Linear Algebra Appl. 1968).
+
+scipy (ndtri and LAPACK's sytrf/hetrf) is imported where it is called, so
+importing this module, or running any command but mc, loads no scipy.
 """
 
 from __future__ import annotations
@@ -31,9 +34,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 from numpy.random import Philox
-from scipy.special import ndtri
 
 from .density import DEFAULT_ETA_SCHEDULE, rho_at
 from .profiles import DIMENSION_CAP, VarianceProfile
@@ -76,6 +77,8 @@ def _uniforms(raw: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 
 def _normals(raw: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    from scipy.special import ndtri
+
     u = _uniforms(raw, out)
     return ndtri(u, out=u)
 
@@ -252,6 +255,8 @@ def _negatives(a: np.ndarray) -> int:
     comes from the routine's own query: the wrappers' default of one row
     runs LAPACK's unblocked code, several times slower.
     """
+    import scipy.linalg
+
     lapack = scipy.linalg.lapack
     if np.iscomplexobj(a):
         factor, query = lapack.zhetrf, lapack.zhetrf_lwork

@@ -21,8 +21,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 RECTANGLE_SEARCH_CAP = 20
 # largest dense matrix side n*N: sampled ensembles and block expansions
@@ -420,12 +418,27 @@ def antidiagonal_irreducibility(
                 f"(d_{a + 1}={part[a]}, d_{p - a}={part[b]})"
             )
         blk = profile.entries[offs[a]:offs[a + 1], offs[b]:offs[b + 1]]
-        m = blk @ blk.T
-        ncomp = connected_components(
-            csr_matrix(m > 0), directed=True, connection="strong"
-        )[0]
-        out.append(bool(ncomp == 1))
+        # M is symmetric, but two searches keep the directed meaning exact
+        out.append(_strongly_connected(blk @ blk.T > 0))
     return out
+
+
+def _strongly_connected(adj: np.ndarray) -> bool:
+    """Whether the graph with edges v -> t where adj[v, t] is strongly
+    connected: a breadth-first search from vertex 0 reaches every vertex
+    along the edges and against them.  Each vertex enters a frontier once,
+    so a search reads each row once, O(k^2) for side k.
+    """
+    for graph in (adj, adj.T):
+        seen = np.zeros(len(graph), dtype=bool)
+        seen[0] = True
+        frontier = seen.copy()
+        while frontier.any():
+            frontier = graph[frontier].any(axis=0) & ~seen
+            seen |= frontier
+        if not seen.all():
+            return False
+    return True
 
 
 def classify_regime(profile: VarianceProfile) -> StructureReport:

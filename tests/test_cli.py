@@ -13,6 +13,7 @@ from vdelab import cli
 STAIR2 = '{"matrix": [[1.0, 1.0], [1.0, 0.0]]}'
 ASYM = '{"matrix": [[4.0, 1.0], [1.0, 0.0]]}'
 ONE = '{"matrix": [[1.0]]}'
+STAIR3 = '{"matrix": [[1.0, 1.0, 1.0], [1.0, 1.0, 0.0], [1.0, 0.0, 0.0]]}'
 # expand_profile(staircase(2), 2) written out, with block metadata
 BLOCK = (
     '{"matrix": [[0.5, 0.5, 0.5, 0.5], [0.5, 0.5, 0.5, 0.5],'
@@ -373,6 +374,59 @@ def test_main_in_process_happy_path(tmp_path):
     rc = cli.main(["--command", "classify", "--profile", prof, "--out", str(out)])
     assert rc == 0
     assert out.exists()
+
+
+# run in a fresh interpreter: import the numerical modules, run every command
+# but mc, whose count needs scipy's LAPACK, and print the scipy modules loaded
+SCIPY_FREE = """
+import sys
+from vdelab import asymptotics, cli, density, montecarlo
+prof, out = sys.argv[1], sys.argv[2]
+base = ["--profile", prof, "--out", out, "--rmin", "1e-5", "--ppd", "2"]
+for argv in (
+    ["--command", "classify"],
+    ["--command", "constants"],
+    ["--command", "solve"],
+    ["--command", "scan"],
+    ["--command", "density", "--egrid", "0.01,0.5"],
+    ["--command", "reduce", "--N", "2"],
+    ["--command", "sweep", "--N", "2,3", "--noise", "0.3"],
+):
+    assert cli.main(argv + base) == 0, argv
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+
+HELP_WITHOUT_NUMPY = """
+import sys
+from vdelab import cli
+try:
+    cli.main(["--help"])
+except SystemExit as exc:
+    assert exc.code == 0, exc.code
+print("numpy" in sys.modules)
+"""
+
+
+def run_fresh(script, *args):
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    return subprocess.run(
+        [sys.executable, "-c", script, *args],
+        capture_output=True, text=True, env=env,
+    )
+
+
+def test_commands_other_than_mc_load_no_scipy(tmp_path):
+    prof = write_profile(tmp_path, "p.json", STAIR3)
+    proc = run_fresh(SCIPY_FREE, prof, str(tmp_path / "o.txt"))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
+def test_help_loads_no_numpy():
+    proc = run_fresh(HELP_WITHOUT_NUMPY)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
 
 
 def test_thread_env_applied(monkeypatch):

@@ -32,6 +32,7 @@ from vdelab import (
     recover_staircase_permutation,
     staircase_profile,
 )
+from vdelab import profiles
 
 
 def as_pairs(rects):
@@ -392,6 +393,38 @@ def test_irreducibility_partition_validation():
         antidiagonal_irreducibility(prof, (2, 3))
     with pytest.raises(ProfileError, match="equal sizes"):
         antidiagonal_irreducibility(prof, (1, 3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 12),
+       density=st.floats(0.0, 0.6), symmetric=st.booleans())
+def test_strong_connectivity_matches_scipy(seed, k, density, symmetric):
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    adj = np.random.default_rng(seed).random((k, k)) < density
+    if symmetric:
+        adj |= adj.T
+    oracle = connected_components(
+        csr_matrix(adj), directed=True, connection="strong"
+    )[0] == 1
+    assert profiles._strongly_connected(adj) == oracle
+
+
+@pytest.mark.parametrize(
+    "edges, k, expected",
+    [
+        ([], 1, True),  # one vertex, no self-loop
+        ([(0, 1), (1, 2), (2, 0)], 3, True),  # directed 3-cycle
+        ([(0, 1), (1, 2)], 3, False),  # a path: weakly, not strongly connected
+        ([(0, 1), (1, 0)], 3, False),  # vertex 2 isolated
+    ],
+)
+def test_strong_connectivity_named_cases(edges, k, expected):
+    adj = np.zeros((k, k), dtype=bool)
+    for v, t in edges:
+        adj[v, t] = True
+    assert profiles._strongly_connected(adj) is expected
 
 
 # ----------------------------------------------------------------- expansion
