@@ -23,8 +23,8 @@ import numpy as np
 
 from .profiles import VarianceProfile
 from .solver import (
-    SolverOptions, SpectralPoint, _solve_points, continuation_guess, solve,
-    suggested_tol,
+    _STACK_BYTES, SolverOptions, SpectralPoint, _solve_points, continuation_guess,
+    solve, suggested_tol,
 )
 
 DEFAULT_ETA_SCHEDULE: tuple[float, ...] = tuple(np.geomspace(1e-2, 1e-6, 5))
@@ -37,8 +37,6 @@ DEFAULT_FIT_WINDOW: tuple[float, float] = (2e-4, 2e-3)
 _LINEAR_STEP = 0.05
 _LOG_FLOOR = 1e-5
 _LOG_POINTS_PER_DECADE = 6
-# bytes a (P, dim, dim) complex stack of rho_grid's batched solve may take
-_STACK_BYTES = 1 << 22
 
 
 def support_bound(profile: VarianceProfile) -> float:

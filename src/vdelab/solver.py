@@ -12,23 +12,31 @@ best residual.  The log parametrization m <- m*exp(delta) matters: the
 Jacobian of the raw defect is ill-conditioned like r^{-2(n-1)/(n+1)} near
 the singularity, while the log-coordinate Jacobian stays benign all the
 way down to the radius floor.  The iteration is written once, batched
-over P points that each keep their own state; solve is its P=1 case, and
-rho_grid solves a whole eta level in it.
+over P points that each keep their own state; solve is its P=1 case,
+rho_grid solves a whole eta level in it, and on the GMRES path below
+solve_path solves a decade of a ray in it.  Each iterate carries its
+product S m: the line search's S*trial of an accepted row is reused by
+the defect and the next Newton step, so each iterate costs one product.
 
 The Newton step solves J delta = -g with J = diag(g-1) + M S M, M =
 diag(m), by a dense LU, except that a profile with block metadata (n
 outer blocks of size N) and dim at least _KRYLOV_MIN_DIM never builds
-J: each row runs right-preconditioned GMRES on the matvec
-J v = (g-1)v + m(S(mv)) (Knoll & Keyes, JCP 2004).  The preconditioner
-is J with S replaced by its block means S_bar = U C U^T, C the n x n
-means and U the block indicator, so it is diagonal plus rank n and
-Woodbury applies its inverse in O(dim*n + n^3) without inverting C; this
-is the reduced n-dim system of vde_like_reduce.  A row whose GMRES misses
-its tolerance within the iteration cap, or whose n x n Woodbury system is
-singular or non-finite, takes the dense direction for that step.  The
-line search, fallback, stall rule, residual test and f_norm check judge
-every step the same way on either path, so an inexact direction can cost
-a backtrack but cannot let a wrong iterate pass.
+J: the rows run right-preconditioned GMRES on the matvec
+J v = (g-1)v + m(S(mv)) (Knoll & Keyes, JCP 2004) in lock-step, and
+each S product of all rows is one real GEMM of the real symmetric S with
+the stacked rows (Re x; Im x), where a complex S would take one GEMV per
+row.  The preconditioner is J with S replaced by its block means
+S_bar = U C U^T, C the n x n means and U the block indicator, so it is
+diagonal plus rank n and Woodbury applies its inverse in
+O(dim*n + n^3) without inverting C, from an n x n core per row solved
+as one stack; this is the reduced n-dim system of vde_like_reduce.  A
+row stops once its GMRES residual meets the tolerance; a row whose GMRES
+breaks down or misses the tolerance within the iteration cap, or whose
+n x n Woodbury system is singular or non-finite, takes the dense
+direction for that step.  The line search, fallback, stall rule,
+residual test and f_norm check judge every step the same way on either
+path, so an inexact direction can cost a backtrack but cannot let a
+wrong iterate pass.
 
 Every solved point must show ||F||_2 < 1 for the saturation matrix
 F = |m| S |m|.  F is entrywise non-negative, so ||F||_2 is its Perron
@@ -41,10 +49,12 @@ max_k (Fx)_k / x_k, valid once x > 0.  The block start spans the n
 outlier eigenvalues of F together, so the iteration converges at the
 ratio of the noise bulk to the outliers, not at the small gap between the
 top two eigenvalues that stalls a single-vector power or Lanczos
-iteration.  A row is certified, with f_norm = theta, when the two bounds
-agree to 1e-14 relative and the upper one is below 1; a row that is not
-certified within _PERRON_MAX_STEPS steps takes the eigensolve.  The
-complex S and the block means are computed once per profile.
+iteration.  The uncertified rows iterate in lock-step, all their blocks
+in one real GEMM.  A row is certified, with f_norm = theta, when the two
+bounds agree to 1e-14 relative and the upper one is below 1; a row that
+is not certified within _PERRON_MAX_STEPS steps takes the eigensolve.
+The dense path's complex S and the block means are computed once per
+profile.
 """
 
 from __future__ import annotations
@@ -63,9 +73,10 @@ _STALL_LIMIT = 50
 _MAX_ITER = 10**6
 _MAX_BACKTRACK = 30
 _LOG_STEP_CAP = 20.0
-# Block profiles from this dim up take the GMRES step.  Whole noisy rays
-# on one BLAS thread: dense wins up to dim 120, the two tie at 144 and
-# GMRES wins from 168 up (ROADMAP item 1 has the table).
+# Block profiles from this dim up take the GMRES step.  It was set where
+# the two paths tied on whole noisy rays on one BLAS thread, one radius at
+# a time; with decade batches they tie at dim 96 and GMRES wins from 120
+# up (ROADMAP item 1 has the table).
 _KRYLOV_MIN_DIM = 144
 # block rays need at most 8 iterations; a row past the cap takes the dense LU
 _GMRES_RTOL = 1e-10
@@ -75,6 +86,10 @@ _GMRES_MAX_ITER = 20
 # 1e-14 apart give it to 1e-14 relative, up to the roundoff of F x.
 _PERRON_MAX_STEPS = 30
 _PERRON_RTOL = 1e-14
+# bytes the stacked work arrays of one batched solve may take: a solve_path
+# batch's (_GMRES_MAX_ITER + 1, P, dim) complex GMRES basis, and the
+# (P, dim, dim) complex Jacobians of a rho_grid slice
+_STACK_BYTES = 1 << 22
 
 
 class SolverError(RuntimeError):
@@ -162,57 +177,83 @@ def _symmetric_norm2(a: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(a)[..., -1]
 
 
-def _perron_root(s: np.ndarray, am: np.ndarray, n: int) -> float:
-    """Certified ||F||_2 of F = diag(am) S diag(am) for a block profile.
+def _perron_roots(s: np.ndarray, am: np.ndarray, n: int) -> np.ndarray:
+    """Certified ||F||_2 of F = diag(a) S diag(a) for each row a of am.
 
-    s is the real non-negative S with n outer blocks and am = |m| > 0, so
-    ||F||_2 is the Perron root of F.  Block subspace iteration from the n
-    columns am * U, U the block indicator, with a thin QR and a
-    Rayleigh-Ritz step each time; F is applied as am * (S (am * X)) and
-    never built.  The top Ritz vector x, once positive, brackets the root
-    between theta = x^T F x / x^T x and c = max_k (Fx)_k / x_k.  Returns
-    theta once c - theta <= _PERRON_RTOL * theta and c < 1, and NaN when
-    the bounds meet at c >= 1 or have not met within _PERRON_MAX_STEPS.
+    s is the real non-negative S of a block profile with n outer blocks and
+    each a = |m| > 0, so ||F||_2 is the Perron root of F.  Block subspace
+    iteration from the n columns a * U, U the block indicator, with a thin
+    QR and a Rayleigh-Ritz step each time; F is applied as a * (S (a * X))
+    and never built.  The top Ritz vector x, once positive, brackets the
+    root between theta = x^T F x / x^T x and c = max_k (Fx)_k / x_k.  The
+    uncertified rows step in lock-step, every block of theirs in one GEMM.
+    A row's root is theta once c - theta <= _PERRON_RTOL * theta and c < 1,
+    and NaN when its bounds meet at c >= 1 or have not met within
+    _PERRON_MAX_STEPS steps.
     """
+    p, dim = am.shape
+    out = np.full(p, np.nan)
+    rows = np.arange(p)
     # the iterates are the rows of x: X^T S is (S X)^T for the symmetric S
     # and runs faster than S X with so few columns
-    x = (np.eye(n)[:, :, None] * am.reshape(n, -1)).reshape(n, -1)
+    x = (np.eye(n)[:, :, None] * am.reshape(p, 1, n, -1)).reshape(p, n, dim)
     for _ in range(_PERRON_MAX_STEPS):
-        q = np.linalg.qr(x.T)[0].T
-        fq = ((q * am) @ s) * am
-        w = np.linalg.eigh(fq @ q.T)[1][:, -1]
-        v, fv = w @ q, w @ fq
-        if v.sum() < 0.0:
-            v, fv = -v, -fv
-        if (v > 0.0).all():
-            theta = float(v @ fv / (v @ v))
-            c = float((fv / v).max())
-            if c - theta <= _PERRON_RTOL * theta:
-                return theta if c < 1.0 else math.nan
-        x = fq
-    return math.nan
+        if not rows.size:
+            break
+        a = am[rows, None, :]
+        q = np.linalg.qr(x.transpose(0, 2, 1))[0].transpose(0, 2, 1)
+        fq = ((q * a).reshape(-1, dim) @ s).reshape(q.shape) * a
+        w = np.linalg.eigh(fq @ q.transpose(0, 2, 1))[1][:, None, :, -1]
+        v, fv = (w @ q)[:, 0], (w @ fq)[:, 0]
+        flip = v.sum(axis=1) < 0.0
+        v[flip], fv[flip] = -v[flip], -fv[flip]
+        pos = (v > 0.0).all(axis=1)
+        theta, c = np.full(rows.size, np.nan), np.full(rows.size, np.nan)
+        theta[pos] = (v[pos] * fv[pos]).sum(axis=1) / (v[pos] * v[pos]).sum(axis=1)
+        c[pos] = (fv[pos] / v[pos]).max(axis=1)
+        done = c - theta <= _PERRON_RTOL * theta  # NaN, not yet positive, fails
+        out[rows[done]] = np.where(c[done] < 1.0, theta[done], np.nan)
+        rows, x = rows[~done], fq[~done]
+    return out
 
 
 def _f_norms(m: np.ndarray, profile: VarianceProfile, perron: bool) -> np.ndarray:
     """||F||_2 of each row of m: by the eigensolve, or if perron by
-    _perron_root, with the eigensolve for the rows it does not certify."""
+    _perron_roots, with the eigensolve for the rows it does not certify."""
     if not perron:
         return _symmetric_norm2(stability_matrix(m, profile))
-    n = profile.block_meta[0]
-    out = np.array([_perron_root(profile.entries, am, n) for am in np.abs(m)])
+    out = _perron_roots(profile.entries, np.abs(m), profile.block_meta[0])
     rest = np.isnan(out)
     if rest.any():
         out[rest] = _symmetric_norm2(stability_matrix(m[rest], profile))
     return out
 
 
+def _krylov(profile: VarianceProfile) -> bool:
+    """Whether the profile takes the GMRES path: block metadata and dim at
+    least _KRYLOV_MIN_DIM."""
+    return profile.block_meta is not None and profile.dim >= _KRYLOV_MIN_DIM
+
+
 def _matvec(s: np.ndarray, m: np.ndarray) -> np.ndarray:
-    # S m per row, bit for bit the s @ m of one vector (m @ s.T is not)
+    """S m for each row of the complex stack m.
+
+    The GMRES path's real S takes every row in one real GEMM on the stacked
+    rows (Re m; Im m), as x S is (S x)^T for the symmetric S; an Re m of 0
+    gives a real part of exactly 0.  The dense path's complex S gives each
+    row bit for bit the s @ m of one vector (m @ s.T does not).
+    """
+    if s.dtype != complex:
+        y = np.concatenate((m.real, m.imag)) @ s
+        out = np.empty(m.shape, dtype=complex)
+        out.real, out.imag = y[: len(m)], y[len(m):]
+        return out
     return (s @ m[..., None])[..., 0]
 
 
-def _defect_norms(m: np.ndarray, z: np.ndarray, s: np.ndarray) -> np.ndarray:
-    return np.abs(1.0 / m + z[:, None] + _matvec(s, m)).max(axis=1)
+def _defect_norms(m: np.ndarray, z: np.ndarray, sm: np.ndarray) -> np.ndarray:
+    """max_k |1/m_k + z + (Sm)_k| of each row, from its product sm = S m."""
+    return np.abs(1.0 / m + z[:, None] + sm).max(axis=1)
 
 
 def _jacobian(m: np.ndarray, g: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -223,144 +264,169 @@ def _jacobian(m: np.ndarray, g: np.ndarray, s: np.ndarray) -> np.ndarray:
     return jac
 
 
+def _solve_each(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve each a[p] x[p] = b[p]; a singular a[p] gives NaNs in x[p]."""
+    try:
+        return np.linalg.solve(a, b)
+    except np.linalg.LinAlgError:  # one singular matrix fails the whole stack
+        x = np.full(b.shape, np.nan, dtype=np.result_type(a, b))
+        for p in range(len(b)):
+            with contextlib.suppress(np.linalg.LinAlgError):
+                x[p] = np.linalg.solve(a[p], b[p])
+        return x
+
+
 def _newton_directions(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve each jac[p] delta[p] = rhs[p]; a singular jac[p] gives NaNs."""
-    try:
-        return np.linalg.solve(jac, rhs[..., None])[..., 0]
-    except np.linalg.LinAlgError:  # one singular matrix fails the whole stack
-        delta = np.full_like(rhs, np.nan)
-        for p in range(len(rhs)):
-            with contextlib.suppress(np.linalg.LinAlgError):
-                delta[p] = np.linalg.solve(jac[p], rhs[p])
-        return delta
+    return _solve_each(jac, rhs[..., None])[..., 0]
 
 
 def _block_mean_preconditioner(m: np.ndarray, gm1: np.ndarray, means: np.ndarray):
-    """Inverse of P = D + A C A^T, D = diag(gm1), A = diag(m) U, by Woodbury.
+    """Inverse of P = D + A C A^T of each row by Woodbury.
 
-    P is the log-coordinate Jacobian of one row with S replaced by its
-    block means U C U^T.  P^-1 = D^-1 - D^-1 A C (I + diag(w) C)^-1 A^T D^-1
-    with w_a = sum over block a of m_k^2 / gm1_k needs no inverse of C,
-    which a staircase makes singular.  Returns the map v -> P^-1 v, or
-    None when D or the n x n system is singular or non-finite.
+    D = diag(gm1) and A = diag(m) U for the row's m and gm1 = g - 1.
+
+    P is the log-coordinate Jacobian of the row with S replaced by its
+    block means U C U^T.  P^-1 = D^-1 - D^-1 A K A^T D^-1 with the n x n core
+    K = C (I + diag(w) C)^-1 = (I + C diag(w))^-1 C, w_a the sum over block
+    a of m_k^2 / gm1_k, needs no inverse of C, which a staircase makes
+    singular; the rows' cores are one stacked solve.  Returns the map
+    (v, rows) -> P^-1 v on the stacked vectors v of the given rows, and a
+    mask of the rows whose D or n x n system is singular or non-finite.
     """
-    n = len(means)
+    p, n = len(m), len(means)
     a = m / gm1
-    w = (m * a).reshape(n, -1).sum(axis=1)
-    try:
-        core = means @ np.linalg.inv(np.eye(n) + w[:, None] * means)
-    except np.linalg.LinAlgError:
-        return None
-    if not (np.isfinite(core).all() and np.isfinite(a).all()):
-        return None
-    blocks = a.reshape(n, -1)
+    blocks = a.reshape(p, n, -1)
+    w = (m.reshape(blocks.shape) * blocks).sum(axis=2)
+    core = _solve_each(np.eye(n) + means * w[:, None, :],
+                       np.broadcast_to(means, (p, n, n)))
+    bad = ~(np.isfinite(core).all(axis=(1, 2)) & np.isfinite(a).all(axis=1))
 
-    def apply(v: np.ndarray) -> np.ndarray:
-        y = core @ (blocks * v.reshape(n, -1)).sum(axis=1)
-        return v / gm1 - (blocks * y[:, None]).ravel()
+    def apply(v: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        b = blocks[rows]
+        y = core[rows] @ (b * v.reshape(b.shape)).sum(axis=2)[..., None]
+        return v / gm1[rows] - (b * y).reshape(v.shape)
 
-    return apply
+    return apply, bad
 
 
 def _gmres(apply_j, apply_p, b: np.ndarray):
-    """Solve J x = b by right-preconditioned GMRES from x = 0.
+    """Solve J x = b for each row of b by right-preconditioned GMRES from x = 0.
 
-    apply_j and apply_p map a vector to J v and P^-1 v.  Stops once the
-    residual |b - J x| is at most _GMRES_RTOL |b|.  Returns x and the
-    iteration count; x is None when the tolerance is missed within
-    _GMRES_MAX_ITER iterations or the iteration breaks down.
+    The rows run in lock-step.  apply_j(v, rows) and apply_p(v, rows) map
+    the stacked vectors v of the given rows of b to J v and P^-1 v.  A row
+    stops once its residual |b - J x| is at most _GMRES_RTOL |b|.  Returns
+    x and each row's iteration count; a row of x is NaN when its |b| is 0
+    or not finite, when the iteration breaks down or when it misses the
+    tolerance within _GMRES_MAX_ITER iterations.
     """
     cap = _GMRES_MAX_ITER
-    beta = float(np.linalg.norm(b))
-    if not 0.0 < beta < math.inf:
-        return None, 0
-    basis = np.empty((cap + 1, b.size), dtype=complex)
-    basis[0] = b / beta
-    tri = np.zeros((cap, cap), dtype=complex)  # the rotated Hessenberg matrix
-    rot: list[tuple[float, complex]] = []
-    res = [complex(beta)]  # the rotated right-hand side beta e_1
+    beta = np.linalg.norm(b, axis=1)
+    x = np.full_like(b, np.nan)
+    its = np.zeros(len(b), dtype=int)
+    rows = np.flatnonzero((0.0 < beta) & (beta < math.inf))
+    basis = np.empty((rows.size, cap + 1, b.shape[1]), dtype=complex)
+    basis[:, 0] = b[rows] / beta[rows, None]
+    # per row: the rotated Hessenberg matrix, its Givens rotations and the
+    # rotated right-hand side beta e_1
+    tri = np.zeros((rows.size, cap, cap), dtype=complex)
+    cos, sin = np.empty((rows.size, cap)), np.empty((rows.size, cap), dtype=complex)
+    res = np.zeros((rows.size, cap + 1), dtype=complex)
+    res[:, 0] = beta[rows]
+    tol = _GMRES_RTOL * beta[rows]
     for j in range(cap):
-        w = apply_j(apply_p(basis[j]))
-        h = np.zeros(j + 1, dtype=complex)
+        if not rows.size:
+            break
+        its[rows] = j + 1
+        w = apply_j(apply_p(basis[:, j], rows), rows)
+        v = basis[:, : j + 1]
+        col = np.zeros((rows.size, j + 1), dtype=complex)
         for _ in range(2):  # classical Gram-Schmidt, once more to reorthogonalize
-            proj = basis[: j + 1].conj() @ w
-            w -= proj @ basis[: j + 1]
-            h += proj
-        norm = float(np.linalg.norm(w))
-        col = h.tolist()
-        col.append(complex(norm))
-        for i, (c, sn) in enumerate(rot):
-            col[i], col[i + 1] = (c * col[i] + sn * col[i + 1],
-                                  c * col[i + 1] - sn.conjugate() * col[i])
-        r = math.hypot(abs(col[j]), norm)
-        if not 0.0 < r < math.inf:
-            return None, j + 1
-        c = abs(col[j]) / r
-        sn = (col[j] / abs(col[j]) if col[j] else 1.0) * norm / r
-        rot.append((c, sn))
-        col[j] = c * col[j] + sn * norm
-        tri[: j + 1, j] = col[: j + 1]
-        res.append(-sn.conjugate() * res[j])
-        res[j] *= c
-        if abs(res[j + 1]) <= _GMRES_RTOL * beta:
-            y = np.linalg.solve(tri[: j + 1, : j + 1], res[: j + 1])
-            return apply_p(y @ basis[: j + 1]), j + 1
-        basis[j + 1] = w / norm
-    return None, cap
+            proj = (v @ w.conj()[:, :, None])[:, :, 0].conj()
+            w -= (proj[:, None, :] @ v)[:, 0]
+            col += proj
+        norm = np.linalg.norm(w, axis=1)
+        for i in range(j):
+            c, sn = cos[:, i], sin[:, i]
+            col[:, i], col[:, i + 1] = (c * col[:, i] + sn * col[:, i + 1],
+                                        c * col[:, i + 1] - sn.conj() * col[:, i])
+        top = np.abs(col[:, j])
+        r = np.hypot(top, norm)
+        ok = (0.0 < r) & (r < math.inf)
+        c = top / r
+        phase = np.divide(col[:, j], top, out=np.ones_like(col[:, j]), where=top > 0)
+        sn = phase * norm / r
+        cos[:, j], sin[:, j] = c, sn
+        col[:, j] = c * col[:, j] + sn * norm
+        tri[:, : j + 1, j] = col
+        res[:, j + 1] = -sn.conj() * res[:, j]
+        res[:, j] *= c
+        done = ok & (np.abs(res[:, j + 1]) <= tol)
+        if done.any():
+            y = np.linalg.solve(tri[done, : j + 1, : j + 1], res[done, : j + 1, None])
+            x[rows[done]] = apply_p((y.transpose(0, 2, 1) @ v[done])[:, 0], rows[done])
+        go = ok & ~done
+        basis[go, j + 1] = w[go] / norm[go, None]
+        if not go.all():
+            rows, basis, tri, cos, sin, res, tol = (
+                a[go] for a in (rows, basis, tri, cos, sin, res, tol))
+    return x, its
 
 
 def _krylov_directions(m: np.ndarray, g: np.ndarray, s: np.ndarray,
                        means: np.ndarray) -> np.ndarray:
-    """Newton directions by GMRES row by row; a row it fails takes the dense one."""
-    delta = np.empty_like(g)
-    dense = []
-    for p in range(len(m)):
-        mp, gm1 = m[p], g[p] - 1.0
-        precond = _block_mean_preconditioner(mp, gm1, means)
-        x = None
-        if precond is not None:
-            x, _ = _gmres(lambda v: gm1 * v + mp * (s @ (mp * v)), precond, -g[p])
-        if x is None or not np.isfinite(x).all():
-            dense.append(p)
-        else:
-            delta[p] = x
-    if dense:
+    """Newton directions by one lock-step GMRES over the rows; a row it
+    fails takes the dense direction."""
+    gm1 = g - 1.0
+    precond, bad = _block_mean_preconditioner(m, gm1, means)
+
+    def apply_j(v: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        mr = m[rows]
+        return gm1[rows] * v + mr * _matvec(s, mr * v)
+
+    delta, _ = _gmres(apply_j, precond, np.where(bad[:, None], np.nan, -g))
+    dense = ~np.isfinite(delta).all(axis=1)
+    if dense.any():
         delta[dense] = _newton_directions(_jacobian(m[dense], g[dense], s), -g[dense])
     return delta
 
 
-def _log_newton(m: np.ndarray, z: np.ndarray, s: np.ndarray, means=None):
+def _log_newton(m: np.ndarray, sm: np.ndarray, z: np.ndarray, s: np.ndarray,
+                means=None):
     """One backtracked Newton step on g(m) = m*(z+Sm)+1 in log coordinates.
 
-    The direction comes from a dense solve, or from GMRES when means holds
-    the n x n block means of S.  Each row halves its step up to 30 times
-    until it is below the cap, the iterate stays in the upper half-plane
-    and max|g| drops.  Returns the new iterates and a mask of the rows
-    that stepped; the rest keep theirs.
+    sm holds the rows' products S m.  The direction comes from a dense
+    solve, or from GMRES when means holds the n x n block means of S.  Each
+    row halves its step up to 30 times until it is below the cap, the
+    iterate stays in the upper half-plane and max|g| drops.  Returns the
+    new iterates, their products S m (those of the accepted trials) and a
+    mask of the rows that stepped; the rest keep theirs.
     """
     z = z[:, None]
-    g = 1.0 + m * (z + _matvec(s, m))
+    g = 1.0 + m * (z + sm)
     if means is None:
         delta = _newton_directions(_jacobian(m, g, s), -g)
     else:
         delta = _krylov_directions(m, g, s, means)
     g_ref = np.abs(g).max(axis=1)
     finite = todo = np.isfinite(delta).all(axis=1)
-    out, t = m, 1.0
+    out, s_out, t = m, sm, 1.0
     for _ in range(_MAX_BACKTRACK):
         step = t * delta
         trial = m * np.exp(step)
-        g_new = np.abs(1.0 + trial * (z + _matvec(s, trial))).max(axis=1)
+        s_trial = _matvec(s, trial)
+        g_new = np.abs(1.0 + trial * (z + s_trial)).max(axis=1)
         ok = todo & (np.abs(step).max(axis=1) < _LOG_STEP_CAP)
         ok &= (trial.imag > 0).all(axis=1) & (g_new < g_ref)  # NaN fails too
         if ok.all():
-            return trial, ok
+            return trial, s_trial, ok
         out = np.where(ok[:, None], trial, out)
+        s_out = np.where(ok[:, None], s_trial, s_out)
         todo = todo & ~ok
         if not todo.any():
             break
         t *= 0.5
-    return out, finite & ~todo
+    return out, s_out, finite & ~todo
 
 
 def _solve_points(profile: VarianceProfile, z, tol, m):
@@ -370,37 +436,40 @@ def _solve_points(profile: VarianceProfile, z, tol, m):
     i*(1,...,1).  A failing row raises the error of solve, naming its z.
     Returns m, the residuals, the iteration counts and the f_norms.
     """
-    s = profile.complex_entries
-    means = profile.block_means if profile.dim >= _KRYLOV_MIN_DIM else None
+    krylov = _krylov(profile)
+    s = profile.entries if krylov else profile.complex_entries
+    means = profile.block_means if krylov else None
     m = np.full((len(z), profile.dim), 1j) if m is None else np.array(m, dtype=complex)
     iterations = np.zeros(len(z), dtype=int)
     # each row computes every trial step and drops it when done, past the
     # cap or out of the half-plane, so overflow there is harmless
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        residual = _defect_norms(m, z, s)
-        # the rows still iterating with their packed state; best_at is the
-        # iteration of a row's best residual
+        sm = _matvec(s, m)
+        residual = _defect_norms(m, z, sm)
+        # the rows still iterating with their packed state, each iterate
+        # with its product S m; best_at is the iteration of a row's best
+        # residual
         rows = np.flatnonzero(~(residual <= tol))  # a NaN residual iterates
-        ma, za, ta, best = m[rows], z[rows], tol[rows], residual[rows]
+        ma, sma, za, ta, best = m[rows], sm[rows], z[rows], tol[rows], residual[rows]
         best_at = np.zeros(rows.size, dtype=int)
         k = 0
         while rows.size:
             if k >= _MAX_ITER:
                 raise SolverError(f"no convergence in {_MAX_ITER} iterations at z = "
                                   f"{za[0]}, last residual {residual[rows[0]]:.3e}")
-            ma, newton = _log_newton(ma, za, s, means)
+            ma, sma, newton = _log_newton(ma, sma, za, s, means)
             if not newton.all():
                 half = ~newton
-                step = 0.5 * (ma[half] - 1.0 / (za[half, None] + _matvec(s, ma[half])))
+                step = 0.5 * (ma[half] - 1.0 / (za[half, None] + sma[half]))
                 bad = ~(np.isfinite(step).all(axis=1) & (step.imag > 0).all(axis=1))
                 if bad.any():
                     i = np.flatnonzero(half)[bad.argmax()]
                     raise SolverError("fixed-point half-step is non-finite or left "
                                       f"the upper half-plane at z = {za[i]}, last "
                                       f"residual {residual[rows[i]]:.3e}")
-                ma[half] = step
+                ma[half], sma[half] = step, _matvec(s, step)
             k += 1
-            res = residual[rows] = _defect_norms(ma, za, s)
+            res = residual[rows] = _defect_norms(ma, za, sma)
             best_at[res < best] = k
             best = np.fmin(best, res)  # a NaN residual is no new best
             if k - best_at.min() >= _STALL_LIMIT:
@@ -410,10 +479,10 @@ def _solve_points(profile: VarianceProfile, z, tol, m):
             go = ~(res <= ta)
             if not go.all():
                 m[rows[~go]], iterations[rows[~go]] = ma[~go], k
-                state = (rows, ma, za, ta, best, best_at)
-                rows, ma, za, ta, best, best_at = (a[go] for a in state)
+                state = (rows, ma, sma, za, ta, best, best_at)
+                rows, ma, sma, za, ta, best, best_at = (a[go] for a in state)
 
-    f_norm = _f_norms(m, profile, means is not None)
+    f_norm = _f_norms(m, profile, krylov)
     if not (f_norm < 1.0).all():
         i = (~(f_norm < 1.0)).argmax()
         raise AnomalyError(f"saturation matrix norm {f_norm[i]} >= 1 at z = {z[i]}; "
@@ -434,8 +503,8 @@ def solve(
     suggested_tol); from |z| ~ 1e5 on pass suggested_tol(profile, abs(z)).
     Starts from i*(1,...,1) unless warm_start is given.  Newton directions
     come from a dense LU of the log-coordinate Jacobian, or, for a profile
-    with block metadata and dim >= _KRYLOV_MIN_DIM, from GMRES
-    preconditioned by the block-mean Jacobian, with the dense LU as the
+    with block metadata and dim >= _KRYLOV_MIN_DIM, from GMRES on the real
+    S, preconditioned by the block-mean Jacobian, with the dense LU as the
     fallback for a step GMRES misses; convergence is judged on the true
     defect either way.  When z is exactly
     on the imaginary axis (re == 0.0) and the start vector is purely
@@ -482,12 +551,19 @@ def solve_path(
     """Solve along z = r*exp(i*ray_angle) for strictly descending radii.
 
     Each point warm-starts from continuation_guess of the points before
-    it.  Rays within 1e-15 of the imaginary axis are snapped onto it
-    exactly so the pure-imaginary symmetry is preserved.  Radii below 1e-8
-    are rejected: double precision cannot resolve the singular scales
-    beneath that.  Without opts each point solves at suggested_tol over
-    the smallest radius and its own, so a far-field start cannot loosen
-    the deep end.
+    it.  On the dense path the points solve one at a time.  On the GMRES
+    path (see _krylov) the first two do, and after them each batch holds
+    the radii down to a tenth of the last solved radius, as many as keep
+    the batch's (_GMRES_MAX_ITER + 1, P, dim) complex GMRES basis within
+    _STACK_BYTES.  A batch is one _solve_points call whose rows run in
+    lock-step, so each S product of the batch is one real GEMM; its warm
+    starts extrapolate the last two solved points by t steps, t =
+    log(r/r_last)/log(r_last/r_prev).  Rays within 1e-15 of the imaginary
+    axis are snapped onto it exactly so the pure-imaginary symmetry is
+    preserved.  Radii below 1e-8 are rejected: double precision cannot
+    resolve the singular scales beneath that.  Without opts each point
+    solves at suggested_tol over the smallest radius and its own, so a
+    far-field start cannot loosen the deep end.
     """
     if not 0.0 < ray_angle < math.pi:
         raise ValueError(f"ray angle must lie in (0, pi), got {ray_angle}")
@@ -508,36 +584,64 @@ def solve_path(
     if abs(cos_phi) < 1e-15:
         cos_phi = 0.0
     out: list[VdeSolution] = []
-    for r in radii:
-        point = SpectralPoint(re=cos_phi * r, im=sin_phi * r)
-        guess = continuation_guess([sol.m for sol in out[-2:]])
-        point_opts = opts or SolverOptions(tol=suggested_tol(profile, radii[-1], r))
-        out.append(solve(profile, point, point_opts, warm_start=guess))
+    while len(out) < len(radii):
+        i = len(out)
+        batch = radii[i:i + _batch_length(profile, radii, i)]
+        points = [SpectralPoint(re=cos_phi * r, im=sin_phi * r) for r in batch]
+        tol = [opts.tol if opts else suggested_tol(profile, radii[-1], r)
+               for r in batch]
+        if len(batch) == 1:
+            guess = continuation_guess([sol.m for sol in out[-2:]])
+            point_opts = opts or SolverOptions(tol=tol[0])
+            out.append(solve(profile, points[0], point_opts, warm_start=guess))
+            continue
+        r_prev, r_last = radii[i - 2], radii[i - 1]
+        steps = np.log(np.divide(batch, r_last)) / math.log(r_last / r_prev)
+        guess = continuation_guess([out[-2].m, out[-1].m], steps)
+        z = np.array([point.z for point in points])
+        m, residual, iterations, f_norm = _solve_points(profile, z, np.array(tol),
+                                                        guess)
+        out += map(VdeSolution, points, m, residual.tolist(), iterations.tolist(),
+                   f_norm.tolist())
     return out
 
 
-def continuation_guess(previous) -> np.ndarray | None:
-    """Warm start for the next point of a descending continuation.
+def _batch_length(profile: VarianceProfile, radii: list[float], i: int) -> int:
+    """How many radii from radii[i] on solve_path solves as one batch."""
+    if i < 2 or not _krylov(profile):
+        return 1
+    cap = _STACK_BYTES // ((_GMRES_MAX_ITER + 1) * profile.dim * 16)
+    # a radius one decade down, up to rounding, still joins the batch
+    floor = 0.1 * radii[i - 1] * (1.0 - 1e-9)
+    return max(1, sum(1 for r in radii[i:i + cap] if r >= floor))
+
+
+def continuation_guess(previous, steps=None) -> np.ndarray | None:
+    """Warm start for the next points of a descending continuation.
 
     previous holds the solution vectors of the points already solved,
     oldest first, each one vector or a (P, dim) stack of them.  With none
     the answer is None (a cold start), with one it is that vector, and
-    with two or more it is the componentwise secant m*(m/m_prev) of the
-    last two, which tracks the power-law drift of the components and
-    typically lands within a few Newton steps of the solution.  A secant
-    that overflows or leaves the upper half-plane falls back to the last
-    vector, row by row in a stack.
+    with two or more it extrapolates the last two, m and m_prev, by t
+    steps: m*(m/m_prev)^t, which tracks the power-law drift of the
+    components and typically lands within a few Newton steps of the
+    solution.  Without steps t = 1, and the answer is the componentwise
+    secant m*(m/m_prev) bit for bit.  steps, a 1-d array of t, one per
+    point ahead (solve_path's batches), gives one row per t from one
+    vector.  An extrapolation that overflows or leaves the upper
+    half-plane falls back to the last vector, row by row in a stack.
     """
     if not previous:
         return None
     m = previous[-1]
     if len(previous) == 1:
         return m
-    secant = m * (m / previous[-2])
-    ok = np.isfinite(secant).all(axis=-1) & (secant.imag > 0).all(axis=-1)
+    ratio = m / previous[-2]
+    guess = m * (ratio if steps is None else ratio ** np.asarray(steps)[:, None])
+    ok = np.isfinite(guess).all(axis=-1) & (guess.imag > 0).all(axis=-1)
     if ok.all():
-        return secant
-    return np.where(ok[..., None], secant, m) if m.ndim > 1 else m
+        return guess
+    return np.where(ok[..., None], guess, m) if guess.ndim > 1 else m
 
 
 def stability_matrix(m: np.ndarray, profile: VarianceProfile) -> np.ndarray:

@@ -126,7 +126,8 @@ def test_nan_residual_is_never_converged():
     # it would count as converged and reach the f_norm check unsolved
     start = np.array([[1j * math.inf, 1j]])
     with np.errstate(invalid="ignore"):
-        assert np.isnan(solver._defect_norms(start, np.array([1j]), np.eye(2)))
+        # S = I, so the product S m is the start itself
+        assert np.isnan(solver._defect_norms(start, np.array([1j]), start))
         with pytest.raises(SolverError, match="non-finite"):
             solver._solve_points(staircase_profile(2), np.array([1j]),
                                  np.array([1e-12]), start)
@@ -169,7 +170,12 @@ def test_unreachable_tolerance_fails_honestly(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "prof", [staircase_profile(2), random_staircase_profile(4, 7)]
+    "prof",
+    [
+        staircase_profile(2),
+        random_staircase_profile(4, 7),
+        expand_profile(staircase_profile(2), 72, noise=0.5, seed=1),  # GMRES path
+    ],
 )
 def test_fixed_point_fallback_converges(prof, monkeypatch):
     # with Newton switched off, every iteration is the averaged half-step
@@ -180,7 +186,8 @@ def test_fixed_point_fallback_converges(prof, monkeypatch):
             point = SpectralPoint(re=re, im=r * math.sin(phi))
             newton[point] = solve(prof, point)
     monkeypatch.setattr(
-        solver, "_log_newton", lambda m, z, s, means: (m, np.zeros(len(m), dtype=bool))
+        solver, "_log_newton",
+        lambda m, sm, z, s, means: (m, sm, np.zeros(len(m), dtype=bool)),
     )
     opts = SolverOptions()
     for point, want in newton.items():
@@ -190,6 +197,18 @@ def test_fixed_point_fallback_converges(prof, monkeypatch):
         assert np.max(np.abs(sol.m - want.m) / np.abs(want.m)) <= 1e-8
         if point.re == 0.0:
             assert (sol.m.real == 0.0).all()
+
+
+def test_singular_woodbury_core_fails_only_its_row():
+    # the first row's n x n system I + C diag(w) is exactly 0 (w = -1,
+    # C = 1); it alone is marked, and the second row keeps its inverse
+    m = np.ones((2, 2), dtype=complex)
+    gm1 = np.array([[-2.0, -2.0], [1.0, 3.0]], dtype=complex)
+    apply, bad = solver._block_mean_preconditioner(m, gm1, np.ones((1, 1)))
+    assert bad.tolist() == [True, False]
+    v = np.array([[1.0 + 2j, -0.5j]])
+    want = np.linalg.solve(np.diag(gm1[1]) + np.ones((2, 2)), v[0])
+    assert np.abs(apply(v, np.array([1]))[0] - want).max() <= 1e-15
 
 
 def test_newton_directions_retry_row_by_row():
@@ -214,7 +233,8 @@ def test_batched_rows_fall_back_alone():
     z = np.array([0.1 + 0.2j, 0.1 + 0.2j])
     start = np.array([[1j, 1j], [1e200j, 1e200j]])
     with np.errstate(over="ignore", invalid="ignore"):
-        _, took = solver._log_newton(start, z, prof.entries.astype(complex))
+        s = prof.complex_entries
+        _, _, took = solver._log_newton(start, solver._matvec(s, start), z, s)
         m, residual, iterations, f_norm = solver._solve_points(
             prof, z, np.array([1e-12, 1e-12]), start
         )
@@ -232,13 +252,13 @@ def test_batched_rows_fall_back_alone():
 
 
 def _record_gmres(monkeypatch) -> list[tuple[int, bool]]:
-    """Record (iterations, converged) of every GMRES call from now on."""
+    """Record (iterations, converged) of every row of every GMRES call from now on."""
     calls = []
     gmres = solver._gmres
 
     def recorded(*args):
         x, k = gmres(*args)
-        calls.append((k, x is not None))
+        calls.extend(zip(k.tolist(), np.isfinite(x).all(axis=1).tolist()))
         return x, k
 
     monkeypatch.setattr(solver, "_gmres", recorded)
@@ -246,20 +266,26 @@ def _record_gmres(monkeypatch) -> list[tuple[int, bool]]:
 
 
 def test_block_mean_preconditioner_is_the_woodbury_inverse():
+    # two rows with their own stacked cores, applied in either order
     n, inner = 3, 8
     prof = expand_profile(staircase_profile(n), inner, noise=0.5, seed=2)
     sol = solve(prof, SpectralPoint(re=0.01, im=0.02))
     rng = np.random.default_rng(5)
-    m = sol.m * np.exp(1e-2 * rng.standard_normal(prof.dim))
-    g = 1.0 + m * (sol.point.z + prof.entries @ m)
+    m = sol.m * np.exp(1e-2 * rng.standard_normal((2, prof.dim)))
+    g = 1.0 + m * (sol.point.z + m @ prof.entries)
     means = prof.entries.reshape(n, inner, n, inner).mean(axis=(1, 3))
     s_bar = np.kron(means, np.ones((inner, inner)))
-    p_dense = np.diag(g - 1.0) + m[:, None] * s_bar * m[None, :]
-    apply = solver._block_mean_preconditioner(m, g - 1.0, means)
+    apply, bad = solver._block_mean_preconditioner(m, g - 1.0, means)
+    assert not bad.any()
+    rows = np.array([1, 0])
     for _ in range(3):
-        v = rng.standard_normal(prof.dim) + 1j * rng.standard_normal(prof.dim)
-        want = np.linalg.solve(p_dense, v)
-        assert np.linalg.norm(apply(v) - want) <= 1e-12 * np.linalg.norm(want)
+        v = rng.standard_normal((2, prof.dim)) + 1j * rng.standard_normal((2, prof.dim))
+        got = apply(v, rows)
+        for p, row in enumerate(rows):
+            mr = m[row]
+            p_dense = np.diag(g[row] - 1.0) + mr[:, None] * s_bar * mr[None, :]
+            want = np.linalg.solve(p_dense, v[p])
+            assert np.linalg.norm(got[p] - want) <= 1e-12 * np.linalg.norm(want)
 
 
 def test_gmres_takes_one_iteration_on_constant_blocks(monkeypatch):
@@ -273,22 +299,83 @@ def test_gmres_takes_one_iteration_on_constant_blocks(monkeypatch):
 
 
 def test_krylov_path_matches_dense_path(monkeypatch):
+    # the two Newton paths on the same _solve_points batches from the same
+    # warm starts: each decade of a batched ray, extrapolated from the two
+    # points before it as solve_path does
     prof = expand_profile(staircase_profile(3), 128, noise=0.5, seed=123)
     assert prof.dim >= solver._KRYLOV_MIN_DIM
-    calls = _record_gmres(monkeypatch)
     radii, rays = np.geomspace(1e-1, 1e-5, 17), (math.pi / 2, 0.3 * math.pi)
-    opts = SolverOptions(tol=suggested_tol(prof, radii[-1]))
-    krylov = [solve_path(prof, ray, radii, opts) for ray in rays]
+    tol = suggested_tol(prof, radii[-1])
+    batches = []
+    for ray in rays:
+        path = solve_path(prof, ray, radii, SolverOptions(tol=tol))
+        for i in range(2, len(radii), 4):
+            r_prev, r_last = radii[i - 2], radii[i - 1]
+            steps = np.log(radii[i:i + 4] / r_last) / math.log(r_last / r_prev)
+            warm = continuation_guess([path[i - 2].m, path[i - 1].m], steps)
+            batches.append((np.array([p.point.z for p in path[i:i + 4]]), warm))
+    calls = _record_gmres(monkeypatch)
+    krylov = [solver._solve_points(prof, z, np.full(len(z), tol), w)
+              for z, w in batches]
     assert calls and all(ok for _, ok in calls)
     monkeypatch.setattr(solver, "_KRYLOV_MIN_DIM", 10**9)
-    dense = [solve_path(prof, ray, radii, opts) for ray in rays]
-    for kpath, dpath in zip(krylov, dense):
-        assert [p.iterations for p in kpath] == [p.iterations for p in dpath]
-        for kp, dp in zip(kpath, dpath):
-            assert np.max(np.abs(kp.m - dp.m) / np.abs(dp.m)) <= 1e-12
-            assert abs(kp.f_norm - dp.f_norm) <= 1e-13
-    for sol in krylov[0]:
-        assert (sol.m.real == 0.0).all()
+    dense = [solver._solve_points(prof, z, np.full(len(z), tol), w)
+             for z, w in batches]
+    for (km, _, k_iters, k_f), (dm, _, d_iters, d_f) in zip(krylov, dense):
+        assert k_iters.tolist() == d_iters.tolist() and k_iters.min() >= 1
+        assert np.max(np.abs(km - dm) / np.abs(dm)) <= 1e-12
+        assert np.max(np.abs(k_f - d_f)) <= 1e-13
+    for m, *_ in krylov[: len(batches) // 2]:  # the ray pi/2
+        assert (m.real == 0.0).all()
+
+
+@pytest.mark.parametrize(
+    "inner, budget_rows", [(48, None), (64, None), (128, None), (64, 3)]
+)
+def test_batched_ray_matches_one_radius_at_a_time(inner, budget_rows, monkeypatch):
+    # solve_path batches each decade of a GMRES-path ray; the reference
+    # solves one radius at a time from the secant of the last two points.
+    # With budget_rows the byte budget holds that many GMRES bases.
+    prof = expand_profile(staircase_profile(3), inner, noise=0.5, seed=5)
+    assert prof.dim >= solver._KRYLOV_MIN_DIM
+    radii = np.geomspace(1e-1, 1e-5, 33)
+    tol = suggested_tol(prof, radii[-1])
+    opts = SolverOptions(tol=tol)
+    rays = (math.pi / 2, 0.3 * math.pi)
+    single = []
+    for ray in rays:
+        path = []
+        for r in radii:
+            re = 0.0 if ray == math.pi / 2 else r * math.cos(ray)
+            point = SpectralPoint(re=re, im=r * math.sin(ray))
+            guess = continuation_guess([sol.m for sol in path[-2:]])
+            path.append(solve(prof, point, opts, warm_start=guess))
+        single.append(path)
+    if budget_rows is not None:
+        row_bytes = (solver._GMRES_MAX_ITER + 1) * prof.dim * 16
+        monkeypatch.setattr(solver, "_STACK_BYTES", budget_rows * row_bytes)
+    sizes = []
+    solve_points = solver._solve_points
+
+    def recorded(profile, z, tol, m):
+        sizes.append(len(z))
+        return solve_points(profile, z, tol, m)
+
+    monkeypatch.setattr(solver, "_solve_points", recorded)
+    eigensolves = _record_eigensolves(monkeypatch)
+    for ray, want in zip(rays, single):
+        got = solve_path(prof, ray, radii, opts)
+        for g, w in zip(got, want):
+            assert g.point == w.point
+            assert g.residual <= tol and g.f_norm < 1.0
+            assert g.iterations >= 1  # no warm start passes untouched
+            assert np.max(np.abs(g.m - w.m) / np.abs(w.m)) <= 10.0 * tol
+            if ray == math.pi / 2:
+                assert (g.m.real == 0.0).all()
+    assert eigensolves == []  # every f_norm is a certified Perron root
+    # 8 radii per decade: two alone, then one batch per decade
+    assert sizes[:2] == [1, 1] and max(sizes) == (budget_rows or 8)
+    assert sum(sizes) == len(rays) * len(radii)
 
 
 def test_gmres_miss_falls_back_to_the_dense_direction(monkeypatch):
@@ -396,7 +483,7 @@ def test_uncertified_f_norm_is_the_eigensolve(monkeypatch):
     monkeypatch.setattr(solver, "_PERRON_MAX_STEPS", 0)
     eigensolves = _record_eigensolves(monkeypatch)
     forced = solve_path(prof, 0.3 * math.pi, radii)
-    assert eigensolves == [1] * len(radii)
+    assert sum(eigensolves) == len(radii)
     for c, f in zip(certified, forced):
         assert (c.m == f.m).all()
         assert f.f_norm == _symmetric_norm2(stability_matrix(f.m, prof))
@@ -410,7 +497,7 @@ def test_f_norm_at_least_one_is_not_certified(monkeypatch):
     assert sol.f_norm > 0.99
     m = 1.01 * sol.m  # F grows by 1.0201, so ||F||_2 > 1
     assert np.linalg.norm(stability_matrix(m, prof), 2) > 1.0
-    assert math.isnan(solver._perron_root(prof.entries, np.abs(m), n))
+    assert np.isnan(solver._perron_roots(prof.entries, np.abs(m)[None], n)).all()
     eigensolves = _record_eigensolves(monkeypatch)
     with pytest.raises(AnomalyError, match="saturation matrix norm"):
         # a tolerance this loose accepts the start, so only f_norm can fail it
@@ -419,9 +506,10 @@ def test_f_norm_at_least_one_is_not_certified(monkeypatch):
 
 
 def test_complex_entries_are_cast_once_per_profile():
-    # a ray casts S once; every per-point solve on a fresh copy of the
-    # profile casts it anew, and both give the same bits
-    prof = expand_profile(staircase_profile(3), 64, noise=0.5, seed=8)
+    # a dense-path ray casts S once; every per-point solve on a fresh copy
+    # of the profile casts it anew, and both give the same bits
+    prof = expand_profile(staircase_profile(3), 40, noise=0.5, seed=8)
+    assert prof.dim < solver._KRYLOV_MIN_DIM
     radii = np.geomspace(1e-1, 1e-5, 13)
     opts = SolverOptions(tol=suggested_tol(prof, radii[-1]))
     path = solve_path(prof, 0.3 * math.pi, radii, opts)
@@ -430,7 +518,7 @@ def test_complex_entries_are_cast_once_per_profile():
     assert (s == prof.entries).all() and prof.block_means.shape == (3, 3)
     fresh, guess = [], None
     for sol in path:
-        copy = expand_profile(staircase_profile(3), 64, noise=0.5, seed=8)
+        copy = expand_profile(staircase_profile(3), 40, noise=0.5, seed=8)
         fresh.append(solve(copy, sol.point, opts, warm_start=guess))
         guess = continuation_guess([f.m for f in fresh[-2:]])
     for a, b in zip(path, fresh):
@@ -503,6 +591,14 @@ def test_continuation_guess_cases():
     newer = np.array([[0.5j, 4j], [-1 + 1j, 1j]])
     guess = continuation_guess([older, newer])
     assert (guess == [[0.25j, 8j], [-1 + 1j, 1j]]).all()
+    # by t steps, one row per t, and t = 1 is the secant
+    guess = continuation_guess([first, second], np.array([1.0, 2.0, 0.5]))
+    assert (guess[:2] == [[0.25j, 8j], [0.125j, 16j]]).all()
+    assert guess[2] == pytest.approx([0.5j * 0.5**0.5, 4j * 2**0.5], rel=1e-15)
+    # 1j -> -1+1j: one step lands on the real axis, half a step does not
+    guess = continuation_guess([np.array([1j]), last], np.array([1.0, 0.5]))
+    assert guess[0] == last[0]
+    assert guess[1] == pytest.approx(last[0] * np.sqrt(1 + 1j), rel=1e-15)
 
 
 def test_solve_path_off_axis_points():
