@@ -263,16 +263,6 @@ def _cmd_mc(config: RunConfig, profile) -> list[str]:
     return lines
 
 
-def _check_expansion(profile, inner: int) -> None:
-    """Reject an expansion to n*N above DIMENSION_CAP before it allocates."""
-    from .profiles import DIMENSION_CAP
-
-    if profile.dim * inner > DIMENSION_CAP:
-        raise ValueError(
-            f"expanded dimension {profile.dim}*{inner} exceeds the cap {DIMENSION_CAP}"
-        )
-
-
 def _expanded_profile(config: RunConfig, profile):
     from .profiles import expand_profile
 
@@ -286,7 +276,6 @@ def _expanded_profile(config: RunConfig, profile):
         raise ValueError(
             "reduce needs a profile with block metadata or --N to expand"
         )
-    _check_expansion(profile, inner)
     return expand_profile(profile, inner, noise=config.noise, seed=config.seed)
 
 
@@ -318,7 +307,6 @@ def _cmd_sweep(config: RunConfig, profile) -> list[str]:
 
     if not config.inner_list:
         raise ValueError("sweep needs --N with at least one block size")
-    _check_expansion(profile, max(config.inner_list))
     result = uniform_bound_sweep(
         profile,
         config.inner_list,

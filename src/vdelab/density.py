@@ -23,8 +23,8 @@ import numpy as np
 
 from .profiles import VarianceProfile
 from .solver import (
-    _STACK_BYTES, SolverOptions, SpectralPoint, _solve_points, continuation_guess,
-    solve, suggested_tol,
+    SolverOptions, SpectralPoint, _solve_points, continuation_guess, solve,
+    suggested_tol,
 )
 
 DEFAULT_ETA_SCHEDULE: tuple[float, ...] = tuple(np.geomspace(1e-2, 1e-6, 5))
@@ -184,9 +184,10 @@ def rho_grid(
     staircase density diverges there).  Mass is integrated by trapezoid
     over the union of the grid with a linear mesh reaching the support
     bound on both sides, so partial grids still report total mass.  Each
-    mesh energy gets rho_at_detailed's descent, all solved together in
-    slices of the mesh; a failure raises in the first slice and eta level
-    where one occurs and names that energy, not always the lowest failing.
+    mesh energy gets rho_at_detailed's descent, the whole mesh one batched
+    solve per eta level, which the solver slices to its memory budget; a
+    failure raises at the first eta level where one occurs and names an
+    energy that failed there, not always the lowest failing.
     """
     grid = np.atleast_1d(np.asarray(e_grid, dtype=float))
     etas = tuple(_validate_schedule(eta_schedule))
@@ -204,17 +205,15 @@ def rho_grid(
     mesh = np.union1d(
         grid, np.concatenate([-lin[::-1], lin, [-e_max, e_max]])
     )
-    # rho_at_detailed's descent, one batched solve per eta level and slice
+    # rho_at_detailed's descent, one batched solve of the mesh per eta level
     tol = np.array([opts.tol if opts else suggested_tol(
         profile, math.hypot(e, etas[-1]), math.hypot(e, etas[0])) for e in mesh])
     raw = np.empty((mesh.size, len(etas)))
-    size = max(1, _STACK_BYTES // (16 * profile.dim**2))
-    for rows in (slice(i, i + size) for i in range(0, mesh.size, size)):
-        ms: list[np.ndarray] = []
-        for j, eta in enumerate(etas):
-            z, warm = mesh[rows] + 1j * eta, continuation_guess(ms)
-            ms.append(_solve_points(profile, z, tol[rows], warm)[0])
-            raw[rows, j] = ms[-1].imag.sum(axis=1) / (math.pi * profile.dim)
+    ms: list[np.ndarray] = []
+    for j, eta in enumerate(etas):
+        m = _solve_points(profile, mesh + 1j * eta, tol, continuation_guess(ms))[0]
+        ms = [*ms[-1:], m]
+        raw[:, j] = m.imag.sum(axis=1) / (math.pi * profile.dim)
     value, err, divergent = _extrapolate(etas, raw)
     rho = np.where(value < 0.0, 0.0, value)  # rho_at_detailed's max(value, 0.0)
     on_grid = np.isin(mesh, grid)

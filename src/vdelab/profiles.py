@@ -499,7 +499,8 @@ def expand_profile(
     uniformly from [s_jk (1 - noise)/N, s_jk (1 + noise)/N]; the draw is a
     deterministic function of the seed.  The matrix is symmetrized by
     averaging with its transpose, which keeps every entry inside its
-    block's bounds.  Zero blocks stay exactly zero.
+    block's bounds.  Zero blocks stay exactly zero.  An n*N above
+    DIMENSION_CAP raises ProfileError before anything is allocated.
     """
     ok, violations = check_assumption_staircase(small)
     if not ok:
@@ -508,6 +509,10 @@ def expand_profile(
         )
     if inner < 1:
         raise ProfileError("inner block size must be positive")
+    if small.dim * inner > DIMENSION_CAP:
+        raise ProfileError(
+            f"expanded dimension {small.dim}*{inner} exceeds the cap {DIMENSION_CAP}"
+        )
     if not 0.0 <= noise < 1.0:
         raise ProfileError(f"noise must lie in [0, 1), got {noise}")
     n = small.dim

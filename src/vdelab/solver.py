@@ -14,9 +14,10 @@ the singularity, while the log-coordinate Jacobian stays benign all the
 way down to the radius floor.  The iteration is written once, batched
 over P points that each keep their own state; solve is its P=1 case,
 rho_grid solves a whole eta level in it, and on the GMRES path below
-solve_path solves a decade of a ray in it.  Each iterate carries its
-product S m: the line search's S*trial of an accepted row is reused by
-the defect and the next Newton step, so each iterate costs one product.
+solve_path solves a decade of a ray in it, each batch in slices that fit
+_STACK_BYTES (_stack_rows).  Each iterate carries its product S m: the
+line search's S*trial of an accepted row is reused by the defect and the
+next Newton step, so each iterate costs one product.
 
 The Newton step solves J delta = -g with J = diag(g-1) + M S M, M =
 diag(m), by a dense LU, except that a profile with block metadata (n
@@ -45,10 +46,10 @@ f_norm is lambda_max of a symmetric eigensolve of F.  On the GMRES path F
 is never built: a block subspace iteration on the map X -> |m|(S(|m|X)),
 started from the n columns |m| U, brackets that root between the Rayleigh
 quotient theta of its top Ritz vector x and the Collatz-Wielandt bound
-max_k (Fx)_k / x_k, valid once x > 0.  The block start spans the n
-outlier eigenvalues of F together, so the iteration converges at the
-ratio of the noise bulk to the outliers, not at the small gap between the
-top two eigenvalues that stalls a single-vector power or Lanczos
+max_k (Fx)_k / x_k, valid once x > 0 or x < 0.  The block start spans
+the n outlier eigenvalues of F together, so the iteration converges at
+the ratio of the noise bulk to the outliers, not at the small gap between
+the top two eigenvalues that stalls a single-vector power or Lanczos
 iteration.  The uncertified rows iterate in lock-step, all their blocks
 in one real GEMM.  A row is certified, with f_norm = theta, when the two
 bounds agree to 1e-14 relative and the upper one is below 1; a row that
@@ -86,9 +87,7 @@ _GMRES_MAX_ITER = 20
 # 1e-14 apart give it to 1e-14 relative, up to the roundoff of F x.
 _PERRON_MAX_STEPS = 30
 _PERRON_RTOL = 1e-14
-# bytes the stacked work arrays of one batched solve may take: a solve_path
-# batch's (_GMRES_MAX_ITER + 1, P, dim) complex GMRES basis, and the
-# (P, dim, dim) complex Jacobians of a rho_grid slice
+# bytes the stacked work arrays of one slice of a batched solve may take
 _STACK_BYTES = 1 << 22
 
 
@@ -130,8 +129,8 @@ class SolverOptions:
     tol: float = 1e-12
 
     def __post_init__(self) -> None:
-        if not self.tol > 0:
-            raise ValueError("tol must be positive")
+        if not 0 < self.tol < math.inf:
+            raise ValueError(f"tol must be positive and finite, got {self.tol}")
 
 
 @dataclass(frozen=True)
@@ -184,12 +183,12 @@ def _perron_roots(s: np.ndarray, am: np.ndarray, n: int) -> np.ndarray:
     each a = |m| > 0, so ||F||_2 is the Perron root of F.  Block subspace
     iteration from the n columns a * U, U the block indicator, with a thin
     QR and a Rayleigh-Ritz step each time; F is applied as a * (S (a * X))
-    and never built.  The top Ritz vector x, once positive, brackets the
-    root between theta = x^T F x / x^T x and c = max_k (Fx)_k / x_k.  The
-    uncertified rows step in lock-step, every block of theirs in one GEMM.
-    A row's root is theta once c - theta <= _PERRON_RTOL * theta and c < 1,
-    and NaN when its bounds meet at c >= 1 or have not met within
-    _PERRON_MAX_STEPS steps.
+    and never built.  The top Ritz vector x, once x > 0 or x < 0, brackets
+    the root between theta = x^T F x / x^T x and c = max_k (Fx)_k / x_k,
+    both unchanged by x -> -x.  The uncertified rows step in lock-step,
+    every block of theirs in one GEMM.  A row's root is theta once
+    c - theta <= _PERRON_RTOL * theta and c < 1, and NaN when its bounds
+    meet at c >= 1 or have not met within _PERRON_MAX_STEPS steps.
     """
     p, dim = am.shape
     out = np.full(p, np.nan)
@@ -205,9 +204,7 @@ def _perron_roots(s: np.ndarray, am: np.ndarray, n: int) -> np.ndarray:
         fq = ((q * a).reshape(-1, dim) @ s).reshape(q.shape) * a
         w = np.linalg.eigh(fq @ q.transpose(0, 2, 1))[1][:, None, :, -1]
         v, fv = (w @ q)[:, 0], (w @ fq)[:, 0]
-        flip = v.sum(axis=1) < 0.0
-        v[flip], fv[flip] = -v[flip], -fv[flip]
-        pos = (v > 0.0).all(axis=1)
+        pos = (v > 0.0).all(axis=1) | (v < 0.0).all(axis=1)
         theta, c = np.full(rows.size, np.nan), np.full(rows.size, np.nan)
         theta[pos] = (v[pos] * fv[pos]).sum(axis=1) / (v[pos] * v[pos]).sum(axis=1)
         c[pos] = (fv[pos] / v[pos]).max(axis=1)
@@ -233,6 +230,14 @@ def _krylov(profile: VarianceProfile) -> bool:
     """Whether the profile takes the GMRES path: block metadata and dim at
     least _KRYLOV_MIN_DIM."""
     return profile.block_meta is not None and profile.dim >= _KRYLOV_MIN_DIM
+
+
+def _stack_rows(profile: VarianceProfile) -> int:
+    """How many rows of a batched solve fit in _STACK_BYTES, at least 1: a
+    row costs a (_GMRES_MAX_ITER + 1, dim) complex GMRES basis on the GMRES
+    path and a (dim, dim) complex Jacobian on the dense path."""
+    row = _GMRES_MAX_ITER + 1 if _krylov(profile) else profile.dim
+    return max(1, _STACK_BYTES // (16 * row * profile.dim))
 
 
 def _matvec(s: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -433,9 +438,16 @@ def _solve_points(profile: VarianceProfile, z, tol, m):
     """Solve -1/m = z + Sm at P points at once, each by the rules of solve.
 
     z and tol have shape (P,), the start vectors m (P, dim), None for
-    i*(1,...,1).  A failing row raises the error of solve, naming its z.
-    Returns m, the residuals, the iteration counts and the f_norms.
+    i*(1,...,1).  The rows go in slices of _stack_rows(profile), in order;
+    a failing row raises the error of solve, naming its z, from the first
+    slice with one.  Returns m, the residuals, iterations and f_norms.
     """
+    size = _stack_rows(profile)
+    if len(z) > size:
+        parts = [_solve_points(profile, z[i:i + size], tol[i:i + size],
+                               None if m is None else m[i:i + size])
+                 for i in range(0, len(z), size)]
+        return tuple(np.concatenate(part) for part in zip(*parts))
     krylov = _krylov(profile)
     s = profile.entries if krylov else profile.complex_entries
     means = profile.block_means if krylov else None
@@ -506,21 +518,18 @@ def solve(
     with block metadata and dim >= _KRYLOV_MIN_DIM, from GMRES on the real
     S, preconditioned by the block-mean Jacobian, with the dense LU as the
     fallback for a step GMRES misses; convergence is judged on the true
-    defect either way.  When z is exactly
-    on the imaginary axis (re == 0.0) and the start vector is purely
-    imaginary, every accepted iterate stays purely imaginary in exact
-    arithmetic, a symmetry the solver preserves bit-for-bit.
+    defect either way.  When z is exactly on the imaginary axis (re ==
+    0.0) and the start vector is purely imaginary, every accepted iterate
+    stays purely imaginary in exact arithmetic, a symmetry the solver
+    preserves bit-for-bit.
 
     Raises ValueError for a warm start of the wrong shape, not finite or
     outside the upper half-plane; SolverError on iteration-budget
     exhaustion, on 50 straight iterations without a new best residual, or
     when a fixed-point half-step is non-finite or leaves the upper
     half-plane; AnomalyError unless the solved point has ||F||_2 < 1 for
-    F = |m| S |m|.  Each message names z.  On the GMRES path ||F||_2 is the
-    Perron root of F, certified by Rayleigh and Collatz-Wielandt bounds
-    that agree to 1e-14 relative with the upper one below 1; otherwise,
-    and for a point the bounds do not certify, it is lambda_max of F from
-    a symmetric eigensolve.
+    F = |m| S |m|, computed as VdeSolution.f_norm says.  Each message
+    names z.
     """
     if opts is None:
         opts = SolverOptions()
@@ -553,17 +562,17 @@ def solve_path(
     Each point warm-starts from continuation_guess of the points before
     it.  On the dense path the points solve one at a time.  On the GMRES
     path (see _krylov) the first two do, and after them each batch holds
-    the radii down to a tenth of the last solved radius, as many as keep
-    the batch's (_GMRES_MAX_ITER + 1, P, dim) complex GMRES basis within
-    _STACK_BYTES.  A batch is one _solve_points call whose rows run in
-    lock-step, so each S product of the batch is one real GEMM; its warm
-    starts extrapolate the last two solved points by t steps, t =
-    log(r/r_last)/log(r_last/r_prev).  Rays within 1e-15 of the imaginary
-    axis are snapped onto it exactly so the pure-imaginary symmetry is
-    preserved.  Radii below 1e-8 are rejected: double precision cannot
-    resolve the singular scales beneath that.  Without opts each point
-    solves at suggested_tol over the smallest radius and its own, so a
-    far-field start cannot loosen the deep end.
+    the radii down to a tenth of the last solved radius, at most
+    _stack_rows of them, as a longer one would be sliced and start its
+    later slices from older points.  A batch is one _solve_points call
+    whose rows run in lock-step, so each S product of the batch is one
+    real GEMM; its warm starts extrapolate the last two solved points by t
+    steps, t = log(r/r_last)/log(r_last/r_prev).  Rays within 1e-15 of the
+    imaginary axis are snapped onto it exactly so the pure-imaginary
+    symmetry is preserved.  Radii below 1e-8 are rejected: double
+    precision cannot resolve the singular scales beneath that.  Without
+    opts each point solves at suggested_tol over the smallest radius and
+    its own, so a far-field start cannot loosen the deep end.
     """
     if not 0.0 < ray_angle < math.pi:
         raise ValueError(f"ray angle must lie in (0, pi), got {ray_angle}")
@@ -610,10 +619,9 @@ def _batch_length(profile: VarianceProfile, radii: list[float], i: int) -> int:
     """How many radii from radii[i] on solve_path solves as one batch."""
     if i < 2 or not _krylov(profile):
         return 1
-    cap = _STACK_BYTES // ((_GMRES_MAX_ITER + 1) * profile.dim * 16)
     # a radius one decade down, up to rounding, still joins the batch
     floor = 0.1 * radii[i - 1] * (1.0 - 1e-9)
-    return max(1, sum(1 for r in radii[i:i + cap] if r >= floor))
+    return max(1, sum(1 for r in radii[i:i + _stack_rows(profile)] if r >= floor))
 
 
 def continuation_guess(previous, steps=None) -> np.ndarray | None:

@@ -278,6 +278,9 @@ def test_validation_failures_exit_one(tmp_path):
                        "--N", "4", "--delta", delta])
     fails_cleanly(["--command", "scan", "--profile", good, "--out", out,
                    "--rmax", "inf"])
+    # an infinite tolerance would count every start as converged
+    fails_cleanly(["--command", "solve", "--profile", good, "--out", out,
+                   "--tol", "inf"])
     fails_cleanly(["--command", "scan", "--profile", good, "--out", out,
                    "--ppd", "100000000"])
     # too large for a float: must not overflow inside the radii product
@@ -286,7 +289,8 @@ def test_validation_failures_exit_one(tmp_path):
     for count in ("0", "99999999"):
         fails_cleanly(["--command", "density", "--profile", good, "--out", out,
                        "--egrid", f"lin:0.1:1:{count}"])
-    # n*N = 2e6 is far above the dimension cap; rejected before expanding
+    # n*N = 2e6 is far above the dimension cap; rejected before expanding,
+    # in sweep after N = 4 has run
     fails_cleanly(["--command", "reduce", "--profile", good, "--out", out,
                    "--N", "1000000"])
     fails_cleanly(["--command", "sweep", "--profile", good, "--out", out,

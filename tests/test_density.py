@@ -22,7 +22,7 @@ from vdelab import (
     staircase_profile,
     support_bound,
 )
-from vdelab import density
+from vdelab import solver
 from vdelab.density import _LINEAR_STEP, _extrapolate
 
 RHO_AT_ZERO = 0.3183098861837907  # 1 / pi
@@ -192,18 +192,46 @@ def test_rho_grid_matches_pointwise_descent(prof, opts, ulps):
 
 
 def test_rho_grid_slices_match_pointwise_descent(monkeypatch):
-    # a mesh whose stacked Jacobians pass the byte budget is solved in
-    # slices, the last one a single energy here; rows are independent, so
-    # the result stays bit for bit the pointwise one.  The grid is the whole
-    # mesh, so every row is compared.
+    # a mesh whose stacked Jacobians pass the solver's byte budget is
+    # solved in slices, the last one a single energy here; rows are
+    # independent, so the result stays bit for bit the pointwise one.  The
+    # grid is the whole mesh, so every row is compared.
     prof = expand_profile(staircase_profile(2), 3, noise=0.5, seed=1)
     grid = _mesh(prof, [-0.42, -0.13, -0.01, 0.02, 0.17, 0.33, 0.44])
     want = _pointwise_grid(prof, grid)
     rows = next(k for k in range(2, grid.size) if grid.size % k == 1)
-    monkeypatch.setattr(density, "_STACK_BYTES", 16 * prof.dim**2 * rows)
+    monkeypatch.setattr(solver, "_STACK_BYTES", 16 * prof.dim**2 * rows)
     dp = rho_grid(prof, grid)
     got = (dp.rho, dp.error_estimates, dp.divergent, dp.total_mass)
     assert all((np.asarray(g) == w).all() for g, w in zip(got, want))
+
+
+def test_rho_grid_gmres_slices_hold_several_energies(monkeypatch):
+    # on the GMRES path a row of a slice costs its GMRES basis, not a dense
+    # Jacobian, so a budget of a few bases gives slices of a few energies,
+    # each slice one lock-step batch
+    prof = expand_profile(staircase_profile(3), 48, noise=0.5, seed=5)
+    assert solver._krylov(prof)
+    grid, etas = [-0.42, -0.13, -0.01, 0.02, 0.17, 0.33, 0.44], (1e-1, 1e-2, 1e-3)
+    tol = 1e-12  # suggested_tol on every mesh energy of this schedule
+    want = rho_grid(prof, grid, etas)
+    size = _mesh(prof, grid).size
+    rows = next(k for k in range(3, size) if size % k != 1)
+    row_bytes = 16 * (solver._GMRES_MAX_ITER + 1) * prof.dim
+    monkeypatch.setattr(solver, "_STACK_BYTES", rows * row_bytes)
+    slices = []
+    solve_points = solver._solve_points
+
+    def recorded(profile, z, tol, m):
+        slices.append(len(z))
+        return solve_points(profile, z, tol, m)
+
+    monkeypatch.setattr(solver, "_solve_points", recorded)
+    got = rho_grid(prof, grid, etas)
+    assert len(slices) == len(etas) * -(-size // rows) and min(slices) > 1
+    assert max(slices) == rows
+    assert (np.abs(got.rho - want.rho) <= 10 * tol * want.rho).all()
+    assert abs(got.total_mass - want.total_mass) <= 10 * tol * want.total_mass
 
 
 def test_rho_grid_failure_names_the_energy():

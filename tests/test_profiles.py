@@ -470,3 +470,17 @@ def test_expand_profile_errors():
         expand_profile(small, 2, noise=1.0)
     with pytest.raises(ProfileError):
         expand_profile(VarianceProfile(np.array([[0.0, 1.0], [1.0, 0.0]])), 2)
+
+
+def test_expand_profile_rejects_a_dimension_above_the_cap():
+    # n*N = 3e9 would ask for about 7e19 bytes; the cap must fire first
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        with pytest.raises(ProfileError, match="exceeds the cap"):
+            expand_profile(staircase_profile(3), 10**9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20

@@ -143,8 +143,9 @@ def test_non_finite_start_fails_without_warnings():
 
 
 def test_option_and_point_validation():
-    with pytest.raises(ValueError):
-        SolverOptions(tol=0.0)
+    for tol in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            SolverOptions(tol=tol)
     with pytest.raises(ValueError):
         SpectralPoint(re=0.0, im=0.0)
     with pytest.raises(ValueError):
