@@ -200,6 +200,9 @@ def _parse_egrid(spec: str, profile):
             raise ValueError(
                 f"bad egrid spec {spec!r}, count must lie in [1, {MAX_RADII}]"
             )
+        # np.linspace steps by (hi - lo) / (count - 1), which must be finite
+        if not math.isfinite(hi - lo):
+            raise ValueError(f"bad egrid spec {spec!r}, hi - lo must be finite")
         return np.linspace(lo, hi, count)
     return np.array([float(v) for v in spec.split(",")])
 

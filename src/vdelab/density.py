@@ -8,10 +8,10 @@ process on the last three values, in closed form for every energy at
 once; when the increments grow instead of shrinking, or a positive
 descent extrapolates below minus its last value, the point is flagged
 divergent and the last raw value is reported.
-rho_at_detailed descends one energy, rho_grid every energy of its mesh
-together, one batched solve per eta level.  The staircase profiles this
-package targets have an integrable power-law divergence at E = 0,
-characterized by a log-log window fit rather than a pointwise value.
+rho_at_detailed descends one energy, rho_grid its mesh in batched chunks.
+The staircase profiles this package targets have an integrable power-law
+divergence at E = 0, characterized by a log-log window fit rather than a
+pointwise value.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ import numpy as np
 
 from .profiles import VarianceProfile
 from .solver import (
-    SolverOptions, SpectralPoint, _solve_points, continuation_guess, solve,
-    suggested_tol,
+    SolverOptions, SpectralPoint, _solve_points, _stack_rows, continuation_guess,
+    solve, suggested_tol,
 )
 
 DEFAULT_ETA_SCHEDULE: tuple[float, ...] = tuple(np.geomspace(1e-2, 1e-6, 5))
@@ -74,8 +74,8 @@ def _validate_schedule(eta_schedule) -> list[float]:
     etas = [float(v) for v in eta_schedule]
     if len(etas) < 3:
         raise ValueError("eta schedule needs at least 3 values")
-    if any(not v > 0 for v in etas):
-        raise ValueError("eta schedule must be positive")
+    if any(not 0 < v < math.inf for v in etas):
+        raise ValueError("eta schedule must be positive and finite")
     if any(b >= a for a, b in zip(etas, etas[1:])):
         raise ValueError("eta schedule must be strictly descending")
     if math.log10(etas[0] / etas[-1]) < 2.0 - 1e-9:
@@ -184,10 +184,10 @@ def rho_grid(
     staircase density diverges there).  Mass is integrated by trapezoid
     over the union of the grid with a linear mesh reaching the support
     bound on both sides, so partial grids still report total mass.  Each
-    mesh energy gets rho_at_detailed's descent, the whole mesh one batched
-    solve per eta level, which the solver slices to its memory budget; a
-    failure raises at the first eta level where one occurs and names an
-    energy that failed there, not always the lowest failing.
+    mesh energy gets rho_at_detailed's descent, in chunks of
+    _stack_rows(profile) energies, each one batched solve per eta level; a
+    failure raises at the first chunk, then eta level, where one occurs and
+    names an energy that failed there, not always the lowest failing.
     """
     grid = np.atleast_1d(np.asarray(e_grid, dtype=float))
     etas = tuple(_validate_schedule(eta_schedule))
@@ -205,15 +205,17 @@ def rho_grid(
     mesh = np.union1d(
         grid, np.concatenate([-lin[::-1], lin, [-e_max, e_max]])
     )
-    # rho_at_detailed's descent, one batched solve of the mesh per eta level
+    # rho_at_detailed's descent, one batched solve of a chunk per eta level
     tol = np.array([opts.tol if opts else suggested_tol(
         profile, math.hypot(e, etas[-1]), math.hypot(e, etas[0])) for e in mesh])
     raw = np.empty((mesh.size, len(etas)))
-    ms: list[np.ndarray] = []
-    for j, eta in enumerate(etas):
-        m = _solve_points(profile, mesh + 1j * eta, tol, continuation_guess(ms))[0]
-        ms = [*ms[-1:], m]
-        raw[:, j] = m.imag.sum(axis=1) / (math.pi * profile.dim)
+    size = _stack_rows(profile)
+    for i in range(0, mesh.size, size):
+        e, t, ms = mesh[i:i + size], tol[i:i + size], []
+        for j, eta in enumerate(etas):
+            m = _solve_points(profile, e + 1j * eta, t, continuation_guess(ms))[0]
+            ms = [*ms[-1:], m]
+            raw[i:i + size, j] = m.imag.sum(axis=1) / (math.pi * profile.dim)
     value, err, divergent = _extrapolate(etas, raw)
     rho = np.where(value < 0.0, 0.0, value)  # rho_at_detailed's max(value, 0.0)
     on_grid = np.isin(mesh, grid)

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import Philox
 
-from .density import DEFAULT_ETA_SCHEDULE, rho_at
+from .density import DEFAULT_ETA_SCHEDULE, _validate_schedule, rho_at
 from .profiles import DIMENSION_CAP, VarianceProfile
 from .solver import AnomalyError, SolverOptions, SpectralPoint, solve
 
@@ -57,6 +57,10 @@ class EnsembleSpec:
     def __post_init__(self) -> None:
         if self.inner_N < 2:
             raise ValueError("inner_N must be at least 2")
+        # checked before any d x d matrix is allocated
+        if self.dimension > DIMENSION_CAP:
+            raise ValueError(f"matrix side {self.dimension} exceeds the dimension "
+                             f"cap {DIMENSION_CAP}")
         if not 1 <= self.trials <= TRIALS_CAP:
             raise ValueError(f"trials must lie in [1, {TRIALS_CAP}], got {self.trials}")
         if self.symmetry not in (REAL_SYMMETRIC, COMPLEX_HERMITIAN):
@@ -344,14 +348,15 @@ def predicted_near_zero_mass(
     exponent -(n-1)/(n+1) stays above -1, so the integral is finite; a
     fitted s <= -1 would contradict that and raises AnomalyError.
 
-    Raises ValueError unless delta > 0, and for a delta below 1000 times
-    the schedule's smallest eta, where the fit window reaches energies the
-    eta extrapolation cannot resolve and the fitted law comes out wrong.
+    Raises ValueError unless delta > 0, for a schedule rho_at rejects,
+    and for a delta below 1000 times the schedule's smallest eta, where
+    the fit window reaches energies the eta extrapolation cannot resolve
+    and the fitted law comes out wrong.
     empirical_near_zero and the mc command rely on this check of delta.
     """
     if not delta > 0:
         raise ValueError(f"delta must be positive, got {delta}")
-    floor = 1000.0 * float(min(eta_schedule))
+    floor = 1000.0 * _validate_schedule(eta_schedule)[-1]
     if delta < floor:
         raise ValueError(
             f"delta {delta:.3g} below the resolvable floor {floor:.3g} "
@@ -396,10 +401,6 @@ def empirical_near_zero(
     which also validates delta).
     """
     d = spec.dimension
-    if d > DIMENSION_CAP:
-        raise ValueError(
-            f"matrix side {d} exceeds the dimension cap {DIMENSION_CAP}"
-        )
     # predict first, so a delta the density cannot resolve fails before
     # any matrix is sampled
     prediction = predicted_near_zero_mass(spec.small_profile, delta, eta_schedule)

@@ -13,11 +13,12 @@ Jacobian of the raw defect is ill-conditioned like r^{-2(n-1)/(n+1)} near
 the singularity, while the log-coordinate Jacobian stays benign all the
 way down to the radius floor.  The iteration is written once, batched
 over P points that each keep their own state; solve is its P=1 case,
-rho_grid solves a whole eta level in it, and on the GMRES path below
-solve_path solves a decade of a ray in it, each batch in slices that fit
-_STACK_BYTES (_stack_rows).  Each iterate carries its product S m: the
-line search's S*trial of an accepted row is reused by the defect and the
-next Newton step, so each iterate costs one product.
+rho_grid solves a chunk of its mesh per eta level in it, and on the
+GMRES path below solve_path solves a decade of a ray in it.  Each batcher
+sizes its batches to fit _STACK_BYTES (_stack_rows).  Each iterate
+carries its product S m: the line search's S*trial of an accepted row is
+reused by the defect and the next Newton step, so each iterate costs one
+product.
 
 The Newton step solves J delta = -g with J = diag(g-1) + M S M, M =
 diag(m), by a dense LU, except that a profile with block metadata (n
@@ -87,7 +88,7 @@ _GMRES_MAX_ITER = 20
 # 1e-14 apart give it to 1e-14 relative, up to the roundoff of F x.
 _PERRON_MAX_STEPS = 30
 _PERRON_RTOL = 1e-14
-# bytes the stacked work arrays of one slice of a batched solve may take
+# bytes the stacked work arrays of one batched solve may take
 _STACK_BYTES = 1 << 22
 
 
@@ -438,16 +439,11 @@ def _solve_points(profile: VarianceProfile, z, tol, m):
     """Solve -1/m = z + Sm at P points at once, each by the rules of solve.
 
     z and tol have shape (P,), the start vectors m (P, dim), None for
-    i*(1,...,1).  The rows go in slices of _stack_rows(profile), in order;
-    a failing row raises the error of solve, naming its z, from the first
-    slice with one.  Returns m, the residuals, iterations and f_norms.
+    i*(1,...,1).  The caller sizes the batch: at most _stack_rows(profile)
+    rows keep the stacked work arrays within _STACK_BYTES.  A failing row
+    raises the error of solve, naming its z.  Returns m, the residuals,
+    iterations and f_norms.
     """
-    size = _stack_rows(profile)
-    if len(z) > size:
-        parts = [_solve_points(profile, z[i:i + size], tol[i:i + size],
-                               None if m is None else m[i:i + size])
-                 for i in range(0, len(z), size)]
-        return tuple(np.concatenate(part) for part in zip(*parts))
     krylov = _krylov(profile)
     s = profile.entries if krylov else profile.complex_entries
     means = profile.block_means if krylov else None
@@ -563,13 +559,12 @@ def solve_path(
     it.  On the dense path the points solve one at a time.  On the GMRES
     path (see _krylov) the first two do, and after them each batch holds
     the radii down to a tenth of the last solved radius, at most
-    _stack_rows of them, as a longer one would be sliced and start its
-    later slices from older points.  A batch is one _solve_points call
-    whose rows run in lock-step, so each S product of the batch is one
-    real GEMM; its warm starts extrapolate the last two solved points by t
-    steps, t = log(r/r_last)/log(r_last/r_prev).  Rays within 1e-15 of the
-    imaginary axis are snapped onto it exactly so the pure-imaginary
-    symmetry is preserved.  Radii below 1e-8 are rejected: double
+    _stack_rows of them (_batch_length), so it fits _STACK_BYTES.  A
+    batch is one _solve_points call whose rows run in lock-step, so each S
+    product of the batch is one real GEMM; its warm starts extrapolate the
+    last two solved points by t steps, t = log(r/r_last)/log(r_last/r_prev).
+    Rays within 1e-15 of the imaginary axis are snapped onto it exactly so
+    the pure-imaginary symmetry is preserved.  Radii below 1e-8 are rejected: double
     precision cannot resolve the singular scales beneath that.  Without
     opts each point solves at suggested_tol over the smallest radius and
     its own, so a far-field start cannot loosen the deep end.
@@ -616,7 +611,8 @@ def solve_path(
 
 
 def _batch_length(profile: VarianceProfile, radii: list[float], i: int) -> int:
-    """How many radii from radii[i] on solve_path solves as one batch."""
+    """How many radii from radii[i] on solve_path solves as one batch: the
+    radii of the next decade, at most _stack_rows(profile) of them."""
     if i < 2 or not _krylov(profile):
         return 1
     # a radius one decade down, up to rounding, still joins the batch

@@ -253,6 +253,7 @@ def test_validation_failures_exit_one(tmp_path):
     out = str(tmp_path / "o.txt")
     good = write_profile(tmp_path, "good.json", STAIR2)
     bad = write_profile(tmp_path, "bad.json", "{not json")
+    stair3 = write_profile(tmp_path, "stair3.json", STAIR3)
 
     def fails_cleanly(args, env_extra=None):
         # an uncaught exception also exits 1, so rule out a traceback
@@ -273,6 +274,16 @@ def test_validation_failures_exit_one(tmp_path):
     fails_cleanly(["--command", "bogus", "--profile", good, "--out", out])
     fails_cleanly(["--command", "density", "--profile", good, "--out", out,
                    "--egrid", "lin:1:2"])
+    # hi - lo overflows to inf: rejected before np.linspace warns
+    span = fails_cleanly(["--command", "density", "--profile", good, "--out", out,
+                          "--egrid", "lin:-1e308:1e308:3"])
+    assert "RuntimeWarning" not in span.stderr
+    # an infinite eta is a bad schedule, not a solver failure
+    for tol in ([], ["--tol", "1e-10"]):
+        inf_eta = fails_cleanly(["--command", "density", "--profile", stair3,
+                                 "--out", out, "--eta-schedule", "inf,1,0.1,0.01",
+                                 "--egrid", "0.1,0.2", *tol])
+        assert "eta schedule" in inf_eta.stderr
     for delta in ("0", "nan", "-1"):
         fails_cleanly(["--command", "mc", "--profile", good, "--out", out,
                        "--N", "4", "--delta", delta])
@@ -297,6 +308,9 @@ def test_validation_failures_exit_one(tmp_path):
                    "--N", "4,1000000"])
     fails_cleanly(["--command", "mc", "--profile", good, "--out", out,
                    "--N", "4,8"])
+    # d = 3*2000 = 6000: EnsembleSpec rejects it before any matrix exists
+    fails_cleanly(["--command", "mc", "--profile", stair3, "--out", out,
+                   "--N", "2000"])
     fails_cleanly(["--command", "mc", "--profile", good, "--out", out,
                    "--N", ""])
     fails_cleanly(["--command", "density", "--profile", good, "--out", out,

@@ -1,6 +1,7 @@
 """Density extrapolation against the semicircle law and divergence fitting."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from vdelab import (
     DensityProfile,
     SolverError,
     SolverOptions,
+    VarianceProfile,
     default_energy_grid,
     divergence_fit,
     expand_profile,
@@ -22,7 +24,7 @@ from vdelab import (
     staircase_profile,
     support_bound,
 )
-from vdelab import solver
+from vdelab import density, solver
 from vdelab.density import _LINEAR_STEP, _extrapolate
 
 RHO_AT_ZERO = 0.3183098861837907  # 1 / pi
@@ -74,6 +76,9 @@ def test_schedule_validation():
         rho_at(prof, 0.5, eta_schedule=(1e-2, 5e-3, 2e-3))
     with pytest.raises(ValueError, match="positive"):
         rho_at(prof, 0.5, eta_schedule=(1e-2, 1e-3, 0.0))
+    for top in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="positive and finite"):
+            rho_at(prof, 0.5, eta_schedule=(top, 1.0, 0.1, 0.01))
     # the extrapolation reads the last three etas as a geometric sequence
     for etas in (NON_GEOMETRIC, (1e-1, 1e-3, 1e-4, 2e-6)):
         with pytest.raises(ValueError, match="geometric"):
@@ -192,8 +197,8 @@ def test_rho_grid_matches_pointwise_descent(prof, opts, ulps):
 
 
 def test_rho_grid_slices_match_pointwise_descent(monkeypatch):
-    # a mesh whose stacked Jacobians pass the solver's byte budget is
-    # solved in slices, the last one a single energy here; rows are
+    # a mesh whose stacked Jacobians pass the solver's byte budget
+    # descends in chunks, the last one a single energy here; rows are
     # independent, so the result stays bit for bit the pointwise one.  The
     # grid is the whole mesh, so every row is compared.
     prof = expand_profile(staircase_profile(2), 3, noise=0.5, seed=1)
@@ -207,9 +212,9 @@ def test_rho_grid_slices_match_pointwise_descent(monkeypatch):
 
 
 def test_rho_grid_gmres_slices_hold_several_energies(monkeypatch):
-    # on the GMRES path a row of a slice costs its GMRES basis, not a dense
-    # Jacobian, so a budget of a few bases gives slices of a few energies,
-    # each slice one lock-step batch
+    # on the GMRES path a row of a chunk costs its GMRES basis, not a dense
+    # Jacobian, so a budget of a few bases gives chunks of a few energies,
+    # each chunk one lock-step batch per eta level
     prof = expand_profile(staircase_profile(3), 48, noise=0.5, seed=5)
     assert solver._krylov(prof)
     grid, etas = [-0.42, -0.13, -0.01, 0.02, 0.17, 0.33, 0.44], (1e-1, 1e-2, 1e-3)
@@ -219,19 +224,51 @@ def test_rho_grid_gmres_slices_hold_several_energies(monkeypatch):
     rows = next(k for k in range(3, size) if size % k != 1)
     row_bytes = 16 * (solver._GMRES_MAX_ITER + 1) * prof.dim
     monkeypatch.setattr(solver, "_STACK_BYTES", rows * row_bytes)
-    slices = []
-    solve_points = solver._solve_points
-
-    def recorded(profile, z, tol, m):
-        slices.append(len(z))
-        return solve_points(profile, z, tol, m)
-
-    monkeypatch.setattr(solver, "_solve_points", recorded)
+    slices = _record_solve_points(monkeypatch)
     got = rho_grid(prof, grid, etas)
     assert len(slices) == len(etas) * -(-size // rows) and min(slices) > 1
     assert max(slices) == rows
     assert (np.abs(got.rho - want.rho) <= 10 * tol * want.rho).all()
     assert abs(got.total_mass - want.total_mass) <= 10 * tol * want.total_mass
+
+
+def _record_solve_points(monkeypatch):
+    # the batch size of every _solve_points call rho_grid makes
+    sizes = []
+    solve_points = density._solve_points
+
+    def recorded(profile, z, tol, m):
+        sizes.append(len(z))
+        return solve_points(profile, z, tol, m)
+
+    monkeypatch.setattr(density, "_solve_points", recorded)
+    return sizes
+
+
+def test_rho_grid_memory_does_not_grow_with_the_mesh(monkeypatch):
+    # each chunk of the mesh descends through every eta level on its own,
+    # so no array of rho_grid spans the whole mesh times dim.  The profile
+    # is stair3 scaled by 1/100 (support bound 0.85), so the linear mesh is
+    # short and the grid, outside the support where the solves are quick,
+    # sets the mesh size: 86 energies against 436.
+    small = VarianceProfile(staircase_profile(3).entries / 100.0)
+    prof = expand_profile(small, 48, noise=0.5, seed=5)
+    assert solver._krylov(prof)
+    row_bytes = 16 * (solver._GMRES_MAX_ITER + 1) * prof.dim
+    monkeypatch.setattr(solver, "_STACK_BYTES", 16 * row_bytes)
+    etas = (1e-1, 1e-2, 1e-3)
+    rho_grid(prof, [0.5], etas)  # caches the block means outside the peaks
+    sizes = _record_solve_points(monkeypatch)
+    peaks = []
+    for count in (50, 400):
+        tracemalloc.start()
+        try:
+            rho_grid(prof, np.linspace(1.0, 5.0, count), etas)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.1 * peaks[0]
+    assert max(sizes) == solver._stack_rows(prof) == 16
 
 
 def test_rho_grid_failure_names_the_energy():

@@ -427,13 +427,32 @@ def test_delta_below_schedule_floor_rejected():
 
 
 def test_dimension_cap():
-    spec = spec_for(n=2, inner=2500)  # 5000 > 4000
+    # the spec owns the cap, so sample_matrix, sample_spectrum, the
+    # near-zero count and the entrywise check never see a larger side
     with pytest.raises(ValueError, match="cap"):
-        empirical_near_zero(spec, 0.1)
-    # 4002 is the first side over the cap for n = 2; it fails before the
-    # prediction, so even a bad delta reports the cap
-    with pytest.raises(ValueError, match="cap 4000"):
-        empirical_near_zero(spec_for(n=2, inner=2001), 0.0)
+        spec_for(n=2, inner=2500)  # 5000 > 4000
+    assert spec_for(n=2, inner=2000).dimension == 4000
+    # 4002 is the first side over the cap for n = 2; nothing of its
+    # 128 MB matrix is allocated
+    prof = staircase_profile(2)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="cap 4000"):
+            EnsembleSpec(prof, 2001)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_prediction_validates_the_schedule():
+    # the delta floor reads the schedule's smallest eta, so a schedule
+    # rho_at would reject is reported as such, not as a floor violation
+    prof = staircase_profile(2)
+    with pytest.raises(ValueError, match="at least 3"):
+        predicted_near_zero_mass(prof, 1.0, eta_schedule=(1.0, 0.5))
+    with pytest.raises(ValueError, match="positive and finite"):
+        predicted_near_zero_mass(prof, 20.0, eta_schedule=(math.inf, 1.0, 0.1, 0.01))
 
 
 def test_uniform_floor_keeps_normals_finite():

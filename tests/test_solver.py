@@ -376,6 +376,7 @@ def test_batched_ray_matches_one_radius_at_a_time(inner, budget_rows, monkeypatc
     assert eigensolves == []  # every f_norm is a certified Perron root
     # 8 radii per decade: two alone, then one batch per decade
     assert sizes[:2] == [1, 1] and max(sizes) == (budget_rows or 8)
+    assert max(sizes) <= solver._stack_rows(prof)  # solve_path sizes its batches
     assert sum(sizes) == len(rays) * len(radii)
 
 
