@@ -34,6 +34,7 @@ _EXPORTS = {
     "classify_regime": "profiles",
     "expand_profile": "profiles",
     "RECTANGLE_SEARCH_CAP": "profiles",
+    "RECTANGLE_COUNT_CAP": "profiles",
     "DIMENSION_CAP": "profiles",
     "REGIME_BOUNDED": "profiles",
     "REGIME_CRITICAL": "profiles",

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import Philox
 
-from .density import DEFAULT_ETA_SCHEDULE, _validate_schedule, rho_at
+from .density import DEFAULT_ETA_SCHEDULE, _validate_schedule, rho_at, support_bound
 from .profiles import DIMENSION_CAP, VarianceProfile
 from .solver import AnomalyError, SolverOptions, SpectralPoint, solve
 
@@ -351,7 +351,8 @@ def predicted_near_zero_mass(
     Raises ValueError unless delta > 0, for a schedule rho_at rejects,
     and for a delta below 1000 times the schedule's smallest eta, where
     the fit window reaches energies the eta extrapolation cannot resolve
-    and the fitted law comes out wrong.
+    and the fitted law comes out wrong, or for a delta that is not finite
+    or exceeds support_bound(profile), where the window leaves the spectrum.
     empirical_near_zero and the mc command rely on this check of delta.
     """
     if not delta > 0:
@@ -361,6 +362,12 @@ def predicted_near_zero_mass(
         raise ValueError(
             f"delta {delta:.3g} below the resolvable floor {floor:.3g} "
             "(1000 times the smallest eta of the schedule)"
+        )
+    bound = support_bound(profile)
+    if not delta <= bound:
+        raise ValueError(
+            f"delta {delta:.3g} must be finite and at most the support bound "
+            f"{bound:.3g} (2 sqrt(max row sum) + 0.5)"
         )
     energies = np.geomspace(delta / 100.0, delta, 17)
     vals = np.array([rho_at(profile, float(e), eta_schedule) for e in energies])

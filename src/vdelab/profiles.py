@@ -23,6 +23,8 @@ from functools import cached_property
 import numpy as np
 
 RECTANGLE_SEARCH_CAP = 20
+# most maximal zero rectangles an enumeration may hold (np.eye(14) has 2**14 - 2)
+RECTANGLE_COUNT_CAP = 2**14
 # largest dense matrix side n*N: sampled ensembles and block expansions
 DIMENSION_CAP = 4000
 
@@ -36,7 +38,8 @@ class ProfileError(ValueError):
 
 
 class EnumerationCapError(ProfileError):
-    """Matrix side length exceeds the zero-rectangle search cap."""
+    """Matrix side over RECTANGLE_SEARCH_CAP, or more maximal zero
+    rectangles than RECTANGLE_COUNT_CAP."""
 
 
 class StaircasePatternError(ProfileError):
@@ -264,30 +267,15 @@ def random_staircase_profile(
     return VarianceProfile(a)
 
 
-def _row_zero_masks(entries: np.ndarray) -> list[int]:
-    dim = entries.shape[0]
-    masks = []
-    for i in range(dim):
-        mask = 0
-        for j in range(dim):
-            if entries[i, j] == 0.0:
-                mask |= 1 << j
-        masks.append(mask)
-    return masks
-
-
-def _bits(mask: int, dim: int) -> tuple[int, ...]:
-    return tuple(j + 1 for j in range(dim) if mask >> j & 1)
-
-
 def maximal_zero_rectangles(profile: VarianceProfile) -> list[ZeroRectangle]:
     """All maximal all-zero rectangles (maximal bicliques of the zero pattern).
 
     Row and column index sets need not be contiguous: a zero block in this
-    sense survives any simultaneous row/column permutation.  The search
-    walks closures of column intersections over row subsets, pruning empty
-    intersections and deduplicating closed sets, so the list is complete
-    and duplicate-free.  Worst case exponential, hence the hard cap.
+    sense survives any simultaneous row/column permutation.  One pass over
+    the rows' zero masks r grows the closures C to C | {c & r : c in C} | {r},
+    dropping empty ones, so after k rows C holds every nonempty intersection
+    of the first k masks; each is a maximal rectangle, since the rows holding
+    it intersect back to it.  Worst case exponential, hence both caps.
 
     Returns rectangles sorted by descending perimeter, then by row/column
     sets for determinism.
@@ -297,25 +285,22 @@ def maximal_zero_rectangles(profile: VarianceProfile) -> list[ZeroRectangle]:
         raise EnumerationCapError(
             f"dim {dim} exceeds rectangle search cap {RECTANGLE_SEARCH_CAP}"
         )
-    row_masks = _row_zero_masks(profile.entries)
+    # bit j of row i's mask is set where s_ij == 0; exact in int64 up to the cap
+    row_masks = ((profile.entries == 0.0) @ (1 << np.arange(dim))).tolist()
     closures: set[int] = set()
-    frontier = {m for m in row_masks if m}
-    closures |= frontier
-    while frontier:
-        grown: set[int] = set()
-        for cmask in frontier:
-            for rmask in row_masks:
-                c2 = cmask & rmask
-                if c2 and c2 not in closures:
-                    closures.add(c2)
-                    grown.add(c2)
-        frontier = grown
-    # each closure is an intersection of row masks, so the rows holding it
-    # intersect back to it: every one is a maximal rectangle
-    rects = []
-    for cmask in closures:
-        rows = tuple(i + 1 for i in range(dim) if row_masks[i] & cmask == cmask)
-        rects.append(ZeroRectangle(rows=rows, cols=_bits(cmask, dim)))
+    for rmask in filter(None, row_masks):
+        closures |= {d for c in closures if (d := c & rmask)} | {rmask}
+        if len(closures) > RECTANGLE_COUNT_CAP:
+            raise EnumerationCapError(
+                f"more than {RECTANGLE_COUNT_CAP} maximal zero rectangles"
+            )
+    rects = [
+        ZeroRectangle(
+            rows=tuple(i + 1 for i, r in enumerate(row_masks) if r & c == c),
+            cols=tuple(j + 1 for j in range(dim) if c >> j & 1),
+        )
+        for c in closures
+    ]
     rects.sort(key=lambda r: (-r.perimeter, r.rows, r.cols))
     return rects
 

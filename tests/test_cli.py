@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from vdelab import cli
@@ -287,6 +288,18 @@ def test_validation_failures_exit_one(tmp_path):
     for delta in ("0", "nan", "-1"):
         fails_cleanly(["--command", "mc", "--profile", good, "--out", out,
                        "--N", "4", "--delta", delta])
+    # delta outside the spectrum: refused before numpy sees inf - inf
+    for delta in ("inf", "1e100"):
+        wide = fails_cleanly(["--command", "mc", "--profile", stair3, "--out", out,
+                              "--N", "4", "--delta", delta])
+        assert "RuntimeWarning" not in wide.stderr
+        assert "support bound" in wide.stderr
+    # the 20x20 identity has 2**20 - 2 maximal zero rectangles, over the cap
+    eye = write_profile(tmp_path, "eye20.json",
+                        json.dumps({"matrix": np.eye(20).tolist()}))
+    many = fails_cleanly(["--command", "classify", "--profile", eye, "--out", out])
+    assert "RuntimeWarning" not in many.stderr
+    assert "maximal zero rectangles" in many.stderr
     fails_cleanly(["--command", "scan", "--profile", good, "--out", out,
                    "--rmax", "inf"])
     # an infinite tolerance would count every start as converged

@@ -426,6 +426,17 @@ def test_delta_below_schedule_floor_rejected():
     assert predicted_near_zero_mass(prof, 1e-3) > 0.0
 
 
+def test_delta_beyond_support_rejected():
+    # 2 sqrt(3) + 0.5 = 3.96 on the 3x3 staircase: the window would leave
+    # the spectrum, and an infinite delta would reach numpy as inf - inf
+    prof = staircase_profile(3)
+    for delta in (math.inf, 1e100, 3.97):
+        with pytest.raises(ValueError, match="finite and at most the support bound 3.96"):
+            predicted_near_zero_mass(prof, delta)
+    with pytest.raises(ValueError, match="support bound"):
+        empirical_near_zero(spec_for(n=3, inner=4), math.inf)
+
+
 def test_dimension_cap():
     # the spec owns the cap, so sample_matrix, sample_spectrum, the
     # near-zero count and the entrywise check never see a larger side

@@ -1,5 +1,7 @@
 """Profile validation, zero-rectangle enumeration, and structure analysis."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from oracles import (
 from vdelab import (
     EnumerationCapError,
     ProfileError,
+    RECTANGLE_COUNT_CAP,
     RECTANGLE_SEARCH_CAP,
     REGIME_BOUNDED,
     REGIME_CRITICAL,
@@ -189,19 +192,38 @@ def test_rectangle_examples():
 
 
 def test_rectangles_match_brute_force_on_staircases():
-    for n in range(1, 9):
+    rng = np.random.default_rng(5)
+    for n in range(1, 21):
         prof = staircase_profile(n)
-        got = as_pairs(maximal_zero_rectangles(prof))
-        assert got == brute_maximal_rectangles(prof.entries)
+        rects = maximal_zero_rectangles(prof)
         # n-1 critical rectangles, every perimeter exactly 2n
-        assert len(got) == n - 1
-        assert all(r.perimeter == 2 * n for r in maximal_zero_rectangles(prof))
+        assert len(rects) == n - 1
+        assert all(r.perimeter == 2 * n for r in rects)
+        # seeded zeros in the free region (1-based i + j < n) keep a staircase
+        a = prof.entries.copy()
+        i, j = np.triu_indices(n)
+        hit = (i + j + 2 < n) & (rng.random(len(i)) < 0.5)
+        a[i[hit], j[hit]] = a[j[hit], i[hit]] = 0.0
+        assert check_assumption_staircase(VarianceProfile(a))[0]
+        noisy = maximal_zero_rectangles(VarianceProfile(a))
+        if n <= 12:
+            assert as_pairs(rects) == brute_maximal_rectangles(prof.entries)
+            assert as_pairs(noisy) == brute_maximal_rectangles(a)
+            continue
+        # past the oracle's reach: each rectangle is all-zero and maximal
+        assert len(noisy) <= RECTANGLE_COUNT_CAP
+        zero = a == 0.0
+        for r in noisy:
+            rows, cols = np.array(r.rows) - 1, np.array(r.cols) - 1
+            assert zero[np.ix_(rows, cols)].all()
+            assert tuple(np.flatnonzero(zero[:, cols].all(axis=1)) + 1) == r.rows
+            assert tuple(np.flatnonzero(zero[rows].all(axis=0)) + 1) == r.cols
 
 
 def test_rectangles_match_brute_force_on_random_patterns():
     rng = np.random.default_rng(7)
     for _ in range(40):
-        dim = int(rng.integers(1, 7))
+        dim = int(rng.integers(1, 11))
         u = np.triu(rng.integers(0, 2, size=(dim, dim)))
         a = (u + u.T - np.diag(np.diag(u))).astype(float)
         prof = VarianceProfile(a)
@@ -209,7 +231,7 @@ def test_rectangles_match_brute_force_on_random_patterns():
 
 
 @settings(max_examples=40, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 6))
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 10))
 def test_rectangles_match_brute_force_property(seed, dim):
     rng = np.random.default_rng(seed)
     u = np.triu(rng.integers(0, 2, size=(dim, dim)))
@@ -225,6 +247,17 @@ def test_enumeration_cap():
         maximal_zero_rectangles(big)
     with pytest.raises(EnumerationCapError):
         classify_regime(big)
+    # the identity's zero pattern has 2**d - 2 maximal rectangles: d = 13
+    # fits under the count cap, d = 20 is refused before any rectangle exists
+    assert len(maximal_zero_rectangles(VarianceProfile(np.eye(13)))) == 8190
+    tracemalloc.start()
+    try:
+        with pytest.raises(EnumerationCapError, match="maximal zero rectangles"):
+            maximal_zero_rectangles(VarianceProfile(np.eye(20)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10e6
 
 
 def test_zero_rectangle_perimeter():
