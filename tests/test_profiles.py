@@ -191,6 +191,24 @@ def test_rectangle_examples():
     assert maximal_zero_rectangles(VarianceProfile(np.ones((3, 3)))) == []
 
 
+def assert_maximal_zero(rects, a):
+    """Each rectangle's columns are exactly those vanishing on its rows and
+    its rows exactly those vanishing on its columns: all-zero and maximal."""
+
+    def indicator(sets):
+        out = np.zeros((len(sets), a.shape[0] + 1))
+        out[np.repeat(np.arange(len(sets)), [len(t) for t in sets]),
+            np.concatenate(sets)] = 1.0
+        return out[:, 1:]
+
+    nonzero = (a != 0.0).astype(float)
+    rows = indicator([r.rows for r in rects])
+    cols = indicator([r.cols for r in rects])
+    assert ((cols @ nonzero.T == 0) == (rows > 0)).all()
+    assert ((rows @ nonzero == 0) == (cols > 0)).all()
+    assert len({r.cols for r in rects}) == len(rects)
+
+
 def test_rectangles_match_brute_force_on_staircases():
     rng = np.random.default_rng(5)
     for n in range(1, 21):
@@ -199,25 +217,33 @@ def test_rectangles_match_brute_force_on_staircases():
         # n-1 critical rectangles, every perimeter exactly 2n
         assert len(rects) == n - 1
         assert all(r.perimeter == 2 * n for r in rects)
-        # seeded zeros in the free region (1-based i + j < n) keep a staircase
-        a = prof.entries.copy()
-        i, j = np.triu_indices(n)
-        hit = (i + j + 2 < n) & (rng.random(len(i)) < 0.5)
-        a[i[hit], j[hit]] = a[j[hit], i[hit]] = 0.0
-        assert check_assumption_staircase(VarianceProfile(a))[0]
-        noisy = maximal_zero_rectangles(VarianceProfile(a))
         if n <= 12:
             assert as_pairs(rects) == brute_maximal_rectangles(prof.entries)
-            assert as_pairs(noisy) == brute_maximal_rectangles(a)
-            continue
-        # past the oracle's reach: each rectangle is all-zero and maximal
-        assert len(noisy) <= RECTANGLE_COUNT_CAP
-        zero = a == 0.0
-        for r in noisy:
-            rows, cols = np.array(r.rows) - 1, np.array(r.cols) - 1
-            assert zero[np.ix_(rows, cols)].all()
-            assert tuple(np.flatnonzero(zero[:, cols].all(axis=1)) + 1) == r.rows
-            assert tuple(np.flatnonzero(zero[rows].all(axis=0)) + 1) == r.cols
+        # zeros in the free region (1-based i + j < n) keep a staircase:
+        # seeded draws at probabilities 0.5 and 0.9, then all of it zero:
+        # the sparsest staircase, with the most rectangles of any measured
+        i, j = np.triu_indices(n)
+        for p in (0.5, 0.9, 1.0):
+            a = prof.entries.copy()
+            hit = (i + j + 2 < n) & (rng.random(len(i)) < p)
+            a[i[hit], j[hit]] = a[j[hit], i[hit]] = 0.0
+            noisy_prof = VarianceProfile(a)
+            assert check_assumption_staircase(noisy_prof)[0]
+            noisy = maximal_zero_rectangles(noisy_prof)
+            if n <= 12:
+                assert as_pairs(noisy) == brute_maximal_rectangles(a)
+                continue
+            # past the oracle's reach: all-zero, maximal, within the cap, and
+            # perimeters that make classify report the critical staircase
+            assert len(noisy) <= RECTANGLE_COUNT_CAP
+            assert_maximal_zero(noisy, a)
+            assert noisy[0].perimeter == 2 * n
+            # classify's staircase-permutation search takes seconds to a
+            # minute on dense-zero staircases past n = 17
+            if n <= 17:
+                assert classify_regime(noisy_prof).regime == REGIME_CRITICAL
+    # the sparsest 20 x 20 staircase: the cap's reference count
+    assert len(noisy) == 73394
 
 
 def test_rectangles_match_brute_force_on_random_patterns():
@@ -241,7 +267,7 @@ def test_rectangles_match_brute_force_property(seed, dim):
     )
 
 
-def test_enumeration_cap():
+def test_enumeration_cap(monkeypatch):
     big = staircase_profile(RECTANGLE_SEARCH_CAP + 1)
     with pytest.raises(EnumerationCapError):
         maximal_zero_rectangles(big)
@@ -249,7 +275,14 @@ def test_enumeration_cap():
         classify_regime(big)
     # the identity's zero pattern has 2**d - 2 maximal rectangles: d = 13
     # fits under the count cap, d = 20 is refused before any rectangle exists
-    assert len(maximal_zero_rectangles(VarianceProfile(np.eye(13)))) == 8190
+    eye13 = VarianceProfile(np.eye(13))
+    assert len(maximal_zero_rectangles(eye13)) == 8190
+    monkeypatch.setattr(profiles, "RECTANGLE_COUNT_CAP", 8190)
+    assert len(maximal_zero_rectangles(eye13)) == 8190
+    monkeypatch.setattr(profiles, "RECTANGLE_COUNT_CAP", 8189)
+    with pytest.raises(EnumerationCapError, match="more than 8189 maximal"):
+        maximal_zero_rectangles(eye13)
+    monkeypatch.undo()
     tracemalloc.start()
     try:
         with pytest.raises(EnumerationCapError, match="maximal zero rectangles"):
