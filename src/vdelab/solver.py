@@ -36,34 +36,46 @@ row stops once its GMRES residual meets the tolerance; a row whose GMRES
 breaks down or misses the tolerance within the iteration cap, or whose
 n x n Woodbury system is singular or non-finite, takes the dense
 direction for that step.  The line search, fallback, stall rule,
-residual test and f_norm check judge every step the same way on either
+residual test and ||F||_2 check judge every step the same way on either
 path, so an inexact direction can cost a backtrack but cannot let a
 wrong iterate pass.
 
 Every solved point must show ||F||_2 < 1 for the saturation matrix
-F = |m| S |m|.  F is entrywise non-negative, so ||F||_2 is its Perron
-root, its largest eigenvalue (Perron-Frobenius).  On the dense path
-f_norm is lambda_max of a symmetric eigensolve of F.  On the GMRES path F
-is never built: a block subspace iteration on the map X -> |m|(S(|m|X)),
-started from the n columns |m| U, brackets that root between the Rayleigh
-quotient theta of its top Ritz vector x and the Collatz-Wielandt bound
-max_k (Fx)_k / x_k, valid once x > 0 or x < 0.  The block start spans
-the n outlier eigenvalues of F together, so the iteration converges at
-the ratio of the noise bulk to the outliers, not at the small gap between
-the top two eigenvalues that stalls a single-vector power or Lanczos
-iteration.  The uncertified rows iterate in lock-step, all their blocks
-in one real GEMM.  A row is certified, with f_norm = theta, when the two
-bounds agree to 1e-14 relative and the upper one is below 1; a row that
-is not certified within _PERRON_MAX_STEPS steps takes the eigensolve.
-The dense path's complex S and the block means are computed once per
-profile.
+F = |m| S |m|.  The imaginary part of the equation gives F u = u - Im z |m|
+for u = Im m/|m| > 0 (Ajanki, Erdos & Kruger, Mem. AMS 2019), so the
+Collatz-Wielandt bound c = max_k (Fu)_k/u_k = max_k |m_k|^2 (S Im m)_k /
+Im m_k is an upper bound on the Perron root of F, which is ||F||_2 since F
+is entrywise non-negative and symmetric (Meyer, Matrix Analysis and
+Applied Linear Algebra, SIAM 2000, 8.3).  S Im m = Im(S m) is the carried
+product of the final iterate, a sum of non-negative terms, so inflating c
+by 1 + (dim + 8) eps covers its roundoff.  With the defect d = 1/m + z +
+Sm, c_k = 1 + |m_k|^2 (Im d_k - Im z)/Im m_k: a point certifies with no
+further work unless some Im d_k reaches Im z.  Only such a row computes
+||F||_2 itself, and raises AnomalyError unless it is below 1.
+
+That value, VdeSolution.f_norm, is computed when it is first read.  On
+the dense path it is lambda_max of a symmetric eigensolve of F.  On the
+GMRES path F is never built: a block subspace iteration on the map
+X -> |m|(S(|m|X)), started from the n columns |m| U, brackets the Perron
+root between the Rayleigh quotient theta of its top Ritz vector x and the
+Collatz-Wielandt bound max_k (Fx)_k / x_k, valid once x > 0 or x < 0.
+The block start spans the n outlier eigenvalues of F together, so the
+iteration converges at the ratio of the noise bulk to the outliers, not
+at the small gap between the top two eigenvalues that stalls a
+single-vector power or Lanczos iteration.  The uncertified rows iterate
+in lock-step, all their blocks in one real GEMM.  A row is certified,
+with f_norm = theta, when the two bounds agree to 1e-14 relative and the
+upper one is below 1; a row that is not certified within
+_PERRON_MAX_STEPS steps takes the eigensolve.  The dense path's complex S
+and the block means are computed once per profile.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -140,23 +152,29 @@ class VdeSolution:
 
     residual is the max-norm defect max_k |1/m_k + z + (Sm)_k|; f_norm is
     ||F||_2 of the real symmetric saturation matrix F = |m| S |m| and stays
-    below 1 for every point in the upper half-plane.  F is entrywise
-    non-negative, so that is its largest eigenvalue, lambda_max from a
-    symmetric eigensolve, except on the GMRES path, where it is the Perron
-    root of F certified to 1e-14 relative by a block subspace iteration
-    (see the module docstring).
+    below 1 for every point in the upper half-plane.  The solve certifies
+    that bound from m itself (see the module docstring); f_norm is computed
+    on first read from profile, the profile the point was solved on.  F is
+    entrywise non-negative, so f_norm is its largest eigenvalue, lambda_max
+    from a symmetric eigensolve, except on the GMRES path, where it is the
+    Perron root of F certified to 1e-14 relative by a block subspace
+    iteration.
     """
 
     point: SpectralPoint
     m: np.ndarray
     residual: float
     iterations: int
-    f_norm: float
+    profile: VarianceProfile = field(repr=False, compare=False)
 
     def __post_init__(self) -> None:
         m = np.array(self.m, dtype=complex)
         m.flags.writeable = False
         object.__setattr__(self, "m", m)
+
+    @functools.cached_property
+    def f_norm(self) -> float:
+        return float(_f_norms(self.m[None], self.profile, _krylov(self.profile))[0])
 
     def to_json_dict(self) -> dict:
         return {
@@ -255,6 +273,18 @@ def _matvec(s: np.ndarray, m: np.ndarray) -> np.ndarray:
         out.real, out.imag = y[: len(m)], y[len(m):]
         return out
     return (s @ m[..., None])[..., 0]
+
+
+def _saturation_bounds(m: np.ndarray, sm: np.ndarray) -> np.ndarray:
+    """Upper bound on ||F||_2, F = |m| S |m|, of each row, from its sm = S m.
+
+    The Collatz-Wielandt bound max_k |m_k|^2 (S Im m)_k / Im m_k of the
+    positive vector Im m/|m|, inflated by 1 + (dim + 8) eps for the roundoff
+    of S Im m = Im(sm), a sum of non-negative terms, and of the quotient.
+    NaN or inf where some Im m_k is not positive.
+    """
+    bound = (np.abs(m) ** 2 * sm.imag / m.imag).max(axis=1)
+    return bound * (1.0 + (m.shape[1] + 8) * np.finfo(float).eps)
 
 
 def _defect_norms(m: np.ndarray, z: np.ndarray, sm: np.ndarray) -> np.ndarray:
@@ -441,8 +471,10 @@ def _solve_points(profile: VarianceProfile, z, tol, m):
     z and tol have shape (P,), the start vectors m (P, dim), None for
     i*(1,...,1).  The caller sizes the batch: at most _stack_rows(profile)
     rows keep the stacked work arrays within _STACK_BYTES.  A failing row
-    raises the error of solve, naming its z.  Returns m, the residuals,
-    iterations and f_norms.
+    raises the error of solve, naming its z.  Returns m, the residuals and
+    iterations.  A row is certified ||F||_2 < 1 by _saturation_bounds of
+    its final iterate; only a row that bound does not certify computes
+    ||F||_2 by _f_norms, and raises AnomalyError unless it is below 1.
     """
     krylov = _krylov(profile)
     s = profile.entries if krylov else profile.complex_entries
@@ -486,16 +518,23 @@ def _solve_points(profile: VarianceProfile, z, tol, m):
                                   f"in {_STALL_LIMIT} iterations, best {best[i]:.3e}")
             go = ~(res <= ta)
             if not go.all():
-                m[rows[~go]], iterations[rows[~go]] = ma[~go], k
+                done = rows[~go]
+                m[done], sm[done], iterations[done] = ma[~go], sma[~go], k
                 state = (rows, ma, sma, za, ta, best, best_at)
                 rows, ma, sma, za, ta, best, best_at = (a[go] for a in state)
+        rest = np.flatnonzero(~(_saturation_bounds(m, sm) < 1.0))  # NaN too
 
-    f_norm = _f_norms(m, profile, krylov)
-    if not (f_norm < 1.0).all():
-        i = (~(f_norm < 1.0)).argmax()
-        raise AnomalyError(f"saturation matrix norm {f_norm[i]} >= 1 at z = {z[i]}; "
-                           "the theory forbids this in the upper half-plane")
-    return m, residual, iterations, f_norm
+    if rest.size:
+        f_norm = _f_norms(m[rest], profile, krylov)
+        if not (f_norm < 1.0).all():
+            j = (~(f_norm < 1.0)).argmax()
+            i = rest[j]
+            raise AnomalyError(
+                f"saturation matrix norm {f_norm[j]} >= 1 at z = {z[i]}; the theory "
+                "forbids this in the upper half-plane, and for this m it needs a "
+                f"defect with imaginary part >= Im z = {z[i].imag:.3e}: residual "
+                f"{residual[i]:.3e}, tol {tol[i]:.3e}")
+    return m, residual, iterations
 
 
 def solve(
@@ -524,8 +563,10 @@ def solve(
     exhaustion, on 50 straight iterations without a new best residual, or
     when a fixed-point half-step is non-finite or leaves the upper
     half-plane; AnomalyError unless the solved point has ||F||_2 < 1 for
-    F = |m| S |m|, computed as VdeSolution.f_norm says.  Each message
-    names z.
+    F = |m| S |m|.  The bound is certified from m and S m at no extra cost
+    while the defect stays below Im z (see the module docstring); only
+    otherwise is ||F||_2 computed during the solve.  Each message names z.
+    The returned f_norm is computed when first read.
     """
     if opts is None:
         opts = SolverOptions()
@@ -542,9 +583,8 @@ def solve(
             raise ValueError("warm start must lie in the upper half-plane")
         m = m[None]
     z, tol = np.array([point.z]), np.array([opts.tol])
-    m, residual, iterations, f_norm = _solve_points(profile, z, tol, m)
-    return VdeSolution(point, m[0], float(residual[0]), int(iterations[0]),
-                       float(f_norm[0]))
+    m, residual, iterations = _solve_points(profile, z, tol, m)
+    return VdeSolution(point, m[0], float(residual[0]), int(iterations[0]), profile)
 
 
 def solve_path(
@@ -567,7 +607,9 @@ def solve_path(
     the pure-imaginary symmetry is preserved.  Radii below 1e-8 are rejected: double
     precision cannot resolve the singular scales beneath that.  Without
     opts each point solves at suggested_tol over the smallest radius and
-    its own, so a far-field start cannot loosen the deep end.
+    its own, so a far-field start cannot loosen the deep end.  Every point
+    is certified ||F||_2 < 1 as in solve, and computes its f_norm only
+    when that is read.
     """
     if not 0.0 < ray_angle < math.pi:
         raise ValueError(f"ray angle must lie in (0, pi), got {ray_angle}")
@@ -603,10 +645,9 @@ def solve_path(
         steps = np.log(np.divide(batch, r_last)) / math.log(r_last / r_prev)
         guess = continuation_guess([out[-2].m, out[-1].m], steps)
         z = np.array([point.z for point in points])
-        m, residual, iterations, f_norm = _solve_points(profile, z, np.array(tol),
-                                                        guess)
-        out += map(VdeSolution, points, m, residual.tolist(), iterations.tolist(),
-                   f_norm.tolist())
+        m, residual, iterations = _solve_points(profile, z, np.array(tol), guess)
+        out += (VdeSolution(*row, profile) for row in
+                zip(points, m, residual.tolist(), iterations.tolist()))
     return out
 
 

@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import semicircle_m
@@ -36,13 +36,13 @@ GOLDEN = 0.6180339887498949
 EPS = float(np.finfo(float).eps)
 
 
-def make_solution(z: complex, m) -> VdeSolution:
+def make_solution(z: complex, m, profile: VarianceProfile) -> VdeSolution:
     return VdeSolution(
         point=SpectralPoint(re=z.real, im=z.imag),
         m=np.asarray(m, dtype=complex),
         residual=0.0,
         iterations=0,
-        f_norm=0.0,
+        profile=profile,
     )
 
 
@@ -236,15 +236,14 @@ def test_batched_rows_fall_back_alone():
     with np.errstate(over="ignore", invalid="ignore"):
         s = prof.complex_entries
         _, _, took = solver._log_newton(start, solver._matvec(s, start), z, s)
-        m, residual, iterations, f_norm = solver._solve_points(
+        m, residual, iterations = solver._solve_points(
             prof, z, np.array([1e-12, 1e-12]), start
         )
     assert took.tolist() == [True, False]
     solo = solve(prof, SpectralPoint(re=0.1, im=0.2))
     assert (m[0] == solo.m).all()
-    assert (residual[0], iterations[0], f_norm[0]) == (
-        solo.residual, solo.iterations, solo.f_norm
-    )
+    assert (residual[0], iterations[0]) == (solo.residual, solo.iterations)
+    assert solver._f_norms(m, prof, False)[0] == solo.f_norm
     assert iterations[1] > 100 and residual[1] <= 1e-12
     assert np.max(np.abs(m[1] - solo.m)) < 1e-12
 
@@ -322,9 +321,10 @@ def test_krylov_path_matches_dense_path(monkeypatch):
     monkeypatch.setattr(solver, "_KRYLOV_MIN_DIM", 10**9)
     dense = [solver._solve_points(prof, z, np.full(len(z), tol), w)
              for z, w in batches]
-    for (km, _, k_iters, k_f), (dm, _, d_iters, d_f) in zip(krylov, dense):
+    for (km, _, k_iters), (dm, _, d_iters) in zip(krylov, dense):
         assert k_iters.tolist() == d_iters.tolist() and k_iters.min() >= 1
         assert np.max(np.abs(km - dm) / np.abs(dm)) <= 1e-12
+        k_f, d_f = solver._f_norms(km, prof, True), solver._f_norms(dm, prof, False)
         assert np.max(np.abs(k_f - d_f)) <= 1e-13
     for m, *_ in krylov[: len(batches) // 2]:  # the ray pi/2
         assert (m.real == 0.0).all()
@@ -433,6 +433,19 @@ def _record_eigensolves(monkeypatch) -> list[int]:
     return calls
 
 
+def _record_perron(monkeypatch) -> list[int]:
+    """Record the number of rows in every Perron iteration from now on."""
+    calls = []
+    roots = solver._perron_roots
+
+    def recorded(s, am, n):
+        calls.append(len(am))
+        return roots(s, am, n)
+
+    monkeypatch.setattr(solver, "_perron_roots", recorded)
+    return calls
+
+
 @pytest.mark.parametrize(
     "n, inner, noise, ray",
     [
@@ -456,26 +469,36 @@ def test_certified_f_norm_is_the_two_norm(n, inner, noise, ray, monkeypatch):
     assert 1.0 - path[-1].f_norm < 0.01
 
 
+def _record_bounds(monkeypatch) -> list[tuple]:
+    """Record (m, sm, bounds) of every saturation certificate from now on."""
+    seen = []
+    bounds = solver._saturation_bounds
+
+    def recorded(m, sm):
+        out = bounds(m, sm)
+        seen.append((m.copy(), sm.copy(), out))
+        return out
+
+    monkeypatch.setattr(solver, "_saturation_bounds", recorded)
+    return seen
+
+
 def test_certified_f_norm_in_rho_grid(monkeypatch):
+    # every row rho_grid solves is certified ||F||_2 <= c < 1 by the bound
+    # from its own carried product, with no norm computed
     prof = expand_profile(staircase_profile(3), 48, noise=0.5, seed=3)
     assert prof.dim >= solver._KRYLOV_MIN_DIM
     eigensolves = _record_eigensolves(monkeypatch)
-    seen = []
-    f_norms = solver._f_norms
-
-    def recorded(m, profile, perron):
-        out = f_norms(m, profile, perron)
-        seen.append((m, out, perron))
-        return out
-
-    monkeypatch.setattr(solver, "_f_norms", recorded)
+    perron = _record_perron(monkeypatch)
+    seen = _record_bounds(monkeypatch)
     rho_grid(prof, [-0.2, 0.004, 0.3], (1e-1, 1e-2, 1e-3))
-    assert eigensolves == [] and all(perron for _, _, perron in seen)
+    assert eigensolves == [] and perron == []
     assert sum(len(m) for m, _, _ in seen) > 50
-    for m, out, _ in seen:
-        for row, f_norm in zip(m[::3], out[::3]):
-            f = stability_matrix(row, prof)
-            assert f_norm == pytest.approx(np.linalg.norm(f, 2), rel=1e-13)
+    for m, sm, bound in seen:
+        assert (bound < 1.0).all()
+        for row, s_row, c in zip(m[::3], sm[::3], bound[::3]):
+            assert np.max(np.abs(s_row - prof.entries @ row)) <= 1e-14 * np.abs(s_row).max()
+            assert np.linalg.norm(stability_matrix(row, prof), 2) <= c < 1.0
 
 
 def test_uncertified_f_norm_is_the_eigensolve(monkeypatch):
@@ -485,6 +508,8 @@ def test_uncertified_f_norm_is_the_eigensolve(monkeypatch):
     monkeypatch.setattr(solver, "_PERRON_MAX_STEPS", 0)
     eigensolves = _record_eigensolves(monkeypatch)
     forced = solve_path(prof, 0.3 * math.pi, radii)
+    assert eigensolves == []  # the solve itself computes no norm
+    assert all(f.f_norm < 1.0 for f in forced)  # each read computes one
     assert sum(eigensolves) == len(radii)
     for c, f in zip(certified, forced):
         assert (c.m == f.m).all()
@@ -505,6 +530,107 @@ def test_f_norm_at_least_one_is_not_certified(monkeypatch):
         # a tolerance this loose accepts the start, so only f_norm can fail it
         solver._solve_points(prof, np.array([sol.point.z]), np.array([1e6]), m[None])
     assert eigensolves == [1]
+
+
+RAYS = (math.pi / 2, 0.3 * math.pi, 0.02, math.pi - 0.02)
+
+
+def _assert_certificate_bounds_the_norm(prof, ray, r_min):
+    """Every row the certificate accepts on the ray has ||F||_2 <= c < 1,
+    and each point's f_norm, read afterwards, is ||F||_2."""
+    with pytest.MonkeyPatch.context() as mp:
+        seen = _record_bounds(mp)
+        path = solve_path(prof, ray, np.geomspace(1e-1, r_min, 11))
+    accepted = [(row, c) for m, _, bound in seen for row, c in zip(m, bound) if c < 1.0]
+    assert accepted
+    for row, c in accepted:
+        assert np.linalg.norm(stability_matrix(row, prof), 2) <= c < 1.0
+    for sol in path:
+        f = stability_matrix(sol.m, prof)
+        assert sol.f_norm == pytest.approx(np.linalg.norm(f, 2), rel=1e-13)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 8),
+    seed=st.integers(0, 10**6),
+    permute=st.booleans(),
+    ray=st.sampled_from(RAYS),
+    r_min=st.sampled_from((1e-3, 1e-6)),
+)
+def test_certificate_bounds_the_norm_on_staircases(n, seed, permute, ray, r_min):
+    prof = random_staircase_profile(n, seed=seed)
+    if permute:
+        prof = prof.permuted(np.random.default_rng(seed).permutation(n))
+    _assert_certificate_bounds_the_norm(prof, ray, r_min)
+
+
+@settings(max_examples=8, deadline=None)
+@given(
+    n=st.integers(2, 4),
+    inner=st.sampled_from((8, 24, 48, 64)),
+    noise=st.sampled_from((0.0, 0.5, 0.9)),
+    ray=st.sampled_from(RAYS),
+    r_min=st.sampled_from((1e-3, 1e-6)),
+)
+@example(n=3, inner=64, noise=0.5, ray=0.02, r_min=1e-6)  # GMRES path
+@example(n=2, inner=24, noise=0.9, ray=math.pi - 0.02, r_min=1e-6)  # dense path
+def test_certificate_bounds_the_norm_on_blocks(n, inner, noise, ray, r_min):
+    # dims 16-256 on both sides of _KRYLOV_MIN_DIM: the dense and GMRES paths
+    prof = expand_profile(staircase_profile(n), inner, noise=noise, seed=inner)
+    _assert_certificate_bounds_the_norm(prof, ray, r_min)
+
+
+def test_near_axis_anomaly_is_decided_by_the_eigensolve(tmp_path, monkeypatch, capsys):
+    # at Im z = 1e-15 the defect reaches Im z, so the certificate declines;
+    # the eigensolve finds ||F||_2 >= 1 and the CLI exits 3, naming the
+    # residual, its tol and Im z
+    from vdelab import cli
+
+    stair3 = tmp_path / "stair3.json"
+    stair3.write_text('{"matrix": [[1, 1, 1], [1, 1, 0], [1, 0, 0]]}')
+    seen = _record_bounds(monkeypatch)
+    eigensolves = _record_eigensolves(monkeypatch)
+    argv = ["--command", "solve", "--profile", str(stair3),
+            "--out", str(tmp_path / "solve.txt"), "--ray", "1e-14"]
+    assert cli.main(argv) == 3
+    assert len(seen) == 1 and not seen[0][2][0] < 1.0
+    assert eigensolves == [1]
+    err = capsys.readouterr().err
+    assert "invariant violation: saturation matrix norm 1.0000000000000009 >= 1" in err
+    assert "Im z = 1.000e-15" in err and "residual " in err and "tol " in err
+
+
+def test_unread_f_norm_is_not_computed(tmp_path, monkeypatch):
+    # reduce and sweep print only m-derived numbers and compute no ||F||_2
+    # (rho_grid: test_certified_f_norm_in_rho_grid); solve computes the one
+    # it prints, on either path
+    from vdelab import cli
+    from vdelab.profiles import load_profile
+
+    stair3 = tmp_path / "stair3.json"
+    stair3.write_text('{"matrix": [[1, 1, 1], [1, 1, 0], [1, 0, 0]]}')
+    big = expand_profile(staircase_profile(3), 64, noise=0.5)
+    block3 = tmp_path / "block3.json"
+    block3.write_text(json.dumps({"matrix": big.entries.tolist(), "n": 3, "N": 64}))
+    eigensolves, perron = _record_eigensolves(monkeypatch), _record_perron(monkeypatch)
+
+    def run(command, profile, *extra):
+        out = tmp_path / f"{command}.txt"
+        argv = ["--command", command, "--profile", str(profile), "--out", str(out)]
+        assert cli.main([*argv, *extra]) == 0
+        return out.read_text().splitlines()[2:]
+
+    run("reduce", stair3, "--N", "64", "--noise", "0.5", "--rmin", "1e-5")
+    run("sweep", stair3, "--N", "16,32,64", "--noise", "0.5")
+    assert eigensolves == [] and perron == []
+    doc = json.loads("\n".join(run("solve", stair3)))
+    assert eigensolves == [1] and perron == [] and 0.0 < doc["f_norm"] < 1.0
+    doc = json.loads("\n".join(run("solve", block3, "--rmin", "1e-5")))
+    assert eigensolves == [1] and perron == [1] and 0.0 < doc["f_norm"] < 1.0
+    m = np.array([complex(*v) for v in doc["m"]])
+    f = stability_matrix(m, load_profile(str(block3)))
+    assert doc["f_norm"] == pytest.approx(np.linalg.norm(f, 2), rel=1e-13)
 
 
 def test_complex_entries_are_cast_once_per_profile():
@@ -613,8 +739,8 @@ def test_solve_path_off_axis_points():
 
 
 def test_stability_matrix_frozen_example():
-    sol = make_solution(1j, [1j, 1j])
     prof = VarianceProfile(np.array([[1.0, 1.0], [1.0, 0.0]]))
+    sol = make_solution(1j, [1j, 1j], prof)
     assert (stability_matrix(sol.m, prof) == np.array([[1.0, 1.0], [1.0, 0.0]])).all()
 
 
@@ -679,7 +805,7 @@ def test_saturation_identity_residual_scales_with_error():
     norm = float(np.linalg.norm(sol.m))
     assert clean <= 100.0 * opts.tol * (1.0 + norm) ** 2
     # a relative O(1e-3) error in m must surface at a comparable scale
-    fudged = make_solution(sol.point.z, sol.m * (1.0 + 1e-3))
+    fudged = make_solution(sol.point.z, sol.m * (1.0 + 1e-3), prof)
     assert saturation_identity_residual(fudged, prof) > 1e-5
 
 
