@@ -62,12 +62,13 @@ Collatz-Wielandt bound max_k (Fx)_k / x_k, valid once x > 0 or x < 0.
 The block start spans the n outlier eigenvalues of F together, so the
 iteration converges at the ratio of the noise bulk to the outliers, not
 at the small gap between the top two eigenvalues that stalls a
-single-vector power or Lanczos iteration.  The uncertified rows iterate
-in lock-step, all their blocks in one real GEMM.  A row is certified,
-with f_norm = theta, when the two bounds agree to 1e-14 relative and the
-upper one is below 1; a row that is not certified within
-_PERRON_MAX_STEPS steps takes the eigensolve.  The dense path's complex S
-and the block means are computed once per profile.
+single-vector power or Lanczos iteration.  A point is certified, with
+f_norm = theta, when the two bounds agree to 1e-14 relative and the
+upper one is below 1; a point that is not certified within
+_PERRON_MAX_STEPS steps takes the eigensolve.  Each point iterates on
+its own: a read needs one root, and a row the solve's bound declines is
+rare.  The dense path's complex S and the block means are computed once
+per profile.
 """
 
 from __future__ import annotations
@@ -195,50 +196,43 @@ def _symmetric_norm2(a: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(a)[..., -1]
 
 
-def _perron_roots(s: np.ndarray, am: np.ndarray, n: int) -> np.ndarray:
-    """Certified ||F||_2 of F = diag(a) S diag(a) for each row a of am.
+def _perron_root(s: np.ndarray, a: np.ndarray, n: int) -> float:
+    """Certified ||F||_2 of F = diag(a) S diag(a), or NaN.
 
     s is the real non-negative S of a block profile with n outer blocks and
-    each a = |m| > 0, so ||F||_2 is the Perron root of F.  Block subspace
+    a = |m| > 0, so ||F||_2 is the Perron root of F.  Block subspace
     iteration from the n columns a * U, U the block indicator, with a thin
     QR and a Rayleigh-Ritz step each time; F is applied as a * (S (a * X))
     and never built.  The top Ritz vector x, once x > 0 or x < 0, brackets
     the root between theta = x^T F x / x^T x and c = max_k (Fx)_k / x_k,
-    both unchanged by x -> -x.  The uncertified rows step in lock-step,
-    every block of theirs in one GEMM.  A row's root is theta once
-    c - theta <= _PERRON_RTOL * theta and c < 1, and NaN when its bounds
+    both unchanged by x -> -x.  The root is theta once
+    c - theta <= _PERRON_RTOL * theta and c < 1, and NaN when the bounds
     meet at c >= 1 or have not met within _PERRON_MAX_STEPS steps.
     """
-    p, dim = am.shape
-    out = np.full(p, np.nan)
-    rows = np.arange(p)
     # the iterates are the rows of x: X^T S is (S X)^T for the symmetric S
     # and runs faster than S X with so few columns
-    x = (np.eye(n)[:, :, None] * am.reshape(p, 1, n, -1)).reshape(p, n, dim)
+    x = (np.eye(n)[:, :, None] * a.reshape(1, n, -1)).reshape(n, -1)
     for _ in range(_PERRON_MAX_STEPS):
-        if not rows.size:
-            break
-        a = am[rows, None, :]
-        q = np.linalg.qr(x.transpose(0, 2, 1))[0].transpose(0, 2, 1)
-        fq = ((q * a).reshape(-1, dim) @ s).reshape(q.shape) * a
-        w = np.linalg.eigh(fq @ q.transpose(0, 2, 1))[1][:, None, :, -1]
-        v, fv = (w @ q)[:, 0], (w @ fq)[:, 0]
-        pos = (v > 0.0).all(axis=1) | (v < 0.0).all(axis=1)
-        theta, c = np.full(rows.size, np.nan), np.full(rows.size, np.nan)
-        theta[pos] = (v[pos] * fv[pos]).sum(axis=1) / (v[pos] * v[pos]).sum(axis=1)
-        c[pos] = (fv[pos] / v[pos]).max(axis=1)
-        done = c - theta <= _PERRON_RTOL * theta  # NaN, not yet positive, fails
-        out[rows[done]] = np.where(c[done] < 1.0, theta[done], np.nan)
-        rows, x = rows[~done], fq[~done]
-    return out
+        q = np.linalg.qr(x.T)[0].T
+        fq = ((q * a) @ s) * a
+        w = np.linalg.eigh(fq @ q.T)[1][:, -1]
+        v, fv = w @ q, w @ fq
+        if (v > 0.0).all() or (v < 0.0).all():
+            theta = (v * fv).sum() / (v * v).sum()
+            c = (fv / v).max()
+            if c - theta <= _PERRON_RTOL * theta:
+                return float(theta) if c < 1.0 else math.nan
+        x = fq
+    return math.nan
 
 
 def _f_norms(m: np.ndarray, profile: VarianceProfile, perron: bool) -> np.ndarray:
     """||F||_2 of each row of m: by the eigensolve, or if perron by
-    _perron_roots, with the eigensolve for the rows it does not certify."""
+    _perron_root, with the eigensolve for the rows it does not certify."""
     if not perron:
         return _symmetric_norm2(stability_matrix(m, profile))
-    out = _perron_roots(profile.entries, np.abs(m), profile.block_meta[0])
+    n = profile.block_meta[0]
+    out = np.array([_perron_root(profile.entries, a, n) for a in np.abs(m)])
     rest = np.isnan(out)
     if rest.any():
         out[rest] = _symmetric_norm2(stability_matrix(m[rest], profile))
@@ -279,12 +273,15 @@ def _saturation_bounds(m: np.ndarray, sm: np.ndarray) -> np.ndarray:
     """Upper bound on ||F||_2, F = |m| S |m|, of each row, from its sm = S m.
 
     The Collatz-Wielandt bound max_k |m_k|^2 (S Im m)_k / Im m_k of the
-    positive vector Im m/|m|, inflated by 1 + (dim + 8) eps for the roundoff
-    of S Im m = Im(sm), a sum of non-negative terms, and of the quotient.
-    NaN or inf where some Im m_k is not positive.
+    vector Im m/|m|, inflated by 1 + (dim + 8) eps for the roundoff of
+    S Im m = Im(sm), a sum of non-negative terms, and of the quotient.  It
+    bounds ||F||_2 only if that vector is positive, so a row with some
+    Im m_k <= 0 gets NaN.
     """
     bound = (np.abs(m) ** 2 * sm.imag / m.imag).max(axis=1)
-    return bound * (1.0 + (m.shape[1] + 8) * np.finfo(float).eps)
+    bound *= 1.0 + (m.shape[1] + 8) * np.finfo(float).eps
+    bound[~(m.imag > 0.0).all(axis=1)] = np.nan
+    return bound
 
 
 def _defect_norms(m: np.ndarray, z: np.ndarray, sm: np.ndarray) -> np.ndarray:

@@ -434,15 +434,15 @@ def _record_eigensolves(monkeypatch) -> list[int]:
 
 
 def _record_perron(monkeypatch) -> list[int]:
-    """Record the number of rows in every Perron iteration from now on."""
+    """Record a 1 for every Perron root computed from now on."""
     calls = []
-    roots = solver._perron_roots
+    root = solver._perron_root
 
-    def recorded(s, am, n):
-        calls.append(len(am))
-        return roots(s, am, n)
+    def recorded(s, a, n):
+        calls.append(1)
+        return root(s, a, n)
 
-    monkeypatch.setattr(solver, "_perron_roots", recorded)
+    monkeypatch.setattr(solver, "_perron_root", recorded)
     return calls
 
 
@@ -459,10 +459,14 @@ def _record_perron(monkeypatch) -> list[int]:
 def test_certified_f_norm_is_the_two_norm(n, inner, noise, ray, monkeypatch):
     prof = expand_profile(staircase_profile(n), inner, noise=noise, seed=11)
     assert prof.dim >= solver._KRYLOV_MIN_DIM
-    eigensolves = _record_eigensolves(monkeypatch)
+    eigensolves, perron = _record_eigensolves(monkeypatch), _record_perron(monkeypatch)
     radii = np.geomspace(1e-1, 1e-5, 9)
     path = solve_path(prof, ray, radii)
-    assert eigensolves == []
+    assert eigensolves == [] and perron == []
+    f_norms = [sol.f_norm for sol in path]
+    # every read is a certified Perron root, none falls back to eigvalsh
+    assert eigensolves == [] and len(perron) == len(path)
+    assert all(0.0 < f < 1.0 for f in f_norms)
     for sol in path if prof.dim < 500 else path[::4]:  # spare dim-768 SVDs
         f = stability_matrix(sol.m, prof)
         assert sol.f_norm == pytest.approx(np.linalg.norm(f, 2), rel=1e-13)
@@ -524,11 +528,31 @@ def test_f_norm_at_least_one_is_not_certified(monkeypatch):
     assert sol.f_norm > 0.99
     m = 1.01 * sol.m  # F grows by 1.0201, so ||F||_2 > 1
     assert np.linalg.norm(stability_matrix(m, prof), 2) > 1.0
-    assert np.isnan(solver._perron_roots(prof.entries, np.abs(m)[None], n)).all()
+    assert math.isnan(solver._perron_root(prof.entries, np.abs(m), n))
     eigensolves = _record_eigensolves(monkeypatch)
     with pytest.raises(AnomalyError, match="saturation matrix norm"):
         # a tolerance this loose accepts the start, so only f_norm can fail it
         solver._solve_points(prof, np.array([sol.point.z]), np.array([1e6]), m[None])
+    assert eigensolves == [1]
+
+
+def test_bound_needs_positive_imaginary_parts(monkeypatch):
+    # conj(m) has the ratios of m, all below 1, but Im conj(m) < 0 is no
+    # Collatz-Wielandt vector; a row with some Im m_k <= 0 is not certified
+    prof = staircase_profile(3)
+    m = solve(prof, SpectralPoint(re=0.1, im=0.2)).m
+    flat = m.copy()
+    flat[0] = m[0].real
+    rows = np.array([m, m.conj(), flat])
+    with np.errstate(divide="ignore"):  # as in _solve_points
+        bound = solver._saturation_bounds(rows, rows @ prof.complex_entries.T)
+    assert bound[0] < 1.0 and np.isnan(bound[1:]).all()
+    eigensolves = _record_eigensolves(monkeypatch)
+    # a tolerance this loose accepts the unchecked start as it is
+    got, _, iterations = solver._solve_points(
+        prof, np.array([0.1 + 0.2j]), np.array([1e6]), m.conj()[None]
+    )
+    assert (got[0] == m.conj()).all() and iterations[0] == 0
     assert eigensolves == [1]
 
 
