@@ -236,8 +236,13 @@ def _zero_blocks(entries: np.ndarray) -> list[int]:
 
     Goes greedily over the zero-diagonal blocks in order of increasing
     row support (ties by index) and takes each one that is zero against
-    those already taken.  For a staircase of n blocks, permuted or not,
-    that is the floor(n/2) blocks below the anti-diagonal.
+    those already taken.  For a staircase of n blocks with no zero in its
+    free region (i + j < n), permuted or not, that is the floor(n/2)
+    blocks below the anti-diagonal.  Free-region zeros can tie or reorder
+    the supports, and Z may then come out smaller, down to 2 of 3 blocks
+    on the 6 x 6 staircase with only its anti-diagonals positive.  Any Z
+    with entries[Z, Z] = 0 keeps the near-zero count exact; a smaller one
+    only leaves a larger complement to factorize.
     """
     zero: list[int] = []
     for k in np.argsort(np.count_nonzero(entries, axis=1), kind="stable"):

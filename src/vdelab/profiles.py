@@ -3,7 +3,8 @@
 A variance profile is a symmetric matrix of non-negative entry variances
 for a Hermitian random matrix.  This module parses and validates profiles,
 enumerates maximal all-zero rectangles of the zero pattern, classifies the
-profile by zero-block perimeter, recovers staircase orderings, checks
+profile by zero-block perimeter, recovers the staircase ordering (unique
+when it exists, so peeled off from the outside in with no search), checks
 anti-diagonal irreducibility, and expands a small profile into a large one
 with noisy inner blocks.
 
@@ -119,7 +120,9 @@ class VarianceProfile:
 
     def permuted(self, perm) -> "VarianceProfile":
         """Profile with entries s[perm[i], perm[j]] (0-based permutation)."""
-        idx = np.asarray(perm, dtype=int)
+        idx = np.asarray(perm)
+        if idx.dtype.kind not in "iu":
+            raise ProfileError("permutation entries must be integers")
         if sorted(idx.tolist()) != list(range(self.dim)):
             raise ProfileError("not a permutation of the row indices")
         return VarianceProfile(self.entries[np.ix_(idx, idx)])
@@ -328,49 +331,40 @@ def check_assumption_staircase(
 
 
 def recover_staircase_permutation(profile: VarianceProfile) -> tuple[int, ...]:
-    """Find a 0-based permutation p with s[p[i], p[j]] in staircase form.
+    """Find the 0-based permutation p with s[p[i], p[j]] in staircase form.
 
     Success means the permuted matrix passes check_assumption_staircase:
     zeros wherever i + j >= dim + 2 demands them, positive entries on the
-    two anti-diagonals, entries with i + j < dim unconstrained.  Rows are
-    assigned to staircase positions from the bottom up by backtracking;
-    candidates are tried in descending zero-count order, which resolves
-    instantly for the common case of distinct counts while staying
-    complete when unconstrained zeros make counts tie or reorder.
+    two anti-diagonals, entries with i + j < dim unconstrained.  In a
+    staircase of side n >= 2 the row at position n is the only one with a
+    single nonzero entry, at the column of position 1 (every other row has
+    its two anti-diagonal positives), and deleting both leaves a staircase
+    of side n - 2.  So peeling that row last and its column first among
+    the unplaced ones is forced at every step, and p is unique whenever it
+    exists.  Row counts are updated as pairs go, O(dim^2) in all.
 
     Raises StaircasePatternError when no valid permutation exists.
     """
-    a = profile.entries
-    dim = profile.dim
-    counts = (a == 0.0).sum(axis=1)
-    by_count_desc = sorted(range(dim), key=lambda r: (-int(counts[r]), r))
-    # slot[k] is the original row placed at 1-based position k+1
-    slot: list[int] = [-1] * dim
-    used = [False] * dim
-    rule = _staircase_rule(dim).tolist()
-
-    def admissible(row: int, pos0: int) -> bool:
-        need = rule[pos0]
-        for j0 in range(pos0, dim):
-            v = a[row, row if j0 == pos0 else slot[j0]]
-            if (need[j0] > 0 and not v > 0) or (need[j0] < 0 and v != 0.0):
-                return False
-        return True
-
-    def place(pos0: int) -> bool:
-        if pos0 < 0:
-            return True
-        for row in by_count_desc:
-            if not used[row] and admissible(row, pos0):
-                slot[pos0] = row
-                used[row] = True
-                if place(pos0 - 1):
-                    return True
-                slot[pos0] = -1
-                used[row] = False
-        return False
-
-    if not place(dim - 1):
+    nonzero = profile.entries != 0.0
+    counts = nonzero.sum(axis=1)
+    unplaced = np.ones(profile.dim, dtype=bool)
+    slot = [0] * profile.dim
+    first, last = 0, profile.dim - 1
+    while first <= last:
+        single = np.flatnonzero(unplaced & (counts == 1))
+        if single.size != 1:
+            break
+        row = int(single[0])
+        col = int(np.flatnonzero(nonzero[row] & unplaced)[0])
+        # the last and first positions coincide only on the middle row
+        if col == row and first < last:
+            break
+        slot[first], slot[last] = col, row
+        unplaced[[row, col]] = False
+        counts -= nonzero[:, row]
+        counts -= nonzero[:, col]
+        first, last = first + 1, last - 1
+    if first <= last or not check_assumption_staircase(profile.permuted(slot))[0]:
         raise StaircasePatternError(
             "no row/column ordering satisfies the staircase conditions"
         )

@@ -14,11 +14,13 @@ from vdelab import (
     COMPLEX_HERMITIAN,
     EnsembleSpec,
     SpectralPoint,
+    VarianceProfile,
     empirical_near_zero,
     entry_value,
     entrywise_law_check,
     predicted_near_zero_mass,
     random_staircase_profile,
+    recover_staircase_permutation,
     sample_matrix,
     sample_spectrum,
     staircase_profile,
@@ -168,6 +170,32 @@ def test_zero_blocks_of_every_permuted_staircase(n, profile_seed, data):
     zero = _zero_blocks(entries)
     assert len(set(zero)) == len(zero) == n // 2
     assert (entries[np.ix_(zero, zero)] == 0.0).all()
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(1, 8),
+    profile_seed=st.integers(0, 2**32 - 1),
+    free_zeros=st.sampled_from([0.0, 0.5, 1.0]),
+    data=st.data(),
+)
+def test_zero_blocks_against_the_recovered_staircase(
+    n, profile_seed, free_zeros, data
+):
+    # zeros in the free region (1-based i + j < n) keep a staircase; its
+    # recovered ordering says which blocks lie below the anti-diagonal
+    a = random_staircase_profile(n, profile_seed).entries.copy()
+    i, j = np.triu_indices(n)
+    rng = np.random.default_rng(profile_seed)
+    hit = (i + j + 2 < n) & (rng.random(len(i)) < free_zeros)
+    a[i[hit], j[hit]] = a[j[hit], i[hit]] = 0.0
+    profile = VarianceProfile(a).permuted(data.draw(st.permutations(range(n))))
+    order = recover_staircase_permutation(profile)
+    zero = _zero_blocks(profile.entries)
+    assert (profile.entries[np.ix_(zero, zero)] == 0.0).all()
+    if free_zeros == 0.0:
+        below = [order[k - 1] for k in range(1, n + 1) if 2 * k >= n + 2]
+        assert sorted(zero) == sorted(below)
 
 
 def test_zero_blocks_of_general_profiles():

@@ -96,6 +96,12 @@ def test_permuted_reorders_entries():
     assert swapped.entries[1, 1] == 4.0
     with pytest.raises(ProfileError):
         prof.permuted([0, 0])
+    # non-integer entries are refused, not truncated to the identity
+    for perm in ([0.9, 1.5, 2.2], [0.0, 1.0, 2.0], [True, False, False]):
+        with pytest.raises(ProfileError, match="integers"):
+            staircase_profile(3).permuted(perm)
+    flipped = staircase_profile(3).permuted(np.array([2, 1, 0], dtype=np.uint8))
+    assert (flipped.entries == staircase_entries(3)[::-1, ::-1]).all()
 
 
 # -------------------------------------------------------------- parse / load
@@ -238,10 +244,9 @@ def test_rectangles_match_brute_force_on_staircases():
             assert len(noisy) <= RECTANGLE_COUNT_CAP
             assert_maximal_zero(noisy, a)
             assert noisy[0].perimeter == 2 * n
-            # classify's staircase-permutation search takes seconds to a
-            # minute on dense-zero staircases past n = 17
-            if n <= 17:
-                assert classify_regime(noisy_prof).regime == REGIME_CRITICAL
+            report = classify_regime(noisy_prof)
+            assert report.regime == REGIME_CRITICAL
+            assert report.staircase_permutation == tuple(range(n))
     # the sparsest 20 x 20 staircase: the cap's reference count
     assert len(noisy) == 73394
 
@@ -319,13 +324,18 @@ def test_recover_identity_for_plain_staircase():
 
 
 def test_recover_round_trip_random_permutations():
+    # the ordering is unique, so it must undo the shuffle exactly; the
+    # sparsest 20 x 20 staircase has only its two anti-diagonals positive
+    sparsest = VarianceProfile(np.where(profiles._staircase_rule(20) > 0, 1.0, 0.0))
     rng = np.random.default_rng(3)
-    for n in range(2, 9):
-        prof = random_staircase_profile(n, seed=n)
+    for prof in [random_staircase_profile(n, seed=n) for n in range(2, 9)] + [sparsest]:
+        n = prof.dim
+        assert recover_staircase_permutation(prof) == tuple(range(n))
         for _ in range(20):
             perm = tuple(rng.permutation(n).tolist())
             shuffled = prof.permuted(perm)
             rec = recover_staircase_permutation(shuffled)
+            assert rec == tuple(np.argsort(perm).tolist())
             assert check_assumption_staircase(shuffled.permuted(rec))[0]
 
 
@@ -338,8 +348,10 @@ def test_recover_with_zeros_in_free_region():
     assert check_assumption_staircase(base)[0]
     rng = np.random.default_rng(99)
     for _ in range(30):
-        shuffled = base.permuted(tuple(rng.permutation(5).tolist()))
+        perm = tuple(rng.permutation(5).tolist())
+        shuffled = base.permuted(perm)
         rec = recover_staircase_permutation(shuffled)
+        assert rec == tuple(np.argsort(perm).tolist())
         assert check_assumption_staircase(shuffled.permuted(rec))[0]
 
 
@@ -371,7 +383,7 @@ def test_staircase_rule_matches_oracle(seed, dim, flip):
     except StaircasePatternError:
         assert want is None
     else:
-        assert want is not None
+        assert rec == want
         assert check_assumption_staircase(prof.permuted(rec))[0]
 
 
