@@ -56,9 +56,9 @@ class VarianceProfile:
         Entry variances.  Must be exactly symmetric; zeros are structural
         and tested by exact equality with 0.
     block_meta : (n, N) tuple, optional
-        Declares the matrix as n x n outer blocks of size N x N.  Within
-        each outer block the zero pattern must be uniform: all entries zero
-        or all entries positive.
+        Declares the matrix as n x n outer blocks of size N x N, with n and
+        N integers (not bools).  Within each outer block the zero pattern
+        must be uniform: all entries zero or all entries positive.
     """
 
     entries: np.ndarray
@@ -81,32 +81,24 @@ class VarianceProfile:
         a.flags.writeable = False
         object.__setattr__(self, "entries", a)
         if self.block_meta is not None:
-            n, inner = self.block_meta
-            if n < 1 or inner < 1 or n * inner != self.dim:
+            meta = _sizes(self.block_meta, "block metadata")
+            if len(meta) != 2 or min(meta) < 1 or meta[0] * meta[1] != self.dim:
                 raise ProfileError(
-                    f"block metadata ({n},{inner}) inconsistent with dim {self.dim}"
+                    f"block metadata {meta} inconsistent with dim {self.dim}"
                 )
-            object.__setattr__(self, "block_meta", (int(n), int(inner)))
-            for j in range(n):
-                for k in range(n):
-                    blk = a[j * inner:(j + 1) * inner, k * inner:(k + 1) * inner]
-                    if (blk == 0).any() and not (blk == 0).all():
-                        raise ProfileError(
-                            f"outer block ({j + 1},{k + 1}) mixes zero and "
-                            "positive entries"
-                        )
+            object.__setattr__(self, "block_meta", meta)
+            n, inner = meta
+            zero = (a == 0).reshape(n, inner, n, inner)
+            mixed = zero.any(axis=(1, 3)) & ~zero.all(axis=(1, 3))
+            if mixed.any():
+                j, k = np.argwhere(mixed)[0]
+                raise ProfileError(
+                    f"outer block ({j + 1},{k + 1}) mixes zero and positive entries"
+                )
 
     @property
     def dim(self) -> int:
         return self.entries.shape[0]
-
-    @cached_property
-    def complex_entries(self) -> np.ndarray:
-        """entries cast to complex once per profile, read-only; the solver's
-        complex products take it so they make no cast of their own."""
-        s = self.entries.astype(complex)
-        s.flags.writeable = False
-        return s
 
     @cached_property
     def block_means(self) -> np.ndarray | None:
@@ -126,6 +118,15 @@ class VarianceProfile:
         if sorted(idx.tolist()) != list(range(self.dim)):
             raise ProfileError("not a permutation of the row indices")
         return VarianceProfile(self.entries[np.ix_(idx, idx)])
+
+
+def _sizes(sizes, what: str) -> tuple[int, ...]:
+    """sizes as a tuple of ints, refusing bool and non-integer sizes."""
+    out = tuple(sizes)
+    for d in out:
+        if isinstance(d, bool) or not isinstance(d, (int, np.integer)):
+            raise ProfileError(f"{what} sizes must be integers, got {d!r}")
+    return tuple(int(d) for d in out)
 
 
 @dataclass(frozen=True, order=True)
@@ -379,12 +380,13 @@ def antidiagonal_irreducibility(
     For each block index a (1-based) with opposite index b = p + 1 - a,
     B is the (a, b) block of the partition grid, M = B B^T, and the entry
     M[v, t] > 0 defines a directed edge v -> t.  Reports one boolean per a:
-    whether that graph is strongly connected.
+    whether that graph is strongly connected.  The sizes must be integers;
+    a bool or fractional size raises ProfileError.
     """
-    part = [int(d) for d in partition]
+    part = _sizes(partition, "partition")
     if any(d < 1 for d in part) or sum(part) != profile.dim:
         raise ProfileError(
-            f"partition {part} does not sum to dim {profile.dim}"
+            f"partition {list(part)} does not sum to dim {profile.dim}"
         )
     offs = np.concatenate([[0], np.cumsum(part)])
     p = len(part)
@@ -426,7 +428,10 @@ def classify_regime(profile: VarianceProfile) -> StructureReport:
     Thresholds: bounded when the maximum perimeter is strictly below
     2*dim; rank_deficient when it reaches 2*(dim+1); critical_staircase
     for the gap in between.  Critical blocks are the maximal rectangles
-    with perimeter in [2*dim, 2*dim + 1].
+    with perimeter in [2*dim, 2*dim + 1].  Given a staircase ordering, the
+    anti-diagonal flags and, without block metadata, the irreducibility of
+    the 1 x 1 blocks are read in it; a block profile's partition is its
+    outer blocks as given.  The partition is None without either.
     """
     rects = maximal_zero_rectangles(profile)
     dim = profile.dim
@@ -442,21 +447,19 @@ def classify_regime(profile: VarianceProfile) -> StructureReport:
         perm = recover_staircase_permutation(profile)
     except StaircasePatternError:
         perm = None
-    a = profile.entries
+    ordered = profile if perm is None else profile.permuted(perm)
+    a = ordered.entries
     anti = bool(all(a[i, dim - 1 - i] > 0 for i in range(dim)))
     soup = bool(all(a[i, dim - 2 - i] > 0 for i in range(dim - 1)))
     if profile.block_meta is not None:
         n, inner = profile.block_meta
         partition: tuple[int, ...] | None = (inner,) * n
-    elif ((a == 0.0) == (_staircase_rule(dim) < 0)).all():
+        irr = tuple(antidiagonal_irreducibility(profile, partition))
+    elif perm is not None:
         partition = (1,) * dim
+        irr = tuple(antidiagonal_irreducibility(ordered, partition))
     else:
-        partition = None
-    irr = (
-        tuple(antidiagonal_irreducibility(profile, partition))
-        if partition is not None
-        else None
-    )
+        partition = irr = None
     return StructureReport(
         regime=regime,
         max_perimeter=maxp,

@@ -15,19 +15,19 @@ way down to the radius floor.  The iteration is written once, batched
 over P points that each keep their own state; solve is its P=1 case,
 rho_grid solves a chunk of its mesh per eta level in it, and on the
 GMRES path below solve_path solves a decade of a ray in it.  Each batcher
-sizes its batches to fit _STACK_BYTES (_stack_rows).  Each iterate
-carries its product S m: the line search's S*trial of an accepted row is
-reused by the defect and the next Newton step, so each iterate costs one
-product.
+sizes its batches to fit _STACK_BYTES (_stack_rows).  Each S product of
+all rows is one real GEMM of the real symmetric S with the stacked rows
+(Re m; Im m), on either Newton path below.  Each iterate carries its
+product S m: the line search's S*trial of an accepted row is reused by the
+defect and the next Newton step, so each iterate costs one product.
 
 The Newton step solves J delta = -g with J = diag(g-1) + M S M, M =
 diag(m), by a dense LU, except that a profile with block metadata (n
 outer blocks of size N) and dim at least _KRYLOV_MIN_DIM never builds
 J: the rows run right-preconditioned GMRES on the matvec
-J v = (g-1)v + m(S(mv)) (Knoll & Keyes, JCP 2004) in lock-step, and
-each S product of all rows is one real GEMM of the real symmetric S with
-the stacked rows (Re x; Im x), where a complex S would take one GEMV per
-row.  The preconditioner is J with S replaced by its block means
+J v = (g-1)v + m(S(mv)) (Knoll & Keyes, JCP 2004) in lock-step, each
+product S(mv) of all rows again one real GEMM.  The preconditioner is J
+with S replaced by its block means
 S_bar = U C U^T, C the n x n means and U the block indicator, so it is
 diagonal plus rank n and Woodbury applies its inverse in
 O(dim*n + n^3) without inverting C, from an n x n core per row solved
@@ -67,8 +67,7 @@ f_norm = theta, when the two bounds agree to 1e-14 relative and the
 upper one is below 1; a point that is not certified within
 _PERRON_MAX_STEPS steps takes the eigensolve.  Each point iterates on
 its own: a read needs one root, and a row the solve's bound declines is
-rare.  The dense path's complex S and the block means are computed once
-per profile.
+rare.  The block means are computed once per profile.
 """
 
 from __future__ import annotations
@@ -175,7 +174,7 @@ class VdeSolution:
 
     @functools.cached_property
     def f_norm(self) -> float:
-        return float(_f_norms(self.m[None], self.profile, _krylov(self.profile))[0])
+        return float(_f_norms(self.m[None], self.profile)[0])
 
     def to_json_dict(self) -> dict:
         return {
@@ -226,10 +225,10 @@ def _perron_root(s: np.ndarray, a: np.ndarray, n: int) -> float:
     return math.nan
 
 
-def _f_norms(m: np.ndarray, profile: VarianceProfile, perron: bool) -> np.ndarray:
-    """||F||_2 of each row of m: by the eigensolve, or if perron by
+def _f_norms(m: np.ndarray, profile: VarianceProfile) -> np.ndarray:
+    """||F||_2 of each row of m: by the eigensolve, or on the GMRES path by
     _perron_root, with the eigensolve for the rows it does not certify."""
-    if not perron:
+    if not _krylov(profile):
         return _symmetric_norm2(stability_matrix(m, profile))
     n = profile.block_meta[0]
     out = np.array([_perron_root(profile.entries, a, n) for a in np.abs(m)])
@@ -254,19 +253,16 @@ def _stack_rows(profile: VarianceProfile) -> int:
 
 
 def _matvec(s: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """S m for each row of the complex stack m.
+    """S m for each row of the complex stack m and the real symmetric S.
 
-    The GMRES path's real S takes every row in one real GEMM on the stacked
-    rows (Re m; Im m), as x S is (S x)^T for the symmetric S; an Re m of 0
-    gives a real part of exactly 0.  The dense path's complex S gives each
-    row bit for bit the s @ m of one vector (m @ s.T does not).
+    Every row goes in one real GEMM on the stacked rows (Re m; Im m), as
+    x S is (S x)^T for the symmetric S; an Re m of 0 gives a real part of
+    exactly 0.
     """
-    if s.dtype != complex:
-        y = np.concatenate((m.real, m.imag)) @ s
-        out = np.empty(m.shape, dtype=complex)
-        out.real, out.imag = y[: len(m)], y[len(m):]
-        return out
-    return (s @ m[..., None])[..., 0]
+    y = np.concatenate((m.real, m.imag)) @ s
+    out = np.empty(m.shape, dtype=complex)
+    out.real, out.imag = y[: len(m)], y[len(m):]
+    return out
 
 
 def _saturation_bounds(m: np.ndarray, sm: np.ndarray) -> np.ndarray:
@@ -473,9 +469,8 @@ def _solve_points(profile: VarianceProfile, z, tol, m):
     its final iterate; only a row that bound does not certify computes
     ||F||_2 by _f_norms, and raises AnomalyError unless it is below 1.
     """
-    krylov = _krylov(profile)
-    s = profile.entries if krylov else profile.complex_entries
-    means = profile.block_means if krylov else None
+    s = profile.entries
+    means = profile.block_means if _krylov(profile) else None
     m = np.full((len(z), profile.dim), 1j) if m is None else np.array(m, dtype=complex)
     iterations = np.zeros(len(z), dtype=int)
     # each row computes every trial step and drops it when done, past the
@@ -522,7 +517,7 @@ def _solve_points(profile: VarianceProfile, z, tol, m):
         rest = np.flatnonzero(~(_saturation_bounds(m, sm) < 1.0))  # NaN too
 
     if rest.size:
-        f_norm = _f_norms(m[rest], profile, krylov)
+        f_norm = _f_norms(m[rest], profile)
         if not (f_norm < 1.0).all():
             j = (~(f_norm < 1.0)).argmax()
             i = rest[j]
@@ -547,10 +542,11 @@ def solve(
     suggested_tol); from |z| ~ 1e5 on pass suggested_tol(profile, abs(z)).
     Starts from i*(1,...,1) unless warm_start is given.  Newton directions
     come from a dense LU of the log-coordinate Jacobian, or, for a profile
-    with block metadata and dim >= _KRYLOV_MIN_DIM, from GMRES on the real
-    S, preconditioned by the block-mean Jacobian, with the dense LU as the
+    with block metadata and dim >= _KRYLOV_MIN_DIM, from GMRES,
+    preconditioned by the block-mean Jacobian, with the dense LU as the
     fallback for a step GMRES misses; convergence is judged on the true
-    defect either way.  When z is exactly on the imaginary axis (re ==
+    defect either way.  Both paths multiply by the real S, one real product
+    each for Re m and Im m.  When z is exactly on the imaginary axis (re ==
     0.0) and the start vector is purely imaginary, every accepted iterate
     stays purely imaginary in exact arithmetic, a symmetry the solver
     preserves bit-for-bit.

@@ -87,6 +87,16 @@ def test_block_meta_validation():
     mixed[1, 0] = 0.0
     with pytest.raises(ProfileError, match="mixes"):
         VarianceProfile(mixed, block_meta=(2, 2))
+    # the first mixed block in row-major order is the one named
+    mixed = big.copy()
+    mixed[3, 0] = mixed[0, 3] = 0.0
+    with pytest.raises(ProfileError, match=r"outer block \(1,2\) mixes"):
+        VarianceProfile(mixed, block_meta=(2, 2))
+    # sizes are integers, refused rather than truncated or coerced
+    for meta in ((1.0, 4.0), (True, 4), (2.0, 2)):
+        with pytest.raises(ProfileError, match="integers"):
+            VarianceProfile(big, block_meta=meta)
+    assert VarianceProfile(big, block_meta=(np.int64(2), 2)).block_meta == (2, 2)
 
 
 def test_permuted_reorders_entries():
@@ -436,6 +446,25 @@ def test_classify_regime_is_permutation_invariant():
             assert len(report.critical_blocks) == len(base.critical_blocks)
 
 
+def test_classify_reads_structure_in_the_staircase_ordering():
+    # a shuffled staircase and one with a zero free entry report the
+    # anti-diagonal structure of their recovered ordering
+    zero_free = staircase_entries(4)
+    zero_free[0, 0] = 0.0
+    shuffled = staircase_profile(4).permuted([2, 0, 3, 1])
+    for prof, perm in ((shuffled, (1, 3, 0, 2)),
+                       (VarianceProfile(zero_free), (0, 1, 2, 3))):
+        report = classify_regime(prof)
+        assert report.staircase_permutation == perm
+        assert report.antidiagonal_positive and report.super_antidiagonal_positive
+        assert report.block_partition == (1, 1, 1, 1)
+        assert report.irreducibility == (True,) * 4
+    # without a staircase ordering the flags are read as given
+    report = classify_regime(VarianceProfile(np.ones((3, 3))))
+    assert report.antidiagonal_positive and report.block_partition is None
+    assert report.irreducibility is None
+
+
 def test_classify_json_round_trip():
     doc = classify_regime(staircase_profile(3)).to_json_dict()
     assert doc["regime"] == REGIME_CRITICAL
@@ -471,6 +500,12 @@ def test_irreducibility_partition_validation():
         antidiagonal_irreducibility(prof, (2, 3))
     with pytest.raises(ProfileError, match="equal sizes"):
         antidiagonal_irreducibility(prof, (1, 3))
+    # sizes are integers, refused rather than truncated to (1, 1)
+    two = staircase_profile(2)
+    for part in ((1.5, 1.5), (True, True), (1.0, 1.0)):
+        with pytest.raises(ProfileError, match="integers"):
+            antidiagonal_irreducibility(two, part)
+    assert antidiagonal_irreducibility(two, np.array([1, 1])) == [True, True]
 
 
 @settings(max_examples=200, deadline=None)

@@ -234,7 +234,7 @@ def test_batched_rows_fall_back_alone():
     z = np.array([0.1 + 0.2j, 0.1 + 0.2j])
     start = np.array([[1j, 1j], [1e200j, 1e200j]])
     with np.errstate(over="ignore", invalid="ignore"):
-        s = prof.complex_entries
+        s = prof.entries
         _, _, took = solver._log_newton(start, solver._matvec(s, start), z, s)
         m, residual, iterations = solver._solve_points(
             prof, z, np.array([1e-12, 1e-12]), start
@@ -243,7 +243,7 @@ def test_batched_rows_fall_back_alone():
     solo = solve(prof, SpectralPoint(re=0.1, im=0.2))
     assert (m[0] == solo.m).all()
     assert (residual[0], iterations[0]) == (solo.residual, solo.iterations)
-    assert solver._f_norms(m, prof, False)[0] == solo.f_norm
+    assert solver._f_norms(m, prof)[0] == solo.f_norm
     assert iterations[1] > 100 and residual[1] <= 1e-12
     assert np.max(np.abs(m[1] - solo.m)) < 1e-12
 
@@ -318,14 +318,14 @@ def test_krylov_path_matches_dense_path(monkeypatch):
     krylov = [solver._solve_points(prof, z, np.full(len(z), tol), w)
               for z, w in batches]
     assert calls and all(ok for _, ok in calls)
+    k_f = [solver._f_norms(km, prof) for km, *_ in krylov]
     monkeypatch.setattr(solver, "_KRYLOV_MIN_DIM", 10**9)
     dense = [solver._solve_points(prof, z, np.full(len(z), tol), w)
              for z, w in batches]
-    for (km, _, k_iters), (dm, _, d_iters) in zip(krylov, dense):
+    for (km, _, k_iters), (dm, _, d_iters), kf in zip(krylov, dense, k_f):
         assert k_iters.tolist() == d_iters.tolist() and k_iters.min() >= 1
         assert np.max(np.abs(km - dm) / np.abs(dm)) <= 1e-12
-        k_f, d_f = solver._f_norms(km, prof, True), solver._f_norms(dm, prof, False)
-        assert np.max(np.abs(k_f - d_f)) <= 1e-13
+        assert np.max(np.abs(kf - solver._f_norms(dm, prof))) <= 1e-13
     for m, *_ in krylov[: len(batches) // 2]:  # the ray pi/2
         assert (m.real == 0.0).all()
 
@@ -545,7 +545,7 @@ def test_bound_needs_positive_imaginary_parts(monkeypatch):
     flat[0] = m[0].real
     rows = np.array([m, m.conj(), flat])
     with np.errstate(divide="ignore"):  # as in _solve_points
-        bound = solver._saturation_bounds(rows, rows @ prof.complex_entries.T)
+        bound = solver._saturation_bounds(rows, rows @ prof.entries)
     assert bound[0] < 1.0 and np.isnan(bound[1:]).all()
     eigensolves = _record_eigensolves(monkeypatch)
     # a tolerance this loose accepts the unchecked start as it is
@@ -657,25 +657,18 @@ def test_unread_f_norm_is_not_computed(tmp_path, monkeypatch):
     assert doc["f_norm"] == pytest.approx(np.linalg.norm(f, 2), rel=1e-13)
 
 
-def test_complex_entries_are_cast_once_per_profile():
-    # a dense-path ray casts S once; every per-point solve on a fresh copy
-    # of the profile casts it anew, and both give the same bits
+def test_dense_path_product_is_one_real_gemm():
+    # on a dense-path profile each row of the product is m @ S up to
+    # summation order, and a purely imaginary m keeps a real part of 0.0
     prof = expand_profile(staircase_profile(3), 40, noise=0.5, seed=8)
-    assert prof.dim < solver._KRYLOV_MIN_DIM
-    radii = np.geomspace(1e-1, 1e-5, 13)
-    opts = SolverOptions(tol=suggested_tol(prof, radii[-1]))
-    path = solve_path(prof, 0.3 * math.pi, radii, opts)
-    s = prof.complex_entries
-    assert prof.complex_entries is s and not s.flags.writeable
-    assert (s == prof.entries).all() and prof.block_means.shape == (3, 3)
-    fresh, guess = [], None
-    for sol in path:
-        copy = expand_profile(staircase_profile(3), 40, noise=0.5, seed=8)
-        fresh.append(solve(copy, sol.point, opts, warm_start=guess))
-        guess = continuation_guess([f.m for f in fresh[-2:]])
-    for a, b in zip(path, fresh):
-        assert (a.m == b.m).all()
-        assert (a.residual, a.iterations, a.f_norm) == (b.residual, b.iterations, b.f_norm)
+    assert not solver._krylov(prof)
+    rng = np.random.default_rng(3)
+    m = rng.standard_normal((5, prof.dim)) + 1j * rng.uniform(0.1, 2.0, (5, prof.dim))
+    got = solver._matvec(prof.entries, m)
+    for row, want in zip(got, m @ prof.entries):
+        assert np.max(np.abs(row - want)) <= 1e-15 * np.max(np.abs(want))
+    pure = solver._matvec(prof.entries, 1j * m.imag)
+    assert (pure.real == 0.0).all()
 
 
 def test_solution_serialization_round_trip():
