@@ -420,7 +420,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--noise", type=float)
     parser.add_argument("--seed", type=int)
     parser.add_argument("--trials", type=int)
-    parser.add_argument("--tol", type=float, help="solver tolerance override")
+    parser.add_argument("--tol", type=float, help="relative backward error bound")
     parser.add_argument("--delta", type=float, help="near-zero half-width for mc")
     return parser
 

@@ -24,7 +24,7 @@ import numpy as np
 from .profiles import VarianceProfile
 from .solver import (
     SolverOptions, SpectralPoint, _solve_points, _stack_rows, continuation_guess,
-    solve, suggested_tol,
+    solve,
 )
 
 DEFAULT_ETA_SCHEDULE: tuple[float, ...] = tuple(np.geomspace(1e-2, 1e-6, 5))
@@ -129,12 +129,10 @@ def rho_at_detailed(
 
     Solves at E + i*eta for each eta in turn, each solve warm-started by
     continuation_guess of the ones before it, records the raw values
-    (1/(pi dim)) sum_k Im m_k and extrapolates them to eta -> 0.  Without
-    opts the tolerance is suggested_tol over |E + i*eta| at both ends.
+    (1/(pi dim)) sum_k Im m_k and extrapolates them to eta -> 0.  Each
+    solve stops on its relative backward error at opts.tol, as in solve.
     """
     etas = _validate_schedule(eta_schedule)
-    opts = opts or SolverOptions(tol=suggested_tol(
-        profile, math.hypot(e_val, etas[-1]), math.hypot(e_val, etas[0])))
     ms: list[np.ndarray] = []
     for eta in etas:
         point = SpectralPoint(re=float(e_val), im=eta)
@@ -184,10 +182,11 @@ def rho_grid(
     staircase density diverges there).  Mass is integrated by trapezoid
     over the union of the grid with a linear mesh reaching the support
     bound on both sides, so partial grids still report total mass.  Each
-    mesh energy gets rho_at_detailed's descent, in chunks of
-    _stack_rows(profile) energies, each one batched solve per eta level; a
-    failure raises at the first chunk, then eta level, where one occurs and
-    names an energy that failed there, not always the lowest failing.
+    mesh energy gets rho_at_detailed's descent, each solve stopping on its
+    relative backward error at opts.tol, in chunks of _stack_rows(profile)
+    energies, each one batched solve per eta level; a failure raises at
+    the first chunk, then eta level, where one occurs and names an energy
+    that failed there, not always the lowest failing.
     """
     grid = np.atleast_1d(np.asarray(e_grid, dtype=float))
     etas = tuple(_validate_schedule(eta_schedule))
@@ -206,14 +205,13 @@ def rho_grid(
         grid, np.concatenate([-lin[::-1], lin, [-e_max, e_max]])
     )
     # rho_at_detailed's descent, one batched solve of a chunk per eta level
-    tol = np.array([opts.tol if opts else suggested_tol(
-        profile, math.hypot(e, etas[-1]), math.hypot(e, etas[0])) for e in mesh])
+    tol = (opts or SolverOptions()).tol
     raw = np.empty((mesh.size, len(etas)))
     size = _stack_rows(profile)
     for i in range(0, mesh.size, size):
-        e, t, ms = mesh[i:i + size], tol[i:i + size], []
+        e, ms = mesh[i:i + size], []
         for j, eta in enumerate(etas):
-            m = _solve_points(profile, e + 1j * eta, t, continuation_guess(ms))[0]
+            m = _solve_points(profile, e + 1j * eta, tol, continuation_guess(ms))[0]
             ms = [*ms[-1:], m]
             raw[i:i + size, j] = m.imag.sum(axis=1) / (math.pi * profile.dim)
     value, err, divergent = _extrapolate(etas, raw)

@@ -121,8 +121,11 @@ class VarianceProfile:
 
 
 def _sizes(sizes, what: str) -> tuple[int, ...]:
-    """sizes as a tuple of ints, refusing bool and non-integer sizes."""
-    out = tuple(sizes)
+    """sizes as a tuple of ints, refusing non-sequences, bools and non-integers."""
+    try:
+        out = tuple(sizes)
+    except TypeError:
+        raise ProfileError(f"{what} must be a sequence of sizes, got {sizes!r}") from None
     for d in out:
         if isinstance(d, bool) or not isinstance(d, (int, np.integer)):
             raise ProfileError(f"{what} sizes must be integers, got {d!r}")

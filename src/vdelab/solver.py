@@ -6,20 +6,26 @@ coordinates; when its line search fails, it takes the averaged
 fixed-point half-step m <- (m + Phi(m))/2 with Phi(m) = -1/(z+Sm), which
 stays in the upper half-plane and converges from any start (Helton,
 Rashidi Far & Speicher, IMRN 2007).  The accepted-iterate invariants
-(Im m_k > 0 throughout, final defect below tolerance) are the same
-either way.  The solve fails after 50 straight iterations without a new
-best residual.  The log parametrization m <- m*exp(delta) matters: the
-Jacobian of the raw defect is ill-conditioned like r^{-2(n-1)/(n+1)} near
-the singularity, while the log-coordinate Jacobian stays benign all the
-way down to the radius floor.  The iteration is written once, batched
-over P points that each keep their own state; solve is its P=1 case,
-rho_grid solves a chunk of its mesh per eta level in it, and on the
-GMRES path below solve_path solves a decade of a ray in it.  Each batcher
-sizes its batches to fit _STACK_BYTES (_stack_rows).  Each S product of
-all rows is one real GEMM of the real symmetric S with the stacked rows
-(Re m; Im m), on either Newton path below.  Each iterate carries its
-product S m: the line search's S*trial of an accepted row is reused by the
-defect and the next Newton step, so each iterate costs one product.
+(Im m_k > 0, final backward error below tolerance) are the same either
+way.  A point converges once its componentwise relative backward error
+omega = max_k |d_k| / (|1/m_k| + |z| + |(Sm)_k|), d = 1/m + z + Sm, is
+at most the tolerance (Oettli & Prager, Numer. Math. 1964), so one
+tolerance serves every growth law of m and the far field.  The solve
+fails after 50 straight iterations without a new best absolute defect
+max_k |d_k|; far from the solution omega sits near 1.  The log
+parametrization m <- m*exp(delta) matters: the Jacobian of the raw
+defect is ill-conditioned like r^{-2(n-1)/(n+1)} near the singularity,
+while the log-coordinate Jacobian stays benign all the way down to the
+radius floor.  The iteration is written once, batched over P points that
+each keep their own state; solve is its P=1 case, rho_grid solves a
+chunk of its mesh per eta level in it, and solve_path each batch of a
+ray: one radius on the dense path, a decade on the GMRES path below.
+Each batcher sizes its batches to fit _STACK_BYTES (_stack_rows).  Each
+S product of all rows is one real GEMM of the real symmetric S with the
+stacked rows (Re m; Im m), on either Newton path below.  Each iterate
+carries its product S m: the line search's S*trial of an accepted row is
+reused by the defect and the next Newton step, so each iterate costs one
+product.
 
 The Newton step solves J delta = -g with J = diag(g-1) + M S M, M =
 diag(m), by a dense LU, except that a profile with block metadata (n
@@ -36,8 +42,8 @@ row stops once its GMRES residual meets the tolerance; a row whose GMRES
 breaks down or misses the tolerance within the iteration cap, or whose
 n x n Woodbury system is singular or non-finite, takes the dense
 direction for that step.  The line search, fallback, stall rule,
-residual test and ||F||_2 check judge every step the same way on either
-path, so an inexact direction can cost a backtrack but cannot let a
+convergence test and ||F||_2 check judge every step the same way on
+either path, so an inexact direction can cost a backtrack but cannot let a
 wrong iterate pass.
 
 Every solved point must show ||F||_2 < 1 for the saturation matrix
@@ -139,7 +145,7 @@ class SpectralPoint:
 
 @dataclass(frozen=True)
 class SolverOptions:
-    tol: float = 1e-12
+    tol: float = 1e-14  # bound on each point's relative backward error
 
     def __post_init__(self) -> None:
         if not 0 < self.tol < math.inf:
@@ -150,7 +156,7 @@ class SolverOptions:
 class VdeSolution:
     """Solution vector at one spectral point with convergence diagnostics.
 
-    residual is the max-norm defect max_k |1/m_k + z + (Sm)_k|; f_norm is
+    residual is the relative backward error omega (module docstring); f_norm is
     ||F||_2 of the real symmetric saturation matrix F = |m| S |m| and stays
     below 1 for every point in the upper half-plane.  The solve certifies
     that bound from m itself (see the module docstring); f_norm is computed
@@ -280,9 +286,12 @@ def _saturation_bounds(m: np.ndarray, sm: np.ndarray) -> np.ndarray:
     return bound
 
 
-def _defect_norms(m: np.ndarray, z: np.ndarray, sm: np.ndarray) -> np.ndarray:
-    """max_k |1/m_k + z + (Sm)_k| of each row, from its product sm = S m."""
-    return np.abs(1.0 / m + z[:, None] + sm).max(axis=1)
+def _defects(m: np.ndarray, z: np.ndarray, sm: np.ndarray):
+    """omega and max_k |d_k| of each row, d = 1/m + z + Sm, from its sm = S m."""
+    inv = 1.0 / m
+    d = np.abs(inv + z[:, None] + sm)
+    scale = np.abs(inv) + np.abs(z)[:, None] + np.abs(sm)
+    return (d / scale).max(axis=1), d.max(axis=1)
 
 
 def _jacobian(m: np.ndarray, g: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -458,13 +467,14 @@ def _log_newton(m: np.ndarray, sm: np.ndarray, z: np.ndarray, s: np.ndarray,
     return out, s_out, finite & ~todo
 
 
-def _solve_points(profile: VarianceProfile, z, tol, m):
+def _solve_points(profile: VarianceProfile, z, tol: float, m):
     """Solve -1/m = z + Sm at P points at once, each by the rules of solve.
 
-    z and tol have shape (P,), the start vectors m (P, dim), None for
-    i*(1,...,1).  The caller sizes the batch: at most _stack_rows(profile)
-    rows keep the stacked work arrays within _STACK_BYTES.  A failing row
-    raises the error of solve, naming its z.  Returns m, the residuals and
+    z has shape (P,), the start vectors m (P, dim), None for i*(1,...,1);
+    every row stops once its relative backward error is at most tol.  The
+    caller sizes the batch: at most _stack_rows(profile) rows keep the
+    stacked work arrays within _STACK_BYTES.  A failing row raises the
+    error of solve, naming its z.  Returns m, the backward errors and
     iterations.  A row is certified ||F||_2 < 1 by _saturation_bounds of
     its final iterate; only a row that bound does not certify computes
     ||F||_2 by _f_norms, and raises AnomalyError unless it is below 1.
@@ -477,12 +487,12 @@ def _solve_points(profile: VarianceProfile, z, tol, m):
     # cap or out of the half-plane, so overflow there is harmless
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         sm = _matvec(s, m)
-        residual = _defect_norms(m, z, sm)
+        residual, defect = _defects(m, z, sm)
         # the rows still iterating with their packed state, each iterate
-        # with its product S m; best_at is the iteration of a row's best
-        # residual
+        # with its product S m; best is a row's smallest absolute defect
+        # and best_at the iteration it came at
         rows = np.flatnonzero(~(residual <= tol))  # a NaN residual iterates
-        ma, sma, za, ta, best = m[rows], sm[rows], z[rows], tol[rows], residual[rows]
+        ma, sma, za, best = m[rows], sm[rows], z[rows], defect[rows]
         best_at = np.zeros(rows.size, dtype=int)
         k = 0
         while rows.size:
@@ -501,19 +511,20 @@ def _solve_points(profile: VarianceProfile, z, tol, m):
                                       f"residual {residual[rows[i]]:.3e}")
                 ma[half], sma[half] = step, _matvec(s, step)
             k += 1
-            res = residual[rows] = _defect_norms(ma, za, sma)
-            best_at[res < best] = k
-            best = np.fmin(best, res)  # a NaN residual is no new best
+            res, defect = _defects(ma, za, sma)
+            residual[rows] = res
+            best_at[defect < best] = k
+            best = np.fmin(best, defect)  # a NaN defect is no new best
             if k - best_at.min() >= _STALL_LIMIT:
                 i = best_at.argmin()
-                raise SolverError(f"residual stalled at z = {za[i]}: no new best "
-                                  f"in {_STALL_LIMIT} iterations, best {best[i]:.3e}")
-            go = ~(res <= ta)
+                raise SolverError(f"residual stalled at z = {za[i]}: no new best defect"
+                                  f" in {_STALL_LIMIT} iterations, best {best[i]:.3e}")
+            go = ~(res <= tol)
             if not go.all():
                 done = rows[~go]
                 m[done], sm[done], iterations[done] = ma[~go], sma[~go], k
-                state = (rows, ma, sma, za, ta, best, best_at)
-                rows, ma, sma, za, ta, best, best_at = (a[go] for a in state)
+                state = (rows, ma, sma, za, best, best_at)
+                rows, ma, sma, za, best, best_at = (a[go] for a in state)
         rest = np.flatnonzero(~(_saturation_bounds(m, sm) < 1.0))  # NaN too
 
     if rest.size:
@@ -525,7 +536,7 @@ def _solve_points(profile: VarianceProfile, z, tol, m):
                 f"saturation matrix norm {f_norm[j]} >= 1 at z = {z[i]}; the theory "
                 "forbids this in the upper half-plane, and for this m it needs a "
                 f"defect with imaginary part >= Im z = {z[i].imag:.3e}: residual "
-                f"{residual[i]:.3e}, tol {tol[i]:.3e}")
+                f"{residual[i]:.3e}, tol {tol:.3e}")
     return m, residual, iterations
 
 
@@ -537,32 +548,29 @@ def solve(
 ) -> VdeSolution:
     """Solve -1/m = z + Sm at one point: the P=1 case of the batched solve.
 
-    Without opts the tolerance is 1e-12, which one point often beats by
-    far (stair8 at r = 1e-8, arg 0.02: 2.2e-16, against 8.5e-10 at
-    suggested_tol); from |z| ~ 1e5 on pass suggested_tol(profile, abs(z)).
-    Starts from i*(1,...,1) unless warm_start is given.  Newton directions
-    come from a dense LU of the log-coordinate Jacobian, or, for a profile
-    with block metadata and dim >= _KRYLOV_MIN_DIM, from GMRES,
-    preconditioned by the block-mean Jacobian, with the dense LU as the
-    fallback for a step GMRES misses; convergence is judged on the true
-    defect either way.  Both paths multiply by the real S, one real product
-    each for Re m and Im m.  When z is exactly on the imaginary axis (re ==
-    0.0) and the start vector is purely imaginary, every accepted iterate
-    stays purely imaginary in exact arithmetic, a symmetry the solver
-    preserves bit-for-bit.
+    The solve stops once the relative backward error is at most opts.tol,
+    SolverOptions().tol without opts.  Starts from i*(1,...,1) unless
+    warm_start is given.  Newton directions come from a dense LU of the
+    log-coordinate Jacobian, or, for a profile with block metadata and
+    dim >= _KRYLOV_MIN_DIM, from GMRES, preconditioned by the block-mean
+    Jacobian, with the dense LU as the fallback for a step GMRES misses;
+    convergence is judged on the true backward error either way.  Both
+    paths multiply by the real S, one real product each for Re m and Im m.
+    When z is exactly on the imaginary axis (re == 0.0) and the start
+    vector is purely imaginary, every accepted iterate stays purely
+    imaginary in exact arithmetic, a symmetry the solver preserves
+    bit-for-bit.
 
     Raises ValueError for a warm start of the wrong shape, not finite or
     outside the upper half-plane; SolverError on iteration-budget
-    exhaustion, on 50 straight iterations without a new best residual, or
-    when a fixed-point half-step is non-finite or leaves the upper
-    half-plane; AnomalyError unless the solved point has ||F||_2 < 1 for
-    F = |m| S |m|.  The bound is certified from m and S m at no extra cost
+    exhaustion, on 50 straight iterations without a new best absolute
+    defect, or when a fixed-point half-step is non-finite or leaves the
+    upper half-plane; AnomalyError unless the solved point has ||F||_2 < 1
+    for F = |m| S |m|.  The bound is certified from m and S m at no extra cost
     while the defect stays below Im z (see the module docstring); only
     otherwise is ||F||_2 computed during the solve.  Each message names z.
     The returned f_norm is computed when first read.
     """
-    if opts is None:
-        opts = SolverOptions()
     m = warm_start
     if m is not None:
         m = np.array(m, dtype=complex)
@@ -575,8 +583,8 @@ def solve(
         if not (m.imag > 0).all():
             raise ValueError("warm start must lie in the upper half-plane")
         m = m[None]
-    z, tol = np.array([point.z]), np.array([opts.tol])
-    m, residual, iterations = _solve_points(profile, z, tol, m)
+    tol = (opts or SolverOptions()).tol
+    m, residual, iterations = _solve_points(profile, np.array([point.z]), tol, m)
     return VdeSolution(point, m[0], float(residual[0]), int(iterations[0]), profile)
 
 
@@ -588,21 +596,16 @@ def solve_path(
 ) -> list[VdeSolution]:
     """Solve along z = r*exp(i*ray_angle) for strictly descending radii.
 
-    Each point warm-starts from continuation_guess of the points before
-    it.  On the dense path the points solve one at a time.  On the GMRES
-    path (see _krylov) the first two do, and after them each batch holds
-    the radii down to a tenth of the last solved radius, at most
-    _stack_rows of them (_batch_length), so it fits _STACK_BYTES.  A
-    batch is one _solve_points call whose rows run in lock-step, so each S
-    product of the batch is one real GEMM; its warm starts extrapolate the
-    last two solved points by t steps, t = log(r/r_last)/log(r_last/r_prev).
-    Rays within 1e-15 of the imaginary axis are snapped onto it exactly so
-    the pure-imaginary symmetry is preserved.  Radii below 1e-8 are rejected: double
-    precision cannot resolve the singular scales beneath that.  Without
-    opts each point solves at suggested_tol over the smallest radius and
-    its own, so a far-field start cannot loosen the deep end.  Every point
-    is certified ||F||_2 < 1 as in solve, and computes its f_norm only
-    when that is read.
+    Each batch of radii is one _solve_points call (_batch_length): one
+    radius on the dense path and, on the GMRES path (see _krylov), after
+    the first two the radii down to a tenth of the last solved radius, at
+    most _stack_rows of them.  A batch warm-starts from continuation_guess
+    of the last two solved points by t steps, t = log(r/r_last) /
+    log(r_last/r_prev).  Rays within 1e-15 of the imaginary axis are
+    snapped onto it exactly so the pure-imaginary symmetry is preserved.
+    Radii below 1e-8 are rejected: double precision cannot resolve the
+    singular scales beneath that.  Every point is solved and certified
+    ||F||_2 < 1 as in solve, and computes its f_norm only when that is read.
     """
     if not 0.0 < ray_angle < math.pi:
         raise ValueError(f"ray angle must lie in (0, pi), got {ray_angle}")
@@ -622,23 +625,17 @@ def solve_path(
     sin_phi = math.sin(ray_angle)
     if abs(cos_phi) < 1e-15:
         cos_phi = 0.0
+    tol = (opts or SolverOptions()).tol
     out: list[VdeSolution] = []
     while len(out) < len(radii):
         i = len(out)
         batch = radii[i:i + _batch_length(profile, radii, i)]
         points = [SpectralPoint(re=cos_phi * r, im=sin_phi * r) for r in batch]
-        tol = [opts.tol if opts else suggested_tol(profile, radii[-1], r)
-               for r in batch]
-        if len(batch) == 1:
-            guess = continuation_guess([sol.m for sol in out[-2:]])
-            point_opts = opts or SolverOptions(tol=tol[0])
-            out.append(solve(profile, points[0], point_opts, warm_start=guess))
-            continue
-        r_prev, r_last = radii[i - 2], radii[i - 1]
-        steps = np.log(np.divide(batch, r_last)) / math.log(r_last / r_prev)
-        guess = continuation_guess([out[-2].m, out[-1].m], steps)
+        steps = None if i < 2 else (np.log(np.divide(batch, radii[i - 1]))
+                                    / math.log(radii[i - 1] / radii[i - 2]))
+        guess = continuation_guess([sol.m[None] for sol in out[-2:]], steps)
         z = np.array([point.z for point in points])
-        m, residual, iterations = _solve_points(profile, z, np.array(tol), guess)
+        m, residual, iterations = _solve_points(profile, z, tol, guess)
         out += (VdeSolution(*row, profile) for row in
                 zip(points, m, residual.tolist(), iterations.tolist()))
     return out
@@ -708,10 +705,11 @@ def saturation_identity_residual(
 
 
 def suggested_tol(profile: VarianceProfile, *radii: float) -> float:
-    """The default residual tolerance for a solve spanning radii |z|.
+    """A model of the absolute defect's roundoff floor over radii |z|.
 
-    The defect |1/m + z + Sm| has a roundoff floor proportional to its
-    largest term: near the singularity the largest component, growing like
+    No solver path uses it: every solve stops on its relative backward
+    error.  The floor is proportional to the largest term of |1/m + z +
+    Sm|: near the singularity the largest component, growing like
     r^-(n-1)/(n+1), far out z itself, as 1/m ~ -z cancels against it.
     Returns the largest max(1e-12, 100*eps*max(r^-((n-1)/(n+1)), r)) over
     the radii, with n the outer block count of a block profile.

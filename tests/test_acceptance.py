@@ -71,18 +71,19 @@ def semicircle_run():
 def ones_runs():
     """All-ones staircase rays for n in 2..5; (n, ray) -> (prof, path, tol).
 
-    Only the imaginary-axis builds count toward criterion 2's budget; the
-    side rays exist for the phase criterion.
+    The rays solve at the default tolerance; tol is suggested_tol at the
+    smallest radius, the absolute defect scale criterion 5's budget is
+    stated in.  Only the imaginary-axis builds count toward criterion 2's
+    budget; the side rays exist for the phase criterion.
     """
     runs = {}
     axis_elapsed = 0.0
     for n in ONES_DIMS:
         prof = staircase_profile(n)
         tol = suggested_tol(prof, RADII[-1])
-        opts = SolverOptions(tol=tol)
         for ray in RAYS:
             t0 = time.perf_counter()
-            path = solve_path(prof, ray, RADII, opts)
+            path = solve_path(prof, ray, RADII)
             if ray == math.pi / 2:
                 axis_elapsed += time.perf_counter() - t0
             runs[n, ray] = (prof, path, tol)
@@ -92,9 +93,8 @@ def ones_runs():
 @pytest.fixture(scope="module")
 def asym_run():
     prof = VarianceProfile(np.array([[4.0, 1.0], [1.0, 0.0]]))
-    tol = suggested_tol(prof, RADII[-1])
-    path = solve_path(prof, math.pi / 2, RADII, SolverOptions(tol=tol))
-    return prof, path, tol
+    path = solve_path(prof, math.pi / 2, RADII)
+    return prof, path, suggested_tol(prof, RADII[-1])
 
 
 @pytest.fixture(scope="module")
@@ -325,13 +325,12 @@ def test_criterion_9_nonconstant_blocks(noisy_ensembles):
     # noise 0 collapses every block to a constant, so the expanded system
     # must reproduce the 2-dim solution componentwise along the whole path
     small = staircase_profile(2)
-    tol = suggested_tol(small, RADII[-1])
-    opts = SolverOptions(tol=tol)
-    small_path = solve_path(small, math.pi / 2, RADII, opts)
+    tol = suggested_tol(small, RADII[-1])  # the bound's scale; solves at the default
+    small_path = solve_path(small, math.pi / 2, RADII)
     worst_rel = 0.0
     for N in (4, 8, 16, 128):
         big = expand_profile(small, N, noise=0.0, seed=0)
-        big_path = solve_path(big, math.pi / 2, RADII, opts)
+        big_path = solve_path(big, math.pi / 2, RADII)
         for ps, pb in zip(small_path, big_path):
             target = np.repeat(ps.m, N)
             worst_rel = max(
@@ -364,8 +363,8 @@ def test_criterion_10_reduction(noisy_ensembles):
     worst_res_ratio = 0.0
     worst_arg = 0.0
     for N, big in sorted(noisy_ensembles.items()):
-        tol = suggested_tol(big, radii[-1])
-        path = solve_path(big, math.pi / 2, radii, SolverOptions(tol=tol))
+        tol = suggested_tol(big, radii[-1])  # the budget's scale
+        path = solve_path(big, math.pi / 2, radii)
         _, _, diag = vde_like_reduce(path[-1], big)
         worst_res_ratio = max(worst_res_ratio, diag.residual / (100.0 * tol))
         worst_arg = max(worst_arg, diag.max_abs_arg_s, diag.max_abs_arg_omega)

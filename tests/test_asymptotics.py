@@ -35,8 +35,7 @@ C2_ASYM = 1.5874010519681994
 def ones_path(n, r_min=1e-6, count=26, ray=math.pi / 2):
     prof = staircase_profile(n)
     radii = np.geomspace(1e-1, r_min, count)
-    opts = SolverOptions(tol=suggested_tol(prof, r_min))
-    return prof, solve_path(prof, ray, radii, opts)
+    return prof, solve_path(prof, ray, radii)
 
 
 # ----------------------------------------------------- predicted singularity
@@ -179,7 +178,7 @@ def test_zm_does_not_vanish_for_rank_deficient_profile():
     # with S = [[1, 0], [0, 0]] the second component solves -1/m_2 = z, so
     # z m_2 stays at -1 along the ray instead of decaying
     prof = VarianceProfile(np.array([[1.0, 0.0], [0.0, 0.0]]))
-    path = solve_path(prof, math.pi / 2, np.geomspace(1e-1, 1e-3, 9))
+    path = solve_path(prof, math.pi / 2, np.geomspace(1e-1, 1e-8, 29))
     for sol in path:
         assert sol.point.z * sol.m[1] == pytest.approx(-1.0, abs=1e-9)
 
@@ -202,8 +201,8 @@ def test_reduce_constant_blocks_recovers_small_system():
 def test_reduce_noisy_blocks():
     big = expand_profile(staircase_profile(2), 8, noise=0.5, seed=1)
     radii = np.geomspace(1e-1, 1e-5, 17)
-    tol = suggested_tol(big, radii[-1])
-    path = solve_path(big, math.pi / 2, radii, SolverOptions(tol=tol))
+    tol = suggested_tol(big, radii[-1])  # the budget's scale
+    path = solve_path(big, math.pi / 2, radii)
     omega, s_hat, diag = vde_like_reduce(path[-1], big)
     assert omega.shape == (2,) and s_hat.shape == (2, 2)
     assert diag.residual <= 100.0 * tol
@@ -260,11 +259,10 @@ def test_noise_zero_expansion_matches_small_solution():
     # block-constant profiles reproduce the small solution componentwise
     small = staircase_profile(2)
     radii = np.geomspace(1e-1, 1e-4, 13)
-    tol = suggested_tol(small, radii[-1])
-    opts = SolverOptions(tol=tol)
-    small_path = solve_path(small, math.pi / 2, radii, opts)
+    tol = SolverOptions().tol
+    small_path = solve_path(small, math.pi / 2, radii)
     big = expand_profile(small, 3)
-    big_path = solve_path(big, math.pi / 2, radii, opts)
+    big_path = solve_path(big, math.pi / 2, radii)
     for ps, pb in zip(small_path, big_path):
         target = np.repeat(ps.m, 3)
         rel = np.max(np.abs(pb.m - target) / np.abs(target))

@@ -15,6 +15,9 @@ STAIR2 = '{"matrix": [[1.0, 1.0], [1.0, 0.0]]}'
 ASYM = '{"matrix": [[4.0, 1.0], [1.0, 0.0]]}'
 ONE = '{"matrix": [[1.0]]}'
 STAIR3 = '{"matrix": [[1.0, 1.0, 1.0], [1.0, 1.0, 0.0], [1.0, 0.0, 0.0]]}'
+# a zero 2 x 2 block caps the rank at 2: an atom of mass 1/3 at 0, and
+# m_2 = m_3 grow like 1/|z|
+RANK2 = '{"matrix": [[1.0, 1.0, 1.0], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]]}'
 # expand_profile(staircase(2), 2) written out, with block metadata
 BLOCK = (
     '{"matrix": [[0.5, 0.5, 0.5, 0.5], [0.5, 0.5, 0.5, 0.5],'
@@ -79,7 +82,8 @@ def test_solve_command_single_point(tmp_path):
 
 
 def test_solve_command_far_field(tmp_path):
-    # the default tolerance grows with r far out, where 1e-12 stalls
+    # far out 1/m ~ -z cancels against z, where an absolute 1e-12 on the
+    # defect stalls; the relative backward error meets the default
     prof = write_profile(tmp_path, "p.json", STAIR2)
     out = tmp_path / "solve.txt"
     proc = run_cli(
@@ -91,6 +95,25 @@ def test_solve_command_far_field(tmp_path):
     assert proc.returncode == 0, proc.stderr
     doc = json.loads("\n".join(read_report(out)[2:]))
     assert doc["z"] == [0.0, 1e5]
+    assert doc["residual"] <= 1e-14
+
+
+def test_rank_deficient_profile_solves_and_has_no_constants(tmp_path):
+    # the default ray's last point, 1e-6 i, stalled under an absolute
+    # defect tolerance modelled on the critical growth
+    prof = write_profile(tmp_path, "p.json", RANK2)
+    out = tmp_path / "solve.txt"
+    proc = run_cli(["--command", "solve", "--profile", prof, "--out", str(out)])
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads("\n".join(read_report(out)[2:]))
+    assert doc["z"] == [0.0, 1e-6] and doc["residual"] <= 1e-14
+    atom = 1e-6 * np.mean([im for _, im in doc["m"]])
+    assert atom == pytest.approx(1.0 / 3.0, abs=1e-6)
+    # scan fits the staircase constants, which this profile lacks
+    proc = run_cli(["--command", "scan", "--profile", prof,
+                    "--out", str(tmp_path / "scan.txt")])
+    assert proc.returncode == 1
+    assert "need a staircase profile" in proc.stderr
 
 
 def test_scan_command_table(tmp_path):

@@ -96,6 +96,8 @@ def test_block_meta_validation():
     for meta in ((1.0, 4.0), (True, 4), (2.0, 2)):
         with pytest.raises(ProfileError, match="integers"):
             VarianceProfile(big, block_meta=meta)
+    with pytest.raises(ProfileError, match="sequence"):
+        VarianceProfile(big, block_meta=5)
     assert VarianceProfile(big, block_meta=(np.int64(2), 2)).block_meta == (2, 2)
 
 

@@ -127,10 +127,9 @@ def test_nan_residual_is_never_converged():
     start = np.array([[1j * math.inf, 1j]])
     with np.errstate(invalid="ignore"):
         # S = I, so the product S m is the start itself
-        assert np.isnan(solver._defect_norms(start, np.array([1j]), start))
+        assert np.isnan(solver._defects(start, np.array([1j]), start)).all()
         with pytest.raises(SolverError, match="non-finite"):
-            solver._solve_points(staircase_profile(2), np.array([1j]),
-                                 np.array([1e-12]), start)
+            solver._solve_points(staircase_profile(2), np.array([1j]), 1e-12, start)
 
 
 def test_non_finite_start_fails_without_warnings():
@@ -138,7 +137,7 @@ def test_non_finite_start_fails_without_warnings():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(SolverError, match="non-finite"):
-            solver._solve_points(staircase_profile(2), np.array([1j]), np.array([1e-12]),
+            solver._solve_points(staircase_profile(2), np.array([1j]), 1e-12,
                                  np.array([[1j * math.inf, 1j]]))
 
 
@@ -237,7 +236,7 @@ def test_batched_rows_fall_back_alone():
         s = prof.entries
         _, _, took = solver._log_newton(start, solver._matvec(s, start), z, s)
         m, residual, iterations = solver._solve_points(
-            prof, z, np.array([1e-12, 1e-12]), start
+            prof, z, SolverOptions().tol, start
         )
     assert took.tolist() == [True, False]
     solo = solve(prof, SpectralPoint(re=0.1, im=0.2))
@@ -294,7 +293,7 @@ def test_gmres_takes_one_iteration_on_constant_blocks(monkeypatch):
     assert prof.dim >= solver._KRYLOV_MIN_DIM
     calls = _record_gmres(monkeypatch)
     radii = np.geomspace(1e-1, 1e-5, 9)
-    solve_path(prof, math.pi / 2, radii, SolverOptions(tol=suggested_tol(prof, 1e-5)))
+    solve_path(prof, math.pi / 2, radii)
     assert calls and all(call == (1, True) for call in calls)
 
 
@@ -305,22 +304,22 @@ def test_krylov_path_matches_dense_path(monkeypatch):
     prof = expand_profile(staircase_profile(3), 128, noise=0.5, seed=123)
     assert prof.dim >= solver._KRYLOV_MIN_DIM
     radii, rays = np.geomspace(1e-1, 1e-5, 17), (math.pi / 2, 0.3 * math.pi)
-    tol = suggested_tol(prof, radii[-1])
+    tol = SolverOptions().tol
     batches = []
     for ray in rays:
-        path = solve_path(prof, ray, radii, SolverOptions(tol=tol))
+        path = solve_path(prof, ray, radii)
         for i in range(2, len(radii), 4):
             r_prev, r_last = radii[i - 2], radii[i - 1]
             steps = np.log(radii[i:i + 4] / r_last) / math.log(r_last / r_prev)
             warm = continuation_guess([path[i - 2].m, path[i - 1].m], steps)
             batches.append((np.array([p.point.z for p in path[i:i + 4]]), warm))
     calls = _record_gmres(monkeypatch)
-    krylov = [solver._solve_points(prof, z, np.full(len(z), tol), w)
+    krylov = [solver._solve_points(prof, z, tol, w)
               for z, w in batches]
     assert calls and all(ok for _, ok in calls)
     k_f = [solver._f_norms(km, prof) for km, *_ in krylov]
     monkeypatch.setattr(solver, "_KRYLOV_MIN_DIM", 10**9)
-    dense = [solver._solve_points(prof, z, np.full(len(z), tol), w)
+    dense = [solver._solve_points(prof, z, tol, w)
              for z, w in batches]
     for (km, _, k_iters), (dm, _, d_iters), kf in zip(krylov, dense, k_f):
         assert k_iters.tolist() == d_iters.tolist() and k_iters.min() >= 1
@@ -340,8 +339,8 @@ def test_batched_ray_matches_one_radius_at_a_time(inner, budget_rows, monkeypatc
     prof = expand_profile(staircase_profile(3), inner, noise=0.5, seed=5)
     assert prof.dim >= solver._KRYLOV_MIN_DIM
     radii = np.geomspace(1e-1, 1e-5, 33)
-    tol = suggested_tol(prof, radii[-1])
-    opts = SolverOptions(tol=tol)
+    opts = SolverOptions()
+    tol = opts.tol
     rays = (math.pi / 2, 0.3 * math.pi)
     single = []
     for ray in rays:
@@ -399,7 +398,7 @@ def test_gmres_miss_falls_back_to_the_dense_direction(monkeypatch):
     misses = sum(not ok for _, ok in calls)
     assert misses > 0 and sum(dense_rows) == misses
     for g, w in zip(got, want):
-        assert g.residual <= suggested_tol(prof, radii[-1])
+        assert g.residual <= SolverOptions().tol
         assert np.max(np.abs(g.m - w.m) / np.abs(w.m)) <= 1e-12
 
 
@@ -532,7 +531,7 @@ def test_f_norm_at_least_one_is_not_certified(monkeypatch):
     eigensolves = _record_eigensolves(monkeypatch)
     with pytest.raises(AnomalyError, match="saturation matrix norm"):
         # a tolerance this loose accepts the start, so only f_norm can fail it
-        solver._solve_points(prof, np.array([sol.point.z]), np.array([1e6]), m[None])
+        solver._solve_points(prof, np.array([sol.point.z]), 1e6, m[None])
     assert eigensolves == [1]
 
 
@@ -550,7 +549,7 @@ def test_bound_needs_positive_imaginary_parts(monkeypatch):
     eigensolves = _record_eigensolves(monkeypatch)
     # a tolerance this loose accepts the unchecked start as it is
     got, _, iterations = solver._solve_points(
-        prof, np.array([0.1 + 0.2j]), np.array([1e6]), m.conj()[None]
+        prof, np.array([0.1 + 0.2j]), 1e6, m.conj()[None]
     )
     assert (got[0] == m.conj()).all() and iterations[0] == 0
     assert eigensolves == [1]
@@ -705,7 +704,7 @@ def test_solve_path_validation():
 def test_solve_path_continuation_is_cheap():
     radii = np.geomspace(1e-1, 1e-6, 41)
     prof = staircase_profile(2)
-    opts = SolverOptions(tol=suggested_tol(prof, radii[-1]))
+    opts = SolverOptions()
     path = solve_path(prof, math.pi / 3, radii, opts)
     tail = [sol.iterations for sol in path[5:]]
     # secant warm starts land within a few Newton corrections per point
@@ -714,12 +713,24 @@ def test_solve_path_continuation_is_cheap():
 
 
 def test_solve_path_default_tol_reaches_deep_radii():
-    # the default tolerance follows the roundoff floor of the last radius;
-    # a fixed 1e-12 stalls near r = 1.3e-6 on this ray
+    # the backward error scales the defect by its own terms, so the one
+    # default tolerance holds where m_1 grows like r^(-3/4); an absolute
+    # 1e-12 on the defect stalls near r = 1.3e-6 on this ray
     prof = staircase_profile(7)
     path = solve_path(prof, 0.3 * math.pi, np.geomspace(1e-1, 1e-6, 41))
     assert len(path) == 41
-    assert all(sol.residual <= suggested_tol(prof, 1e-6) for sol in path)
+    assert all(sol.residual <= SolverOptions().tol for sol in path)
+
+
+def test_rank_deficient_ray_reaches_the_atom():
+    # a zero 2 x 2 block caps the rank at 2 (Frobenius-Koenig), so rho has
+    # an atom of mass 1/3 at 0 and m_2 = m_3 grow like 1/|z|, faster than
+    # any critical law; the backward error holds down to the radius floor
+    prof = VarianceProfile(np.array([[1.0, 1.0, 1.0], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]]))
+    path = solve_path(prof, math.pi / 2, np.geomspace(1e-1, solver.RADIUS_FLOOR, 57))
+    assert all(sol.residual <= SolverOptions().tol for sol in path)
+    last = path[-1]
+    assert last.point.im * last.m.imag.mean() == pytest.approx(1.0 / 3.0, abs=1e-9)
 
 
 def test_continuation_guess_cases():
@@ -792,9 +803,7 @@ def test_block_profile_near_singularity():
     prof = expand_profile(staircase_profile(3), 16, noise=0.5)
     entries = prof.entries.copy()
     radii = np.geomspace(1e-1, 1e-5, 17)
-    path = solve_path(
-        prof, math.pi / 2, radii, SolverOptions(tol=suggested_tol(prof, 1e-5))
-    )
+    path = solve_path(prof, math.pi / 2, radii)
     for sol in path:
         f = stability_matrix(sol.m, prof)
         assert sol.f_norm == pytest.approx(np.linalg.norm(f, 2), rel=1e-13)
@@ -853,14 +862,11 @@ def test_suggested_tol():
 
 @pytest.mark.parametrize("radii", [[1e6, 1e5], [1e6, 1e-6]])
 def test_solve_path_default_tol_covers_the_far_field(radii):
-    # at a fixed 1e-12 the point at 1e6 stalls near 1.3e-10
+    # an absolute 1e-12 on the defect stalls near 1.3e-10 at r = 1e6, where
+    # 1/m ~ -z cancels against z; the backward error scales by |z| there
     prof = staircase_profile(2)
     path = solve_path(prof, math.pi / 2, radii)
-    for sol, r in zip(path, radii):
-        assert sol.residual <= suggested_tol(prof, radii[-1], r)
-    if radii[-1] < 1.0:
-        # a far-field start must not loosen the deep end
-        assert path[-1].residual <= suggested_tol(prof, radii[-1])
+    assert all(sol.residual <= SolverOptions().tol for sol in path)
 
 
 # ---------------------------------------------------------------- properties
