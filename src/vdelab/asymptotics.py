@@ -91,12 +91,9 @@ def constant_system(profile: VarianceProfile) -> ConstantSystem:
         rows.append(row)
         rhs.append(log_s(n + 1 - k, k - 1) - log_s(k, n - k))
 
+    # square: ceil(n/2) + 1 + (floor(n/2) - 1) = n rows for n >= 2, 1 for n = 1
     a = np.array(rows)
     b = np.array(rhs)
-    if a.shape != (n, n):
-        raise AnomalyError(
-            f"constant system must be square, got shape {a.shape} for n={n}"
-        )
     cond = float(np.linalg.cond(a))
     if not cond < CONDITION_LIMIT:
         raise AnomalyError(

@@ -19,7 +19,7 @@ while the log-coordinate Jacobian stays benign all the way down to the
 radius floor.  The iteration is written once, batched over P points that
 each keep their own state; solve is its P=1 case, rho_grid solves a
 chunk of its mesh per eta level in it, and solve_path each batch of a
-ray: one radius on the dense path, a decade on the GMRES path below.
+ray: one radius on the dense path, a decade on the Krylov path below.
 Each batcher sizes its batches to fit _STACK_BYTES (_stack_rows).  Each
 S product of all rows is one real GEMM of the real symmetric S with the
 stacked rows (Re m; Im m), on either Newton path below.  Each iterate
@@ -30,18 +30,23 @@ product.
 The Newton step solves J delta = -g with J = diag(g-1) + M S M, M =
 diag(m), by a dense LU, except that a profile with block metadata (n
 outer blocks of size N) and dim at least _KRYLOV_MIN_DIM never builds
-J: the rows run right-preconditioned GMRES on the matvec
+J: the rows run right-preconditioned GCR on the matvec
 J v = (g-1)v + m(S(mv)) (Knoll & Keyes, JCP 2004) in lock-step, each
 product S(mv) of all rows again one real GEMM.  The preconditioner is J
 with S replaced by its block means
 S_bar = U C U^T, C the n x n means and U the block indicator, so it is
 diagonal plus rank n and Woodbury applies its inverse in
 O(dim*n + n^3) without inverting C, from an n x n core per row solved
-as one stack; this is the reduced n-dim system of vde_like_reduce.  A
-row stops once its GMRES residual meets the tolerance; a row whose GMRES
-breaks down or misses the tolerance within the iteration cap, or whose
-n x n Woodbury system is singular or non-finite, takes the dense
-direction for that step.  The line search, fallback, stall rule,
+as one stack; this is the reduced n-dim system of vde_like_reduce.  GCR
+(generalized conjugate residuals; Eisenstat, Elman & Schultz, SIAM J.
+Numer. Anal. 1983) minimizes the residual over the same Krylov space as
+GMRES, keeping the directions and their orthonormal images in place of a
+Hessenberg matrix (Saad, Iterative Methods for Sparse Linear Systems,
+2nd ed., 6.9 and 9.3).  A row stops once its residual meets the
+tolerance.  A row takes the dense direction for that step when its GCR
+breaks down (where GMRES would stagnate) or misses the tolerance within
+the iteration cap, or when its n x n Woodbury system is singular or
+non-finite.  The line search, fallback, stall rule,
 convergence test and ||F||_2 check judge every step the same way on
 either path, so an inexact direction can cost a backtrack but cannot let a
 wrong iterate pass.
@@ -61,7 +66,7 @@ further work unless some Im d_k reaches Im z.  Only such a row computes
 
 That value, VdeSolution.f_norm, is computed when it is first read.  On
 the dense path it is lambda_max of a symmetric eigensolve of F.  On the
-GMRES path F is never built: a block subspace iteration on the map
+Krylov path F is never built: a block subspace iteration on the map
 X -> |m|(S(|m|X)), started from the n columns |m| U, brackets the Perron
 root between the Rayleigh quotient theta of its top Ritz vector x and the
 Collatz-Wielandt bound max_k (Fx)_k / x_k, valid once x > 0 or x < 0.
@@ -93,21 +98,25 @@ _STALL_LIMIT = 50
 _MAX_ITER = 10**6
 _MAX_BACKTRACK = 30
 _LOG_STEP_CAP = 20.0
-# Block profiles from this dim up take the GMRES step.  It was set where
-# the two paths tied on whole noisy rays on one BLAS thread, one radius at
-# a time; with decade batches they tie at dim 96 and GMRES wins from 120
-# up (ROADMAP item 1 has the table).
+# Block profiles from this dim up take the Krylov step.  It was set where
+# the two paths tied one radius at a time.  On whole 33-point noisy rays
+# with decade batches and GCR (n = 3, noise 0.5, r = 1e-1 .. 1e-5, one
+# BLAS thread, best of 30) dim 96 takes 0.022 s dense against 0.024-0.026 s
+# Krylov, and the Krylov path wins at 120 and 144: 0.025-0.026 s against
+# 0.043-0.047 s dense.  It stays at 144, so reports of dims 120-143 keep
+# their digits.
 _KRYLOV_MIN_DIM = 144
-# block rays need at most 8 iterations; a row past the cap takes the dense LU
-_GMRES_RTOL = 1e-10
-_GMRES_MAX_ITER = 20
+# block_ray's rays need at most 9 iterations, and n = 4 rays at noise 0.9
+# at most 11; a row past the cap takes the dense LU
+_KRYLOV_RTOL = 1e-10
+_KRYLOV_MAX_ITER = 20
 # block rays certify their Perron root in 8-14 steps (1 at noise 0); a row
 # past the cap takes the eigensolve.  The bounds enclose ||F||_2, so bounds
 # 1e-14 apart give it to 1e-14 relative, up to the roundoff of F x.
 _PERRON_MAX_STEPS = 30
 _PERRON_RTOL = 1e-14
 # bytes the stacked work arrays of one batched solve may take
-_STACK_BYTES = 1 << 22
+_STACK_BYTES = 1 << 23
 
 
 class SolverError(RuntimeError):
@@ -162,7 +171,7 @@ class VdeSolution:
     that bound from m itself (see the module docstring); f_norm is computed
     on first read from profile, the profile the point was solved on.  F is
     entrywise non-negative, so f_norm is its largest eigenvalue, lambda_max
-    from a symmetric eigensolve, except on the GMRES path, where it is the
+    from a symmetric eigensolve, except on the Krylov path, where it is the
     Perron root of F certified to 1e-14 relative by a block subspace
     iteration.
     """
@@ -232,7 +241,7 @@ def _perron_root(s: np.ndarray, a: np.ndarray, n: int) -> float:
 
 
 def _f_norms(m: np.ndarray, profile: VarianceProfile) -> np.ndarray:
-    """||F||_2 of each row of m: by the eigensolve, or on the GMRES path by
+    """||F||_2 of each row of m: by the eigensolve, or on the Krylov path by
     _perron_root, with the eigensolve for the rows it does not certify."""
     if not _krylov(profile):
         return _symmetric_norm2(stability_matrix(m, profile))
@@ -245,16 +254,17 @@ def _f_norms(m: np.ndarray, profile: VarianceProfile) -> np.ndarray:
 
 
 def _krylov(profile: VarianceProfile) -> bool:
-    """Whether the profile takes the GMRES path: block metadata and dim at
+    """Whether the profile takes the Krylov path: block metadata and dim at
     least _KRYLOV_MIN_DIM."""
     return profile.block_meta is not None and profile.dim >= _KRYLOV_MIN_DIM
 
 
 def _stack_rows(profile: VarianceProfile) -> int:
     """How many rows of a batched solve fit in _STACK_BYTES, at least 1: a
-    row costs a (_GMRES_MAX_ITER + 1, dim) complex GMRES basis on the GMRES
-    path and a (dim, dim) complex Jacobian on the dense path."""
-    row = _GMRES_MAX_ITER + 1 if _krylov(profile) else profile.dim
+    row costs the two (_KRYLOV_MAX_ITER, dim) complex GCR bases, the
+    directions and their images, on the Krylov path and a (dim, dim)
+    complex Jacobian on the dense path."""
+    row = 2 * _KRYLOV_MAX_ITER if _krylov(profile) else profile.dim
     return max(1, _STACK_BYTES // (16 * row * profile.dim))
 
 
@@ -348,72 +358,60 @@ def _block_mean_preconditioner(m: np.ndarray, gm1: np.ndarray, means: np.ndarray
     return apply, bad
 
 
-def _gmres(apply_j, apply_p, b: np.ndarray):
-    """Solve J x = b for each row of b by right-preconditioned GMRES from x = 0.
+def _gcr(apply_j, apply_p, b: np.ndarray):
+    """Solve J x = b for each row of b by right-preconditioned GCR from x = 0.
 
     The rows run in lock-step.  apply_j(v, rows) and apply_p(v, rows) map
-    the stacked vectors v of the given rows of b to J v and P^-1 v.  A row
-    stops once its residual |b - J x| is at most _GMRES_RTOL |b|.  Returns
-    x and each row's iteration count; a row of x is NaN when its |b| is 0
-    or not finite, when the iteration breaks down or when it misses the
-    tolerance within _GMRES_MAX_ITER iterations.
+    the stacked vectors v of the given rows of b to J v and P^-1 v.  Each
+    iteration takes the direction p = P^-1 r and its image q = J p,
+    orthogonalizes q against the earlier images, p following, normalizes
+    both and steps along p to minimize |r|, so x minimizes |b - J x| over
+    the Krylov space of GMRES.  A row stops once |r| is at most
+    _KRYLOV_RTOL |b|.  Returns x and each row's iteration count; a row of x
+    is NaN when its |b| is 0 or not finite, when its q vanishes (where
+    GMRES would stagnate) or when it misses the tolerance within
+    _KRYLOV_MAX_ITER iterations.
     """
-    cap = _GMRES_MAX_ITER
     beta = np.linalg.norm(b, axis=1)
     x = np.full_like(b, np.nan)
     its = np.zeros(len(b), dtype=int)
     rows = np.flatnonzero((0.0 < beta) & (beta < math.inf))
-    basis = np.empty((rows.size, cap + 1, b.shape[1]), dtype=complex)
-    basis[:, 0] = b[rows] / beta[rows, None]
-    # per row: the rotated Hessenberg matrix, its Givens rotations and the
-    # rotated right-hand side beta e_1
-    tri = np.zeros((rows.size, cap, cap), dtype=complex)
-    cos, sin = np.empty((rows.size, cap)), np.empty((rows.size, cap), dtype=complex)
-    res = np.zeros((rows.size, cap + 1), dtype=complex)
-    res[:, 0] = beta[rows]
-    tol = _GMRES_RTOL * beta[rows]
-    for j in range(cap):
+    # per row: the directions p and their orthonormal images q, x and r
+    ps = np.empty((rows.size, _KRYLOV_MAX_ITER, b.shape[1]), dtype=complex)
+    qs = np.empty_like(ps)
+    xr, r = np.zeros((rows.size, b.shape[1]), dtype=complex), b[rows]
+    tol = _KRYLOV_RTOL * beta[rows]
+    for j in range(_KRYLOV_MAX_ITER):
         if not rows.size:
             break
         its[rows] = j + 1
-        w = apply_j(apply_p(basis[:, j], rows), rows)
-        v = basis[:, : j + 1]
-        col = np.zeros((rows.size, j + 1), dtype=complex)
+        p = apply_p(r, rows)
+        q = apply_j(p, rows)
+        coef = np.zeros((rows.size, j), dtype=complex)
         for _ in range(2):  # classical Gram-Schmidt, once more to reorthogonalize
-            proj = (v @ w.conj()[:, :, None])[:, :, 0].conj()
-            w -= (proj[:, None, :] @ v)[:, 0]
-            col += proj
-        norm = np.linalg.norm(w, axis=1)
-        for i in range(j):
-            c, sn = cos[:, i], sin[:, i]
-            col[:, i], col[:, i + 1] = (c * col[:, i] + sn * col[:, i + 1],
-                                        c * col[:, i + 1] - sn.conj() * col[:, i])
-        top = np.abs(col[:, j])
-        r = np.hypot(top, norm)
-        ok = (0.0 < r) & (r < math.inf)
-        c = top / r
-        phase = np.divide(col[:, j], top, out=np.ones_like(col[:, j]), where=top > 0)
-        sn = phase * norm / r
-        cos[:, j], sin[:, j] = c, sn
-        col[:, j] = c * col[:, j] + sn * norm
-        tri[:, : j + 1, j] = col
-        res[:, j + 1] = -sn.conj() * res[:, j]
-        res[:, j] *= c
-        done = ok & (np.abs(res[:, j + 1]) <= tol)
-        if done.any():
-            y = np.linalg.solve(tri[done, : j + 1, : j + 1], res[done, : j + 1, None])
-            x[rows[done]] = apply_p((y.transpose(0, 2, 1) @ v[done])[:, 0], rows[done])
+            proj = (qs[:, :j].conj() @ q[:, :, None])[:, :, 0]
+            q -= (proj[:, None, :] @ qs[:, :j])[:, 0]
+            coef += proj
+        p -= (coef[:, None, :] @ ps[:, :j])[:, 0]
+        norm = np.linalg.norm(q, axis=1)
+        ok = (0.0 < norm) & (norm < math.inf)
+        # a row whose q vanished scales to 0 without a warning and drops out below
+        scale = np.divide(1.0, norm, out=np.zeros_like(norm), where=ok)[:, None]
+        ps[:, j], qs[:, j] = p * scale, q * scale
+        a = (qs[:, j].conj() * r).sum(axis=1, keepdims=True)
+        xr += a * ps[:, j]
+        r -= a * qs[:, j]
+        done = ok & (np.linalg.norm(r, axis=1) <= tol)
+        x[rows[done]] = xr[done]
         go = ok & ~done
-        basis[go, j + 1] = w[go] / norm[go, None]
         if not go.all():
-            rows, basis, tri, cos, sin, res, tol = (
-                a[go] for a in (rows, basis, tri, cos, sin, res, tol))
+            rows, ps, qs, xr, r, tol = (v[go] for v in (rows, ps, qs, xr, r, tol))
     return x, its
 
 
 def _krylov_directions(m: np.ndarray, g: np.ndarray, s: np.ndarray,
                        means: np.ndarray) -> np.ndarray:
-    """Newton directions by one lock-step GMRES over the rows; a row it
+    """Newton directions by one lock-step GCR over the rows; a row it
     fails takes the dense direction."""
     gm1 = g - 1.0
     precond, bad = _block_mean_preconditioner(m, gm1, means)
@@ -422,7 +420,7 @@ def _krylov_directions(m: np.ndarray, g: np.ndarray, s: np.ndarray,
         mr = m[rows]
         return gm1[rows] * v + mr * _matvec(s, mr * v)
 
-    delta, _ = _gmres(apply_j, precond, np.where(bad[:, None], np.nan, -g))
+    delta, _ = _gcr(apply_j, precond, np.where(bad[:, None], np.nan, -g))
     dense = ~np.isfinite(delta).all(axis=1)
     if dense.any():
         delta[dense] = _newton_directions(_jacobian(m[dense], g[dense], s), -g[dense])
@@ -434,7 +432,7 @@ def _log_newton(m: np.ndarray, sm: np.ndarray, z: np.ndarray, s: np.ndarray,
     """One backtracked Newton step on g(m) = m*(z+Sm)+1 in log coordinates.
 
     sm holds the rows' products S m.  The direction comes from a dense
-    solve, or from GMRES when means holds the n x n block means of S.  Each
+    solve, or from GCR when means holds the n x n block means of S.  Each
     row halves its step up to 30 times until it is below the cap, the
     iterate stays in the upper half-plane and max|g| drops.  Returns the
     new iterates, their products S m (those of the accepted trials) and a
@@ -552,8 +550,8 @@ def solve(
     SolverOptions().tol without opts.  Starts from i*(1,...,1) unless
     warm_start is given.  Newton directions come from a dense LU of the
     log-coordinate Jacobian, or, for a profile with block metadata and
-    dim >= _KRYLOV_MIN_DIM, from GMRES, preconditioned by the block-mean
-    Jacobian, with the dense LU as the fallback for a step GMRES misses;
+    dim >= _KRYLOV_MIN_DIM, from GCR, preconditioned by the block-mean
+    Jacobian, with the dense LU as the fallback for a step GCR misses;
     convergence is judged on the true backward error either way.  Both
     paths multiply by the real S, one real product each for Re m and Im m.
     When z is exactly on the imaginary axis (re == 0.0) and the start
@@ -597,7 +595,7 @@ def solve_path(
     """Solve along z = r*exp(i*ray_angle) for strictly descending radii.
 
     Each batch of radii is one _solve_points call (_batch_length): one
-    radius on the dense path and, on the GMRES path (see _krylov), after
+    radius on the dense path and, on the Krylov path (see _krylov), after
     the first two the radii down to a tenth of the last solved radius, at
     most _stack_rows of them.  A batch warm-starts from continuation_guess
     of the last two solved points by t steps, t = log(r/r_last) /

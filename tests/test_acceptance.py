@@ -314,7 +314,7 @@ def test_criterion_8_structure_suite():
 
 def test_criterion_9_nonconstant_blocks(noisy_ensembles):
     t0 = time.perf_counter()
-    # N = 128 and 256 (dims 256 and 512) run the block profiles' GMRES step
+    # N = 128 and 256 (dims 256 and 512) run the block profiles' Krylov step
     sweep = uniform_bound_sweep(
         staircase_profile(2), [4, 8, 16, 128, 256], noise=0.5, seed=0,
         ray_angle=math.pi / 2, radii=RADII,

@@ -212,7 +212,7 @@ def test_rho_grid_slices_match_pointwise_descent(monkeypatch):
 
 
 def test_rho_grid_gmres_slices_hold_several_energies(monkeypatch):
-    # on the GMRES path a row of a chunk costs its GMRES basis, not a dense
+    # on the Krylov path a row of a chunk costs its two GCR bases, not a dense
     # Jacobian, so a budget of a few bases gives chunks of a few energies,
     # each chunk one lock-step batch per eta level
     prof = expand_profile(staircase_profile(3), 48, noise=0.5, seed=5)
@@ -222,7 +222,7 @@ def test_rho_grid_gmres_slices_hold_several_energies(monkeypatch):
     want = rho_grid(prof, grid, etas)
     size = _mesh(prof, grid).size
     rows = next(k for k in range(3, size) if size % k != 1)
-    row_bytes = 16 * (solver._GMRES_MAX_ITER + 1) * prof.dim
+    row_bytes = 16 * 2 * solver._KRYLOV_MAX_ITER * prof.dim
     monkeypatch.setattr(solver, "_STACK_BYTES", rows * row_bytes)
     slices = _record_solve_points(monkeypatch)
     got = rho_grid(prof, grid, etas)
@@ -254,7 +254,7 @@ def test_rho_grid_memory_does_not_grow_with_the_mesh(monkeypatch):
     small = VarianceProfile(staircase_profile(3).entries / 100.0)
     prof = expand_profile(small, 48, noise=0.5, seed=5)
     assert solver._krylov(prof)
-    row_bytes = 16 * (solver._GMRES_MAX_ITER + 1) * prof.dim
+    row_bytes = 16 * 2 * solver._KRYLOV_MAX_ITER * prof.dim
     monkeypatch.setattr(solver, "_STACK_BYTES", 16 * row_bytes)
     etas = (1e-1, 1e-2, 1e-3)
     rho_grid(prof, [0.5], etas)  # caches the block means outside the peaks

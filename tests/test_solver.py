@@ -174,7 +174,7 @@ def test_unreachable_tolerance_fails_honestly(monkeypatch):
     [
         staircase_profile(2),
         random_staircase_profile(4, 7),
-        expand_profile(staircase_profile(2), 72, noise=0.5, seed=1),  # GMRES path
+        expand_profile(staircase_profile(2), 72, noise=0.5, seed=1),  # Krylov path
     ],
 )
 def test_fixed_point_fallback_converges(prof, monkeypatch):
@@ -247,20 +247,20 @@ def test_batched_rows_fall_back_alone():
     assert np.max(np.abs(m[1] - solo.m)) < 1e-12
 
 
-# ------------------------------------------- GMRES step for block profiles
+# ---------------------------------------- Krylov (GCR) step for block profiles
 
 
 def _record_gmres(monkeypatch) -> list[tuple[int, bool]]:
-    """Record (iterations, converged) of every row of every GMRES call from now on."""
+    """Record (iterations, converged) of every row of every GCR call from now on."""
     calls = []
-    gmres = solver._gmres
+    gcr = solver._gcr
 
     def recorded(*args):
-        x, k = gmres(*args)
+        x, k = gcr(*args)
         calls.extend(zip(k.tolist(), np.isfinite(x).all(axis=1).tolist()))
         return x, k
 
-    monkeypatch.setattr(solver, "_gmres", recorded)
+    monkeypatch.setattr(solver, "_gcr", recorded)
     return calls
 
 
@@ -285,6 +285,36 @@ def test_block_mean_preconditioner_is_the_woodbury_inverse():
             p_dense = np.diag(g[row] - 1.0) + mr[:, None] * s_bar * mr[None, :]
             want = np.linalg.solve(p_dense, v[p])
             assert np.linalg.norm(got[p] - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_gcr_solves_each_row_against_the_dense_jacobian():
+    # lock-step rows of noisy block-profile Jacobians, preconditioned by
+    # their block means, next to a zero row, two NaN rows (one as
+    # _krylov_directions marks a bad preconditioner) and a breakdown row
+    n, inner = 3, 16
+    prof = expand_profile(staircase_profile(n), inner, noise=0.5, seed=3)
+    sol = solve(prof, SpectralPoint(re=0.01, im=0.02))
+    rng = np.random.default_rng(8)
+    m = sol.m * np.exp(1e-2 * rng.standard_normal((6, prof.dim)))
+    g = 1.0 + m * (sol.point.z + m @ prof.entries)
+    precond, bad = solver._block_mean_preconditioner(m, g - 1.0, prof.block_means)
+    assert not bad.any()
+
+    def apply_j(v, rows):
+        jv = (g[rows] - 1.0) * v + m[rows] * solver._matvec(prof.entries, m[rows] * v)
+        jv[rows == 5] = 0.0  # row 5 breaks down: its first image vanishes
+        return jv
+
+    b = rng.standard_normal((6, prof.dim)) + 1j * rng.standard_normal((6, prof.dim))
+    b[1], b[2, 4], b[3] = 0.0, np.nan, np.nan
+    x, its = solver._gcr(apply_j, precond, b)
+    assert its[[1, 2, 3]].tolist() == [0, 0, 0] and its[5] == 1
+    assert np.isnan(x[[1, 2, 3, 5]]).all()
+    jac = solver._jacobian(m, g, prof.entries)
+    for p in (0, 4):
+        assert 1 <= its[p] <= solver._KRYLOV_MAX_ITER
+        want = np.linalg.solve(jac[p], b[p])
+        assert np.linalg.norm(x[p] - want) <= 1e-9 * np.linalg.norm(want)
 
 
 def test_gmres_takes_one_iteration_on_constant_blocks(monkeypatch):
@@ -333,9 +363,9 @@ def test_krylov_path_matches_dense_path(monkeypatch):
     "inner, budget_rows", [(48, None), (64, None), (128, None), (64, 3)]
 )
 def test_batched_ray_matches_one_radius_at_a_time(inner, budget_rows, monkeypatch):
-    # solve_path batches each decade of a GMRES-path ray; the reference
+    # solve_path batches each decade of a Krylov-path ray; the reference
     # solves one radius at a time from the secant of the last two points.
-    # With budget_rows the byte budget holds that many GMRES bases.
+    # With budget_rows the byte budget holds that many rows' GCR bases.
     prof = expand_profile(staircase_profile(3), inner, noise=0.5, seed=5)
     assert prof.dim >= solver._KRYLOV_MIN_DIM
     radii = np.geomspace(1e-1, 1e-5, 33)
@@ -352,7 +382,7 @@ def test_batched_ray_matches_one_radius_at_a_time(inner, budget_rows, monkeypatc
             path.append(solve(prof, point, opts, warm_start=guess))
         single.append(path)
     if budget_rows is not None:
-        row_bytes = (solver._GMRES_MAX_ITER + 1) * prof.dim * 16
+        row_bytes = 2 * solver._KRYLOV_MAX_ITER * prof.dim * 16
         monkeypatch.setattr(solver, "_STACK_BYTES", budget_rows * row_bytes)
     sizes = []
     solve_points = solver._solve_points
@@ -384,7 +414,7 @@ def test_gmres_miss_falls_back_to_the_dense_direction(monkeypatch):
     assert prof.dim >= solver._KRYLOV_MIN_DIM
     radii = np.geomspace(1e-1, 1e-4, 7)
     want = solve_path(prof, 0.3 * math.pi, radii)
-    monkeypatch.setattr(solver, "_GMRES_MAX_ITER", 1)
+    monkeypatch.setattr(solver, "_KRYLOV_MAX_ITER", 1)
     calls = _record_gmres(monkeypatch)
     dense_rows = []
     directions = solver._newton_directions
@@ -596,10 +626,10 @@ def test_certificate_bounds_the_norm_on_staircases(n, seed, permute, ray, r_min)
     ray=st.sampled_from(RAYS),
     r_min=st.sampled_from((1e-3, 1e-6)),
 )
-@example(n=3, inner=64, noise=0.5, ray=0.02, r_min=1e-6)  # GMRES path
+@example(n=3, inner=64, noise=0.5, ray=0.02, r_min=1e-6)  # Krylov path
 @example(n=2, inner=24, noise=0.9, ray=math.pi - 0.02, r_min=1e-6)  # dense path
 def test_certificate_bounds_the_norm_on_blocks(n, inner, noise, ray, r_min):
-    # dims 16-256 on both sides of _KRYLOV_MIN_DIM: the dense and GMRES paths
+    # dims 16-256 on both sides of _KRYLOV_MIN_DIM: the dense and Krylov paths
     prof = expand_profile(staircase_profile(n), inner, noise=noise, seed=inner)
     _assert_certificate_bounds_the_norm(prof, ray, r_min)
 
