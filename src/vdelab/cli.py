@@ -3,11 +3,12 @@
 Commands wire a profile document to one analysis each and write a plain
 text report whose first two lines record the tool version and a digest of
 the full run configuration; identical configurations produce byte
-identical files.  Heavy numerical imports happen inside the handlers so
-the VDELAB_THREADS environment variable can cap the BLAS thread pools
-before they initialize.  Each flag parses straight onto the RunConfig
-field of the same meaning (its argparse dest), and a flag left out keeps
-that field's default, so every default is declared once, in RunConfig.
+identical files.  Heavy numerical imports happen inside the handlers, so
+--help loads no numpy and a caller's OMP_NUM_THREADS reaches the BLAS
+thread pools before they initialize.  Each flag parses straight onto the
+RunConfig field of the same meaning (its argparse dest), and a flag left
+out keeps that field's default, so every default is declared once, in
+RunConfig.
 
 Exit codes: 0 success, 1 validation error, 2 solver failure, 3 assertion
 failure (a theory-guaranteed invariant came out false).
@@ -21,7 +22,6 @@ import hashlib
 import json
 import math
 import numbers
-import os
 import sys
 
 from . import __version__
@@ -425,28 +425,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_thread_env() -> None:
-    value = os.environ.get("VDELAB_THREADS")
-    if not value:
-        return
-    count = int(value)
-    if count < 1:
-        raise ValueError(f"{value!r} is not a positive thread count")
-    for var in (
-        "OMP_NUM_THREADS",
-        "OPENBLAS_NUM_THREADS",
-        "MKL_NUM_THREADS",
-        "NUMEXPR_NUM_THREADS",
-    ):
-        os.environ.setdefault(var, str(count))
-
-
 def main(argv=None) -> int:
-    try:
-        _apply_thread_env()
-    except ValueError as exc:
-        print(f"vdelab: bad VDELAB_THREADS value: {exc}", file=sys.stderr)
-        return 1
     # flags parse first, so --help and a bad flag load no numerical module
     args = _build_parser().parse_args(argv)
     from .solver import AnomalyError, SolverError

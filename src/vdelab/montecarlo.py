@@ -55,6 +55,10 @@ class EnsembleSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        # stored as Python ints: a float would truncate into the Philox key
+        # and a numpy integer overflow in the counter arithmetic
+        for name in ("inner_N", "trials", "seed"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
         if self.inner_N < 2:
             raise ValueError("inner_N must be at least 2")
         # checked before any d x d matrix is allocated
@@ -72,6 +76,16 @@ class EnsembleSpec:
     @property
     def dimension(self) -> int:
         return self.small_profile.dim * self.inner_N
+
+
+def _integer(value, what: str) -> int:
+    """value as a Python int, refusing bools and non-integers such as 1.5."""
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{what} must be an integer, got {value!r}")
 
 
 def _uniforms(raw: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -93,6 +107,7 @@ _CHUNK = 2**13
 
 def _trial_generator(spec: EnsembleSpec, trial: int) -> Philox:
     # the trial is the second word of the 64-bit Philox key
+    trial = _integer(trial, "trial")
     if not 0 <= trial < 2**64:
         raise ValueError(f"trial must lie in [0, 2**64), got {trial}")
     return Philox(key=np.array([spec.seed, trial], dtype=np.uint64))
@@ -115,14 +130,14 @@ def _scales(spec: EnsembleSpec) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _draw_spans(
-    spec: EnsembleSpec, trial: int, spans: list[tuple[int, int, int]]
-) -> Iterator[tuple[int, int, np.ndarray]]:
-    """Yield (a, start, H[a, start:stop]) for each span (a, start, stop) of
-    the upper triangle (a <= start), given in increasing a*dim + start.
+    spec: EnsembleSpec, trial: int, rows: list[tuple[int, int]]
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (a, H[a, a:stop]) for each upper-triangle row (a, stop), drawn
+    from its diagonal; the rows are given in increasing a.
 
-    Each span reads the counter blocks a*dim + start to a*dim + stop - 1 and
-    skips those in between.  Spans are drawn in batches of at most _CHUNK
-    entries (or one longer span), whose words turn into normals in place
+    Each row reads the counter blocks a*dim + a to a*dim + stop - 1 and
+    skips those in between.  Rows are drawn in batches of at most _CHUNK
+    entries (or one longer row), whose words turn into normals in place
     and are scaled by _scales; a yielded row is a view that the next batch
     overwrites.  Adding +0.0 turns the -0.0 that zero blocks give into
     +0.0, the zero of the sum of a triangle and its conjugate transpose;
@@ -133,36 +148,35 @@ def _draw_spans(
     off, diag = _scales(spec)
     words = 1 if spec.symmetry == REAL_SYMMETRIC else 2
     gen = _trial_generator(spec, trial)
-    size = max(_CHUNK, max(stop - start for _, start, stop in spans))
+    size = max(_CHUNK, max(stop - a for a, stop in rows))
     raw = np.empty((size, words), dtype=np.uint64)
     normals = np.empty((size, words))
     values = normals[:, 0] if words == 1 else normals.view(np.complex128)[:, 0]
-    batch: list[tuple[int, int, int, int]] = []  # (a, start, stop, at)
+    batch: list[tuple[int, int, int]] = []  # (a, stop, at)
     filled = drawn = 0  # entries in the batch, counter blocks consumed
 
     def scaled(batch, filled):
         g = _normals(raw[:filled], out=normals[:filled])
-        # a diagonal entry takes its own deviation and the real normal alone
-        on_diag = [(a // inner, at) for a, start, _, at in batch if start == a]
-        j, k = np.array(on_diag, dtype=np.intp).reshape(-1, 2).T
+        # a row's diagonal entry takes its own deviation and the real normal alone
+        j, k = np.array([(a // inner, at) for a, _, at in batch]).T
         pivots = diag[j] * g[k, 0]
-        for a, start, stop, at in batch:
-            values[at : at + stop - start] *= off[a // inner, start:stop]
+        for a, stop, at in batch:
+            values[at : at + stop - a] *= off[a // inner, a:stop]
         values[k] = pivots
         values[:filled] += 0.0
-        for a, start, stop, at in batch:
-            yield a, start, values[at : at + stop - start]
+        for a, stop, at in batch:
+            yield a, values[at : at + stop - a]
 
-    for a, start, stop in spans:
-        if batch and filled + stop - start > _CHUNK:
+    for a, stop in rows:
+        if batch and filled + stop - a > _CHUNK:
             yield from scaled(batch, filled)
             batch, filled = [], 0
-        gen.advance(a * d + start - drawn)
-        words_of_span = gen.random_raw(4 * (stop - start)).reshape(-1, 4)
-        raw[filled : filled + stop - start] = words_of_span[:, :words]
+        gen.advance(a * d + a - drawn)
+        words_of_row = gen.random_raw(4 * (stop - a)).reshape(-1, 4)
+        raw[filled : filled + stop - a] = words_of_row[:, :words]
         drawn = a * d + stop
-        batch.append((a, start, stop, filled))
-        filled += stop - start
+        batch.append((a, stop, filled))
+        filled += stop - a
     if batch:
         yield from scaled(batch, filled)
 
@@ -174,15 +188,13 @@ def _upper_rows(spec: EnsembleSpec, trial: int) -> Iterator[tuple[int, np.ndarra
     nonzero blocks all lie left of the diagonal is not drawn.  Each row is
     a view that the next batch of _draw_spans overwrites.
     """
-    d, inner = spec.dimension, spec.inner_N
-    entries = spec.small_profile.entries
+    entries, inner = spec.small_profile.entries, spec.inner_N
     # one past the last nonzero column of each block row (all of it for a
     # zero row, which draws zeros)
     ends = inner * (len(entries) - np.argmax(entries[:, ::-1] != 0.0, axis=1))
-    stops = np.repeat(ends, inner)
-    spans = [(a, a, stop) for a, stop in enumerate(stops.tolist()) if stop > a]
-    for a, _, row in _draw_spans(spec, trial, spans):
-        yield a, row
+    stops = np.repeat(ends, inner).tolist()
+    rows = [(a, stop) for a, stop in enumerate(stops) if stop > a]
+    return _draw_spans(spec, trial, rows)
 
 
 def sample_matrix(spec: EnsembleSpec, trial: int) -> np.ndarray:
@@ -214,16 +226,17 @@ def entry_value(spec: EnsembleSpec, trial: int, a: int, b: int) -> complex:
     """Reconstruct the single entry H[a, b] from its own counter block.
 
     Bit-identical to sample_matrix(spec, trial)[a, b] without generating
-    the rest of the matrix: a one-entry span of row min(a, b), conjugated
-    below the diagonal.  a and b may be any integers, numpy's included.
+    the rest of the matrix: the last entry of row min(a, b) drawn up to
+    max(a, b), conjugated below the diagonal, so it costs |a - b| + 1
+    entries.  a and b may be any integers, numpy's included.
     """
     d = spec.dimension
     a, b = operator.index(a), operator.index(b)
     if not (0 <= a < d and 0 <= b < d):
         raise ValueError(f"entry ({a},{b}) outside a {d}x{d} matrix")
     lo, hi = min(a, b), max(a, b)
-    ((_, _, v),) = _draw_spans(spec, trial, [(lo, hi, hi + 1)])
-    return complex(v[0] if a <= b else (v.conj() + 0.0)[0])
+    ((_, v),) = _draw_spans(spec, trial, [(lo, hi + 1)])
+    return complex(v[-1] if a <= b else (v[-1:].conj() + 0.0)[0])
 
 
 def sample_spectrum(spec: EnsembleSpec, trial: int) -> np.ndarray:

@@ -378,13 +378,16 @@ def recover_staircase_permutation(profile: VarianceProfile) -> tuple[int, ...]:
 def antidiagonal_irreducibility(
     profile: VarianceProfile, partition
 ) -> list[bool]:
-    """Strong connectivity of B B^T per anti-diagonal partition block.
+    """Irreducibility of B B^T per anti-diagonal partition block.
 
     For each block index a (1-based) with opposite index b = p + 1 - a,
     B is the (a, b) block of the partition grid, M = B B^T, and the entry
-    M[v, t] > 0 defines a directed edge v -> t.  Reports one boolean per a:
-    whether that graph is strongly connected.  The sizes must be integers;
-    a bool or fractional size raises ProfileError.
+    M[v, t] > 0 defines an edge v -> t.  Reports one boolean per a:
+    whether that graph is strongly connected.  B is non-negative, so
+    M[v, t] > 0 exactly when some product B[v, k] B[t, k] is positive,
+    whatever the summation order: the pattern is symmetric, and strong
+    connectivity is connectivity.  The sizes must be integers; a bool or
+    fractional size raises ProfileError.
     """
     part = _sizes(partition, "partition")
     if any(d < 1 for d in part) or sum(part) != profile.dim:
@@ -402,27 +405,23 @@ def antidiagonal_irreducibility(
                 f"(d_{a + 1}={part[a]}, d_{p - a}={part[b]})"
             )
         blk = profile.entries[offs[a]:offs[a + 1], offs[b]:offs[b + 1]]
-        # M is symmetric, but two searches keep the directed meaning exact
-        out.append(_strongly_connected(blk @ blk.T > 0))
+        out.append(_connected(blk @ blk.T > 0))
     return out
 
 
-def _strongly_connected(adj: np.ndarray) -> bool:
-    """Whether the graph with edges v -> t where adj[v, t] is strongly
-    connected: a breadth-first search from vertex 0 reaches every vertex
-    along the edges and against them.  Each vertex enters a frontier once,
-    so a search reads each row once, O(k^2) for side k.
+def _connected(adj: np.ndarray) -> bool:
+    """Whether the graph with edges v - t where the symmetric adj[v, t] is
+    connected: a breadth-first search from vertex 0 reaches every vertex.
+    Each vertex enters a frontier once, so the search reads each row once,
+    O(k^2) for side k.
     """
-    for graph in (adj, adj.T):
-        seen = np.zeros(len(graph), dtype=bool)
-        seen[0] = True
-        frontier = seen.copy()
-        while frontier.any():
-            frontier = graph[frontier].any(axis=0) & ~seen
-            seen |= frontier
-        if not seen.all():
-            return False
-    return True
+    seen = np.zeros(len(adj), dtype=bool)
+    seen[0] = True
+    frontier = seen.copy()
+    while frontier.any():
+        frontier = adj[frontier].any(axis=0) & ~seen
+        seen |= frontier
+    return bool(seen.all())
 
 
 def classify_regime(profile: VarianceProfile) -> StructureReport:

@@ -372,15 +372,17 @@ def _gcr(apply_j, apply_p, b: np.ndarray):
     GMRES would stagnate) or when it misses the tolerance within
     _KRYLOV_MAX_ITER iterations.
     """
-    beta = np.linalg.norm(b, axis=1)
     x = np.full_like(b, np.nan)
     its = np.zeros(len(b), dtype=int)
-    rows = np.flatnonzero((0.0 < beta) & (beta < math.inf))
+    # the norm of a complex inf warns, so only finite rows take one
+    rows = np.flatnonzero(np.isfinite(b).all(axis=1))
+    beta = np.linalg.norm(b[rows], axis=1)
+    keep = (0.0 < beta) & (beta < math.inf)
+    rows, tol = rows[keep], _KRYLOV_RTOL * beta[keep]
     # per row: the directions p and their orthonormal images q, x and r
     ps = np.empty((rows.size, _KRYLOV_MAX_ITER, b.shape[1]), dtype=complex)
     qs = np.empty_like(ps)
     xr, r = np.zeros((rows.size, b.shape[1]), dtype=complex), b[rows]
-    tol = _KRYLOV_RTOL * beta[rows]
     for j in range(_KRYLOV_MAX_ITER):
         if not rows.size:
             break

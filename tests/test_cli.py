@@ -28,15 +28,9 @@ HEADER_RE = re.compile(r"^# vdelab \d+\.\d+\.\d+$")
 CONFIG_RE = re.compile(r"^# config [0-9a-f]{64}$")
 
 
-def run_cli(args, env_extra=None):
-    env = dict(os.environ)
-    if env_extra:
-        env.update(env_extra)
+def run_cli(args):
     return subprocess.run(
-        [sys.executable, "-m", "vdelab.cli", *args],
-        capture_output=True,
-        text=True,
-        env=env,
+        [sys.executable, "-m", "vdelab.cli", *args], capture_output=True, text=True
     )
 
 
@@ -279,9 +273,9 @@ def test_validation_failures_exit_one(tmp_path):
     bad = write_profile(tmp_path, "bad.json", "{not json")
     stair3 = write_profile(tmp_path, "stair3.json", STAIR3)
 
-    def fails_cleanly(args, env_extra=None):
+    def fails_cleanly(args):
         # an uncaught exception also exits 1, so rule out a traceback
-        proc = run_cli(args, env_extra)
+        proc = run_cli(args)
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
         assert "vdelab: " in proc.stderr
@@ -369,13 +363,6 @@ def test_validation_failures_exit_one(tmp_path):
     )):
         loose = write_profile(tmp_path, f"loose{i}.json", doc)
         fails_cleanly(["--command", "classify", "--profile", loose, "--out", out])
-    # 0 or a negative count would be written into OMP_NUM_THREADS as no cap
-    for threads in ("lots", "0", "-1"):
-        env_bad = fails_cleanly(
-            ["--command", "classify", "--profile", good, "--out", out],
-            env_extra={"VDELAB_THREADS": threads},
-        )
-        assert "bad VDELAB_THREADS value" in env_bad.stderr
 
 
 def test_solver_failure_exits_two(tmp_path):
@@ -481,24 +468,6 @@ def test_help_loads_no_numpy():
     proc = run_fresh(HELP_WITHOUT_NUMPY)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "False"
-
-
-def test_thread_env_applied(monkeypatch):
-    for var in (
-        "OMP_NUM_THREADS",
-        "OPENBLAS_NUM_THREADS",
-        "MKL_NUM_THREADS",
-        "NUMEXPR_NUM_THREADS",
-    ):
-        monkeypatch.delenv(var, raising=False)
-    monkeypatch.setenv("VDELAB_THREADS", "3")
-    cli._apply_thread_env()
-    assert os.environ["OMP_NUM_THREADS"] == "3"
-    assert os.environ["MKL_NUM_THREADS"] == "3"
-    # explicit settings win over the cap
-    monkeypatch.setenv("OMP_NUM_THREADS", "7")
-    cli._apply_thread_env()
-    assert os.environ["OMP_NUM_THREADS"] == "7"
 
 
 def test_run_config_digest_is_stable():

@@ -60,6 +60,45 @@ def test_spec_validation():
     assert spec_for(n=2, inner=5).dimension == 10
 
 
+def test_fractional_seed_and_trial_are_refused():
+    # a float would truncate into the Philox key and draw seed 1's, or
+    # trial 1's, matrix bit for bit; a bool would draw 1's too
+    for seed in (1.5, 1.0, True):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            spec_for(seed=seed)
+    spec = spec_for(n=2, inner=3)
+    for trial in (1.5, 1.0, True, np.bool_(True)):
+        with pytest.raises(ValueError, match="trial must be an integer"):
+            sample_matrix(spec, trial)
+        with pytest.raises(ValueError, match="trial must be an integer"):
+            entry_value(spec, trial, 0, 1)
+    want = sample_matrix(spec, 1)
+    for trial in (np.int64(1), np.uint64(1)):
+        assert (sample_matrix(spec, trial).view(np.uint8) == want.view(np.uint8)).all()
+
+
+def test_fractional_trials_are_refused():
+    # 2.5 trials passed validation, then failed inside empirical_near_zero
+    for trials in (2.5, 2.0, True):
+        with pytest.raises(ValueError, match="trials must be an integer"):
+            spec_for(trials=trials)
+    assert type(spec_for(trials=np.int32(2)).trials) is int
+
+
+def test_numpy_inner_size_draws_the_python_int_matrix():
+    # a numpy inner_N overflowed in Philox.advance's counter arithmetic
+    with pytest.raises(ValueError, match="inner_N must be an integer"):
+        spec_for(n=2, inner=4.0)
+    want = spec_for(n=2, inner=4, seed=3)
+    for inner in (np.int64(4), np.uint8(4)):
+        spec = spec_for(n=2, inner=inner, seed=3)
+        assert type(spec.inner_N) is int and spec.dimension == 8
+        for trial in (0, 2**63):
+            got, expected = sample_matrix(spec, trial), sample_matrix(want, trial)
+            assert (got.view(np.uint8) == expected.view(np.uint8)).all()
+            assert _near_zero_count(spec, trial, 0.3) == _near_zero_count(want, trial, 0.3)
+
+
 def test_sampling_is_deterministic():
     spec = spec_for(n=2, inner=4, seed=33)
     a = sample_matrix(spec, trial=1)
@@ -89,17 +128,21 @@ def test_complex_hermitian_structure():
     assert (h[3:, 3:] == 0.0).all()
 
 
-def test_entry_value_matches_bulk_sampling():
-    for symmetry in ("real_symmetric", COMPLEX_HERMITIAN):
-        spec = spec_for(n=2, inner=3, symmetry=symmetry, seed=7)
-        h = sample_matrix(spec, trial=5)
-        for a, b in [(0, 0), (0, 1), (2, 4), (4, 2), (5, 5), (1, 0)]:
-            assert entry_value(spec, 5, a, b) == complex(h[a, b])
-            # numpy integer indices give the Python-int entry bit for bit
-            want = np.complex128(entry_value(spec, 5, a, b)).tobytes()
-            for kind in (np.int64, np.int32, np.uint64):
-                got = entry_value(spec, 5, kind(a), kind(b))
-                assert np.complex128(got).tobytes() == want
+def test_entry_value_matches_bulk_sampling(monkeypatch):
+    # an entry is the last of a row prefix, in batches of every size
+    for chunk in (montecarlo._CHUNK, 1, 7):
+        monkeypatch.setattr(montecarlo, "_CHUNK", chunk)
+        for symmetry in ("real_symmetric", COMPLEX_HERMITIAN):
+            spec = spec_for(n=2, inner=3, symmetry=symmetry, seed=7)
+            h = sample_matrix(spec, trial=5)
+            pairs = [(0, 0), (0, 1), (2, 4), (4, 2), (5, 5), (1, 0), (0, 5), (5, 0)]
+            for a, b in pairs:
+                assert entry_value(spec, 5, a, b) == complex(h[a, b])
+                # numpy integer indices give the Python-int entry bit for bit
+                want = np.complex128(entry_value(spec, 5, a, b)).tobytes()
+                for kind in (np.int64, np.int32, np.uint64):
+                    got = entry_value(spec, 5, kind(a), kind(b))
+                    assert np.complex128(got).tobytes() == want
     with pytest.raises(ValueError):
         entry_value(spec_for(), 0, 0, 99)
     with pytest.raises(TypeError):

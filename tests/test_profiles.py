@@ -511,35 +511,61 @@ def test_irreducibility_partition_validation():
 
 
 @settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), half=st.lists(st.integers(1, 4), max_size=3),
+       middle=st.integers(0, 4), density=st.floats(0.0, 0.6))
+def test_irreducibility_matches_scipy(seed, half, middle, density):
+    # the directed oracle on B B^T; entries of 1e-200 make products that
+    # underflow to zero, and of 1e150 sums near the top of the range
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    # partner blocks of equal size around an optional middle block
+    part = half + [middle] * (middle > 0) + half[::-1] or [1]
+    dim = sum(part)
+    rng = np.random.default_rng(seed)
+    a = rng.random((dim, dim)) * (rng.random((dim, dim)) < density)
+    a *= 10.0 ** rng.choice([-200, 0, 150], size=(dim, dim))
+    a = np.triu(a) + np.triu(a, 1).T
+    offs = np.cumsum([0, *part])
+    oracle = []
+    for i in range(len(part)):
+        j = len(part) - 1 - i
+        blk = a[offs[i]:offs[i + 1], offs[j]:offs[j + 1]]
+        components = connected_components(csr_matrix(blk @ blk.T > 0), directed=True,
+                                          connection="strong")[0]
+        oracle.append(components == 1)
+    assert antidiagonal_irreducibility(VarianceProfile(a), part) == oracle
+
+
+@settings(max_examples=200, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 12),
-       density=st.floats(0.0, 0.6), symmetric=st.booleans())
-def test_strong_connectivity_matches_scipy(seed, k, density, symmetric):
+       density=st.floats(0.0, 0.6))
+def test_strong_connectivity_matches_scipy(seed, k, density):
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import connected_components
 
     adj = np.random.default_rng(seed).random((k, k)) < density
-    if symmetric:
-        adj |= adj.T
+    adj |= adj.T
     oracle = connected_components(
         csr_matrix(adj), directed=True, connection="strong"
     )[0] == 1
-    assert profiles._strongly_connected(adj) == oracle
+    assert profiles._connected(adj) == oracle
 
 
 @pytest.mark.parametrize(
     "edges, k, expected",
     [
         ([], 1, True),  # one vertex, no self-loop
-        ([(0, 1), (1, 2), (2, 0)], 3, True),  # directed 3-cycle
-        ([(0, 1), (1, 2)], 3, False),  # a path: weakly, not strongly connected
-        ([(0, 1), (1, 0)], 3, False),  # vertex 2 isolated
+        ([(0, 1), (1, 2), (2, 0)], 3, True),  # a triangle
+        ([(0, 1), (1, 2)], 3, True),  # a path
+        ([(0, 1)], 3, False),  # vertex 2 isolated
     ],
 )
 def test_strong_connectivity_named_cases(edges, k, expected):
     adj = np.zeros((k, k), dtype=bool)
     for v, t in edges:
-        adj[v, t] = True
-    assert profiles._strongly_connected(adj) is expected
+        adj[v, t] = adj[t, v] = True
+    assert profiles._connected(adj) is expected
 
 
 # ----------------------------------------------------------------- expansion

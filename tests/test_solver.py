@@ -290,12 +290,14 @@ def test_block_mean_preconditioner_is_the_woodbury_inverse():
 def test_gcr_solves_each_row_against_the_dense_jacobian():
     # lock-step rows of noisy block-profile Jacobians, preconditioned by
     # their block means, next to a zero row, two NaN rows (one as
-    # _krylov_directions marks a bad preconditioner) and a breakdown row
+    # _krylov_directions marks a bad preconditioner), a breakdown row and
+    # a row holding inf, whose norm would warn
     n, inner = 3, 16
     prof = expand_profile(staircase_profile(n), inner, noise=0.5, seed=3)
     sol = solve(prof, SpectralPoint(re=0.01, im=0.02))
     rng = np.random.default_rng(8)
     m = sol.m * np.exp(1e-2 * rng.standard_normal((6, prof.dim)))
+    m = np.vstack([m, m[0]])
     g = 1.0 + m * (sol.point.z + m @ prof.entries)
     precond, bad = solver._block_mean_preconditioner(m, g - 1.0, prof.block_means)
     assert not bad.any()
@@ -306,10 +308,11 @@ def test_gcr_solves_each_row_against_the_dense_jacobian():
         return jv
 
     b = rng.standard_normal((6, prof.dim)) + 1j * rng.standard_normal((6, prof.dim))
-    b[1], b[2, 4], b[3] = 0.0, np.nan, np.nan
+    b = np.vstack([b, b[0]])
+    b[1], b[2, 4], b[3], b[6, 7] = 0.0, np.nan, np.nan, np.inf
     x, its = solver._gcr(apply_j, precond, b)
-    assert its[[1, 2, 3]].tolist() == [0, 0, 0] and its[5] == 1
-    assert np.isnan(x[[1, 2, 3, 5]]).all()
+    assert its[[1, 2, 3, 6]].tolist() == [0, 0, 0, 0] and its[5] == 1
+    assert np.isnan(x[[1, 2, 3, 5, 6]]).all()
     jac = solver._jacobian(m, g, prof.entries)
     for p in (0, 4):
         assert 1 <= its[p] <= solver._KRYLOV_MAX_ITER
