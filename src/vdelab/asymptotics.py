@@ -156,15 +156,15 @@ def _path_radii_and_angle(path: list[VdeSolution]) -> tuple[np.ndarray, float]:
     )
     if angles.max() - angles.min() > 1e-9:
         raise ValueError("path points do not lie on a single ray")
+    if any(sol.profile is not path[0].profile for sol in path):
+        raise ValueError("path points were not solved on one profile")
     radii = np.array([abs(sol.point.z) for sol in path])
     if (np.diff(radii) >= 0).any():
         raise ValueError("path radii must be strictly descending")
     return radii, float(angles[-1])
 
 
-def fit_exponents(
-    path: list[VdeSolution], profile: VarianceProfile
-) -> list[AsymptoticFit]:
+def fit_exponents(path: list[VdeSolution]) -> list[AsymptoticFit]:
     """Fit per-component power laws over the smallest two decades of a ray.
 
     Needs at least four decades of radii so the fit window sits well below
@@ -172,9 +172,9 @@ def fit_exponents(
     slope of log|m_k| against log r in the window; the measured constant
     and phase are read off at the smallest radius (the constant normalized
     by the predicted exponent, the phase as arg m_k minus the predicted
-    exponent times the ray angle, against the limit pi k/(n+1)).  A
-    non-monotone |m_k| inside the window
-    indicates an unconverged path and raises.
+    exponent times the ray angle, against the limit pi k/(n+1)) and set
+    against the limit constants of the path's profile.  A non-monotone
+    |m_k| inside the window indicates an unconverged path and raises.
     """
     radii, phi0 = _path_radii_and_angle(path)
     if math.log10(radii[0] / radii[-1]) < 4.0 - 1e-9:
@@ -196,9 +196,7 @@ def fit_exponents(
                 "the path looks unconverged"
             )
     n = moduli.shape[1]
-    if profile.dim != n:
-        raise ValueError("profile dimension does not match the path")
-    constants = limit_constants(profile)
+    constants = limit_constants(path[0].profile)
     last = path[-1].m
     fits = []
     for k in range(1, n + 1):
@@ -232,15 +230,14 @@ class PairProduct:
         return abs(self.product - self.expected) / abs(self.expected)
 
 
-def pair_product_check(
-    path: list[VdeSolution], profile: VarianceProfile
-) -> list[PairProduct]:
+def pair_product_check(path: list[VdeSolution]) -> list[PairProduct]:
     """Products of opposite components against the limit -1/s_{k,n+1-k}.
 
-    The modulus comes from the constant relations, the sign from the phase
-    sum arg m_k + arg m_{n+1-k} -> pi.
+    s is the path's profile.  The modulus comes from the constant
+    relations, the sign from the phase sum arg m_k + arg m_{n+1-k} -> pi.
     """
     _path_radii_and_angle(path)
+    profile = path[-1].profile
     ok, _ = check_assumption_staircase(profile)
     if not ok:
         raise ProfileError("pair products need a staircase profile")
@@ -269,12 +266,11 @@ class ReduceDiagnostics:
     max_abs_arg_omega: float
 
 
-def vde_like_reduce(
-    solution: VdeSolution, profile: VarianceProfile
-) -> tuple[np.ndarray, np.ndarray, ReduceDiagnostics]:
+def vde_like_reduce(solution: VdeSolution) -> tuple[np.ndarray, np.ndarray, ReduceDiagnostics]:
     """Collapse a block-expanded solution to its n-dim effective equation.
 
-    With ratio vectors rho_k = m^[k]/m^[k]_1 per outer block, the weights
+    With ratio vectors rho_k = m^[k]/m^[k]_1 per outer block of the
+    solution's profile, which must carry block metadata, the weights
     are omega_k = mean(rho_k) and the effective profile is
     s_hat[j,k] = rho_k . (S-block(k,j) rho_j) / N, mirrored across the
     diagonal so it is exactly symmetric.  The leading block entries
@@ -283,6 +279,7 @@ def vde_like_reduce(
     the diagnostics together with the effective-coefficient properties
     (zero pattern, modulus range, phase decay of omega and s_hat).
     """
+    profile = solution.profile
     if profile.block_meta is None:
         raise ProfileError("reduction needs block metadata on the profile")
     n, inner = profile.block_meta

@@ -10,8 +10,9 @@ RunConfig field of the same meaning (its argparse dest), and a flag left
 out keeps that field's default, so every default is declared once, in
 RunConfig.
 
-Exit codes: 0 success, 1 validation error, 2 solver failure, 3 assertion
-failure (a theory-guaranteed invariant came out false).
+Exit codes: 0 success, 1 validation error, 2 solver failure (or a point
+whose defect reaches Im z, so that ||F||_2 < 1 cannot be shown), 3
+assertion failure (a theory-guaranteed invariant came out false).
 """
 
 from __future__ import annotations
@@ -133,7 +134,7 @@ def _cmd_scan(config: RunConfig, profile) -> list[str]:
     from .asymptotics import fit_exponents
 
     path = _ray_path(config, profile)
-    fits = fit_exponents(path, profile)
+    fits = fit_exponents(path)
     lines = [
         "# columns: k r abs_m arg_m measured_exponent predicted_exponent "
         "measured_phase predicted_phase measured_constant predicted_constant"
@@ -285,9 +286,8 @@ def _expanded_profile(config: RunConfig, profile):
 def _cmd_reduce(config: RunConfig, profile) -> list[str]:
     from .asymptotics import vde_like_reduce
 
-    prof = _expanded_profile(config, profile)
-    path = _ray_path(config, prof)
-    omega, s_hat, diag = vde_like_reduce(path[-1], prof)
+    path = _ray_path(config, _expanded_profile(config, profile))
+    omega, s_hat, diag = vde_like_reduce(path[-1])
     n = omega.size
     lines = [
         f"# residual {_fmt(diag.residual)}",

@@ -62,7 +62,9 @@ product of the final iterate, a sum of non-negative terms, so inflating c
 by 1 + (dim + 8) eps covers its roundoff.  With the defect d = 1/m + z +
 Sm, c_k = 1 + |m_k|^2 (Im d_k - Im z)/Im m_k: a point certifies with no
 further work unless some Im d_k reaches Im z.  Only such a row computes
-||F||_2 itself, and raises AnomalyError unless it is below 1.
+||F||_2 itself, and raises SolverError unless it is below 1: at a
+solution ||F||_2 < 1 always, so a reading of 1 or more is a failure of
+accuracy, never of the theory.
 
 That value, VdeSolution.f_norm, is computed when it is first read.  On
 the dense path it is lambda_max of a symmetric eigensolve of F.  On the
@@ -120,17 +122,17 @@ _STACK_BYTES = 1 << 23
 
 
 class SolverError(RuntimeError):
-    """Iteration failed: budget exhausted, residual stalled, or a
-    fixed-point half-step left the upper half-plane."""
+    """Iteration failed: budget exhausted, residual stalled, a fixed-point
+    half-step left the upper half-plane, or a solved point is not accurate
+    enough at its Im z to show ||F||_2 < 1."""
 
 
 class AnomalyError(RuntimeError):
     """A mathematically guaranteed invariant failed numerically.
 
-    Raised when a quantity the theory pins down (for example the spectral
-    norm of the saturation matrix staying below 1, or the solvability of
-    the limiting-constant system) comes out wrong; signals a bug or broken
-    input rather than ordinary non-convergence.
+    Raised when a quantity the theory pins down (for example the
+    solvability of the limiting-constant system) comes out wrong; signals a
+    bug or broken input rather than ordinary non-convergence.
     """
 
 
@@ -477,7 +479,7 @@ def _solve_points(profile: VarianceProfile, z, tol: float, m):
     error of solve, naming its z.  Returns m, the backward errors and
     iterations.  A row is certified ||F||_2 < 1 by _saturation_bounds of
     its final iterate; only a row that bound does not certify computes
-    ||F||_2 by _f_norms, and raises AnomalyError unless it is below 1.
+    ||F||_2 by _f_norms, and raises SolverError unless it is below 1.
     """
     s = profile.entries
     means = profile.block_means if _krylov(profile) else None
@@ -532,9 +534,9 @@ def _solve_points(profile: VarianceProfile, z, tol: float, m):
         if not (f_norm < 1.0).all():
             j = (~(f_norm < 1.0)).argmax()
             i = rest[j]
-            raise AnomalyError(
+            raise SolverError(
                 f"saturation matrix norm {f_norm[j]} >= 1 at z = {z[i]}; the theory "
-                "forbids this in the upper half-plane, and for this m it needs a "
+                "forbids this at a solution, so m is not accurate enough: it needs a "
                 f"defect with imaginary part >= Im z = {z[i].imag:.3e}: residual "
                 f"{residual[i]:.3e}, tol {tol:.3e}")
     return m, residual, iterations
@@ -564,11 +566,12 @@ def solve(
     Raises ValueError for a warm start of the wrong shape, not finite or
     outside the upper half-plane; SolverError on iteration-budget
     exhaustion, on 50 straight iterations without a new best absolute
-    defect, or when a fixed-point half-step is non-finite or leaves the
-    upper half-plane; AnomalyError unless the solved point has ||F||_2 < 1
-    for F = |m| S |m|.  The bound is certified from m and S m at no extra cost
-    while the defect stays below Im z (see the module docstring); only
-    otherwise is ||F||_2 computed during the solve.  Each message names z.
+    defect, when a fixed-point half-step is non-finite or leaves the
+    upper half-plane, and unless the solved point shows ||F||_2 < 1 for
+    F = |m| S |m|, which only a defect reaching Im z allows.  The bound is
+    certified from m and S m at no extra cost while the defect stays below
+    Im z (see the module docstring); only otherwise is ||F||_2 computed
+    during the solve.  Each message names z.
     The returned f_norm is computed when first read.
     """
     m = warm_start
@@ -685,9 +688,7 @@ def stability_matrix(m: np.ndarray, profile: VarianceProfile) -> np.ndarray:
     return profile.entries * (am[..., :, None] * am[..., None, :])
 
 
-def saturation_identity_residual(
-    solution: VdeSolution, profile: VarianceProfile
-) -> float:
+def saturation_identity_residual(solution: VdeSolution) -> float:
     """Defect of the exact identity F^2 u = u + (conj(z) I - z F)|m|, u = m/|m|.
 
     The identity holds with equality at the true solution for every z in
@@ -699,7 +700,7 @@ def saturation_identity_residual(
     z = solution.point.z
     am = np.abs(m)
     u = m / am
-    f = stability_matrix(m, profile)
+    f = stability_matrix(m, solution.profile)
     defect = f @ (f @ u) - u - (np.conj(z) * am - z * (f @ am))
     return float(np.sqrt(np.mean(np.abs(defect) ** 2)))
 

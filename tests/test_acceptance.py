@@ -126,8 +126,8 @@ def test_criterion_2_staircase_exponents(ones_runs):
     t0 = time.perf_counter()
     worst = 0.0
     for n in ONES_DIMS:
-        prof, path, _ = runs[n, math.pi / 2]
-        for f in fit_exponents(path, prof):
+        _, path, _ = runs[n, math.pi / 2]
+        for f in fit_exponents(path):
             worst = max(worst, abs(f.measured_exponent - f.predicted_exponent))
     elapsed = axis_elapsed + time.perf_counter() - t0
     ok = worst < 0.01 and elapsed < 120.0
@@ -199,20 +199,17 @@ def test_criterion_4_limit_constants(asym_run):
 def test_criterion_5_identity_suite(ones_runs, asym_run, semicircle_run):
     runs, _ = ones_runs
     pool = []
-    for prof, path, tol in runs.values():
-        pool.extend((prof, sol, tol) for sol in path)
-    aprof, apath, atol = asym_run
-    pool.extend((aprof, sol, atol) for sol in apath)
-    sprof, ssol = semicircle_run[0], semicircle_run[1]
-    pool.append((sprof, ssol, 1e-12))
+    for _, path, tol in runs.values():
+        pool.extend((sol, tol) for sol in path)
+    _, apath, atol = asym_run
+    pool.extend((sol, atol) for sol in apath)
+    pool.append((semicircle_run[1], 1e-12))
 
     worst_ratio = 0.0  # residual over its own budget, must stay <= 1
     worst_fnorm = 0.0
-    for prof, sol, tol in pool:
+    for sol, tol in pool:
         budget = 100.0 * tol * (1.0 + np.linalg.norm(sol.m)) ** 2
-        worst_ratio = max(
-            worst_ratio, saturation_identity_residual(sol, prof) / budget
-        )
+        worst_ratio = max(worst_ratio, saturation_identity_residual(sol) / budget)
         worst_fnorm = max(worst_fnorm, sol.f_norm)
     count = len(pool)
     ok = worst_ratio <= 1.0 and worst_fnorm < 1.0 and count >= 200
@@ -231,8 +228,8 @@ def test_criterion_6_pair_products(ones_runs):
     runs, _ = ones_runs
     worst = 0.0
     for n in ONES_DIMS:
-        prof, path, _ = runs[n, math.pi / 2]
-        for chk in pair_product_check(path, prof):
+        _, path, _ = runs[n, math.pi / 2]
+        for chk in pair_product_check(path):
             worst = max(worst, chk.relative_error)
     ok = worst < 0.02
     record_criterion(
@@ -365,7 +362,7 @@ def test_criterion_10_reduction(noisy_ensembles):
     for N, big in sorted(noisy_ensembles.items()):
         tol = suggested_tol(big, radii[-1])  # the budget's scale
         path = solve_path(big, math.pi / 2, radii)
-        _, _, diag = vde_like_reduce(path[-1], big)
+        _, _, diag = vde_like_reduce(path[-1])
         worst_res_ratio = max(worst_res_ratio, diag.residual / (100.0 * tol))
         worst_arg = max(worst_arg, diag.max_abs_arg_s, diag.max_abs_arg_omega)
         if not diag.zero_pattern_matches:

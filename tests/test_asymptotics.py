@@ -33,9 +33,8 @@ C2_ASYM = 1.5874010519681994
 
 
 def ones_path(n, r_min=1e-6, count=26, ray=math.pi / 2):
-    prof = staircase_profile(n)
     radii = np.geomspace(1e-1, r_min, count)
-    return prof, solve_path(prof, ray, radii)
+    return solve_path(staircase_profile(n), ray, radii)
 
 
 # ----------------------------------------------------- predicted singularity
@@ -113,8 +112,8 @@ def test_constant_system_rejects_non_staircase():
 
 
 def test_fit_exponents_all_ones_two_dim():
-    prof, path = ones_path(2)
-    fits = fit_exponents(path, prof)
+    path = ones_path(2)
+    fits = fit_exponents(path)
     assert [f.component for f in fits] == [1, 2]
     for f in fits:
         assert abs(f.measured_exponent - f.predicted_exponent) < 0.01
@@ -127,49 +126,55 @@ def test_fit_constants_against_hand_solved_values():
     prof = VarianceProfile(np.array([[4.0, 1.0], [1.0, 0.0]]))
     radii = np.geomspace(1e-1, 1e-6, 26)
     path = solve_path(prof, math.pi / 2, radii, SolverOptions(tol=1e-12))
-    fits = fit_exponents(path, prof)
+    fits = fit_exponents(path)
     assert abs(fits[0].measured_constant / C1_ASYM - 1.0) < 0.02
     assert abs(fits[1].measured_constant / C2_ASYM - 1.0) < 0.02
 
 
 def test_fit_rejects_short_or_broken_paths():
-    prof, path = ones_path(2, r_min=1e-3, count=9)  # only 2 decades
+    path = ones_path(2, r_min=1e-3, count=9)  # only 2 decades
     with pytest.raises(ValueError, match="4 decades"):
-        fit_exponents(path, prof)
+        fit_exponents(path)
     with pytest.raises(ValueError, match="empty"):
-        fit_exponents([], prof)
-    prof5, path5 = ones_path(2)
+        fit_exponents([])
+    path5 = ones_path(2)
     with pytest.raises(ValueError, match="descending"):
-        fit_exponents(list(reversed(path5)), prof5)
+        fit_exponents(list(reversed(path5)))
     with pytest.raises(ValueError, match="single ray"):
+        prof = path5[0].profile
         mixed = [
             solve(prof, SpectralPoint(re=0.0, im=1e-1)),
             solve(prof, SpectralPoint(re=1e-2, im=1e-2)),
         ]
-        fit_exponents(mixed, prof)
-    with pytest.raises(ValueError, match="does not match"):
-        fit_exponents(path5, staircase_profile(3))
+        fit_exponents(mixed)
+    # an equal copy of the profile is another profile: the path's points
+    # must all carry the one profile their constants are read from
+    copy = staircase_profile(2)
+    tail = solve_path(copy, math.pi / 2, [abs(sol.point.z) for sol in path5[-2:]])
+    with pytest.raises(ValueError, match="one profile"):
+        fit_exponents(path5[:-2] + tail)
 
 
 # --------------------------------------------------------- algebraic limits
 
 
 def test_pair_products_three_dim():
-    prof, path = ones_path(3)
-    checks = pair_product_check(path, prof)
+    path = ones_path(3)
+    checks = pair_product_check(path)
     assert [c.k for c in checks] == [1, 2, 3]
     for c in checks:
         assert c.expected == -1.0
         assert c.relative_error < 0.02
+    full = VarianceProfile(np.ones((3, 3)))
     with pytest.raises(ProfileError):
-        pair_product_check(path, VarianceProfile(np.ones((3, 3))))
+        pair_product_check(solve_path(full, math.pi / 2, [1e-1, 1e-2]))
 
 
 def test_pair_products_respect_profile_entries():
     prof = random_staircase_profile(3, seed=44)
     radii = np.geomspace(1e-1, 1e-6, 26)
     path = solve_path(prof, math.pi / 2, radii, SolverOptions(tol=1e-11))
-    for c in pair_product_check(path, prof):
+    for c in pair_product_check(path):
         assert c.expected == -1.0 / prof.entries[c.k - 1, 3 - c.k]
         assert c.relative_error < 0.02
 
@@ -189,7 +194,7 @@ def test_zm_does_not_vanish_for_rank_deficient_profile():
 def test_reduce_constant_blocks_recovers_small_system():
     big = expand_profile(staircase_profile(2), 4)
     sol = solve(big, SpectralPoint(re=0.0, im=0.01), SolverOptions(tol=1e-13))
-    omega, s_hat, diag = vde_like_reduce(sol, big)
+    omega, s_hat, diag = vde_like_reduce(sol)
     assert np.max(np.abs(omega - 1.0)) < 1e-14
     assert (s_hat == staircase_profile(2).entries).all()
     assert diag.residual <= 100.0 * 1e-13
@@ -203,7 +208,7 @@ def test_reduce_noisy_blocks():
     radii = np.geomspace(1e-1, 1e-5, 17)
     tol = suggested_tol(big, radii[-1])  # the budget's scale
     path = solve_path(big, math.pi / 2, radii)
-    omega, s_hat, diag = vde_like_reduce(path[-1], big)
+    omega, s_hat, diag = vde_like_reduce(path[-1])
     assert omega.shape == (2,) and s_hat.shape == (2, 2)
     assert diag.residual <= 100.0 * tol
     assert diag.zero_pattern_matches
@@ -215,10 +220,9 @@ def test_reduce_noisy_blocks():
 
 
 def test_reduce_requires_block_metadata():
-    prof = staircase_profile(2)
-    sol = solve(prof, SpectralPoint(re=0.0, im=0.1))
+    sol = solve(staircase_profile(2), SpectralPoint(re=0.0, im=0.1))
     with pytest.raises(ProfileError, match="metadata"):
-        vde_like_reduce(sol, prof)
+        vde_like_reduce(sol)
 
 
 # --------------------------------------------------------------------- sweep
