@@ -8,7 +8,8 @@ process on the last three values, in closed form for every energy at
 once; when the increments grow instead of shrinking, or a positive
 descent extrapolates below minus its last value, the point is flagged
 divergent and the last raw value is reported.
-rho_at_detailed descends one energy, rho_grid its mesh in batched chunks.
+rho_at_detailed descends one energy; _descend descends many in batched
+chunks, for rho_grid's mesh and montecarlo's near-zero prediction.
 The staircase profiles this package targets have an integrable power-law
 divergence at E = 0, characterized by a log-log window fit rather than a
 pointwise value.
@@ -143,6 +144,35 @@ def rho_at_detailed(
                         error_estimate=float(err), divergent=bool(divergent))
 
 
+def _descend(
+    profile: VarianceProfile,
+    energies: np.ndarray,
+    etas: list[float] | tuple[float, ...],
+    opts: SolverOptions | None = None,
+):
+    """rho_at_detailed's descent of every energy at once, bit for bit.
+
+    The energies go in chunks of _stack_rows(profile), each chunk through
+    every eta level in one batched solve, warm-started by
+    continuation_guess of the chunk's levels before it; each solve stops
+    on its relative backward error at opts.tol.  etas must be a validated
+    schedule.  Returns _extrapolate's limits, error estimates and
+    divergent flags, one per energy.  A failure raises at the first
+    chunk, then eta level, where one occurs and names an energy that
+    failed there, not always the lowest failing.
+    """
+    tol = (opts or SolverOptions()).tol
+    raw = np.empty((len(energies), len(etas)))
+    size = _stack_rows(profile)
+    for i in range(0, len(energies), size):
+        e, ms = energies[i:i + size], []
+        for j, eta in enumerate(etas):
+            m = _solve_points(profile, e + 1j * eta, tol, continuation_guess(ms))[0]
+            ms = [*ms[-1:], m]
+            raw[i:i + size, j] = m.imag.sum(axis=1) / (math.pi * profile.dim)
+    return _extrapolate(etas, raw)
+
+
 def rho_at(
     profile: VarianceProfile,
     e_val: float,
@@ -181,12 +211,9 @@ def rho_grid(
     The grid must be non-empty, strictly increasing and avoid E = 0 (the
     staircase density diverges there).  Mass is integrated by trapezoid
     over the union of the grid with a linear mesh reaching the support
-    bound on both sides, so partial grids still report total mass.  Each
-    mesh energy gets rho_at_detailed's descent, each solve stopping on its
-    relative backward error at opts.tol, in chunks of _stack_rows(profile)
-    energies, each one batched solve per eta level; a failure raises at
-    the first chunk, then eta level, where one occurs and names an energy
-    that failed there, not always the lowest failing.
+    bound on both sides, so partial grids still report total mass.  The
+    mesh is descended in batched chunks by _descend, each energy's value
+    rho_at's bit for bit; _descend says where a failure raises.
     """
     grid = np.atleast_1d(np.asarray(e_grid, dtype=float))
     etas = tuple(_validate_schedule(eta_schedule))
@@ -204,17 +231,7 @@ def rho_grid(
     mesh = np.union1d(
         grid, np.concatenate([-lin[::-1], lin, [-e_max, e_max]])
     )
-    # rho_at_detailed's descent, one batched solve of a chunk per eta level
-    tol = (opts or SolverOptions()).tol
-    raw = np.empty((mesh.size, len(etas)))
-    size = _stack_rows(profile)
-    for i in range(0, mesh.size, size):
-        e, ms = mesh[i:i + size], []
-        for j, eta in enumerate(etas):
-            m = _solve_points(profile, e + 1j * eta, tol, continuation_guess(ms))[0]
-            ms = [*ms[-1:], m]
-            raw[i:i + size, j] = m.imag.sum(axis=1) / (math.pi * profile.dim)
-    value, err, divergent = _extrapolate(etas, raw)
+    value, err, divergent = _descend(profile, mesh, etas, opts)
     rho = np.where(value < 0.0, 0.0, value)  # rho_at_detailed's max(value, 0.0)
     on_grid = np.isin(mesh, grid)
     return DensityProfile(

@@ -36,8 +36,15 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import Philox
 
-from .density import DEFAULT_ETA_SCHEDULE, _validate_schedule, rho_at, support_bound
-from .profiles import DIMENSION_CAP, VarianceProfile
+# rho_at is not called here, but the benchmark's tracer test pins the
+# montecarlo.rho_at alias; it goes with ROADMAP item 7's benchmark change
+from .density import (
+    DEFAULT_ETA_SCHEDULE, _descend, _validate_schedule, rho_at, support_bound,
+)
+from .profiles import (
+    DIMENSION_CAP, StaircasePatternError, VarianceProfile,
+    recover_staircase_permutation,
+)
 from .solver import AnomalyError, SolverOptions, SpectralPoint, solve
 
 TRIALS_CAP = 10_000  # each trial is a draw and two LDL^T factorizations
@@ -244,24 +251,29 @@ def sample_spectrum(spec: EnsembleSpec, trial: int) -> np.ndarray:
     return np.linalg.eigvalsh(sample_matrix(spec, trial))
 
 
-def _zero_blocks(entries: np.ndarray) -> list[int]:
+def _zero_blocks(profile: VarianceProfile) -> list[int]:
     """Blocks Z of the profile whose principal submatrix entries[Z, Z] is zero.
 
-    Goes greedily over the zero-diagonal blocks in order of increasing
-    row support (ties by index) and takes each one that is zero against
-    those already taken.  For a staircase of n blocks with no zero in its
-    free region (i + j < n), permuted or not, that is the floor(n/2)
-    blocks below the anti-diagonal.  Free-region zeros can tie or reorder
-    the supports, and Z may then come out smaller, down to 2 of 3 blocks
-    on the 6 x 6 staircase with only its anti-diagonals positive.  Any Z
-    with entries[Z, Z] = 0 keeps the near-zero count exact; a smaller one
-    only leaves a larger complement to factorize.
+    For a staircase of n blocks, permuted or not, these are the floor(n/2)
+    blocks at the positions k (1-based) with 2k >= n + 2 of the ordering
+    recover_staircase_permutation finds: any two of them have
+    i + j >= n + 2, where the staircase is zero, whatever zeros its free
+    region (i + j < n) holds.  Any other profile goes greedily over its
+    zero-diagonal blocks in order of increasing row support (ties by
+    index) and takes each one that is zero against those already taken.
+    Any Z with entries[Z, Z] = 0 keeps the near-zero count exact; a
+    smaller one only leaves a larger complement to factorize.
     """
-    zero: list[int] = []
-    for k in np.argsort(np.count_nonzero(entries, axis=1), kind="stable"):
-        if entries[k, k] == 0.0 and not entries[k, zero].any():
-            zero.append(int(k))
-    return zero
+    try:
+        order = recover_staircase_permutation(profile)
+    except StaircasePatternError:
+        entries, zero = profile.entries, []
+        for k in np.argsort(np.count_nonzero(entries, axis=1), kind="stable"):
+            if entries[k, k] == 0.0 and not entries[k, zero].any():
+                zero.append(int(k))
+        return zero
+    n = profile.dim
+    return sorted(order[k - 1] for k in range(1, n + 1) if 2 * k >= n + 2)
 
 
 def _negatives(a: np.ndarray) -> int:
@@ -319,7 +331,7 @@ def _near_zero_count(spec: EnsembleSpec, trial: int, delta: float) -> int:
     all that _negatives reads, and into H_RZ; no d x d matrix is formed.
     """
     entries, inner = spec.small_profile.entries, spec.inner_N
-    in_z = np.isin(np.arange(len(entries)), _zero_blocks(entries))
+    in_z = np.isin(np.arange(len(entries)), _zero_blocks(spec.small_profile))
     # R: the blocks of C whose block row meets Z
     coupled = entries[:, in_z].any(axis=1) & ~in_z
     # column masks of C, R and Z, and each one's count of columns before b
@@ -341,19 +353,33 @@ def _near_zero_count(spec: EnsembleSpec, trial: int, delta: float) -> int:
             # (+0.0 as in sample_matrix's mirror)
             h_rz[r_at[a] : r_at[stop], z_at[a]] = row[r_col[a:stop]].conj() + 0.0
     del row  # a view that holds the last batch of the draw
-    r = np.flatnonzero(r_col[c_col])
-    u = np.flatnonzero(~r_col[c_col])
     w = h_rz @ h_rz.conj().T
     del h_rz
     w /= delta
-    w[np.diag_indices(r.size)] -= delta
+    _diagonal(w, 0, len(w))[...] -= delta
     minus = plus.copy()
-    plus[np.ix_(r, r)] += w
-    minus[np.ix_(r, r)] -= w
+    # R and U = C \ R are unions of whole blocks: W goes in one block pair
+    # (j, k >= j) of R at a time, each block as its slices of the
+    # complements and of W, on the upper triangle _negatives reads
+    first = np.arange(0, len(entries) * inner, inner)
+    r_blocks = [(slice(c_at[a], c_at[a] + inner), slice(r_at[a], r_at[a] + inner))
+                for a in first[coupled]]
+    for j, (cj, rj) in enumerate(r_blocks):
+        for ck, rk in r_blocks[j:]:
+            plus[cj, ck] += w[rj, rk]
+            minus[cj, ck] -= w[rj, rk]
     del w
-    plus[u, u] -= delta
-    minus[u, u] += delta
+    for a in first[~in_z & ~coupled]:
+        _diagonal(plus, c_at[a], c_at[a] + inner)[...] -= delta
+        _diagonal(minus, c_at[a], c_at[a] + inner)[...] += delta
     return int(z_at[-1]) + _negatives(plus) - _negatives(minus)
+
+
+def _diagonal(a: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """Writable view of the diagonal entries start to stop - 1 of the
+    C-contiguous square a."""
+    step = len(a) + 1
+    return a.reshape(-1)[start * step : stop * step : step]
 
 
 def predicted_near_zero_mass(
@@ -362,7 +388,10 @@ def predicted_near_zero_mass(
     """Integral of rho over [-delta, delta] via its fitted power law.
 
     Fits rho ~ A |E|^s on (delta/100, delta) (positive side; the density
-    is symmetric) and integrates: 2 A delta^(1+s)/(1+s).  The staircase
+    is symmetric) and integrates: 2 A delta^(1+s)/(1+s).  The 17
+    log-spaced energies of the fit go down the eta schedule in one
+    batched descent (density._descend), each value rho_at's bit for bit
+    in a fraction of the time of 17 rho_at calls.  The staircase
     exponent -(n-1)/(n+1) stays above -1, so the integral is finite; a
     fitted s <= -1 would contradict that and raises AnomalyError.
 
@@ -375,7 +404,8 @@ def predicted_near_zero_mass(
     """
     if not delta > 0:
         raise ValueError(f"delta must be positive, got {delta}")
-    floor = 1000.0 * _validate_schedule(eta_schedule)[-1]
+    etas = _validate_schedule(eta_schedule)
+    floor = 1000.0 * etas[-1]
     if delta < floor:
         raise ValueError(
             f"delta {delta:.3g} below the resolvable floor {floor:.3g} "
@@ -388,7 +418,8 @@ def predicted_near_zero_mass(
             f"{bound:.3g} (2 sqrt(max row sum) + 0.5)"
         )
     energies = np.geomspace(delta / 100.0, delta, 17)
-    vals = np.array([rho_at(profile, float(e), eta_schedule) for e in energies])
+    # rho_at's max(value, 0.0) is left out: a value it would lift raises here
+    vals, _, _ = _descend(profile, energies, etas)
     if (vals <= 0).any():
         raise ValueError(
             "density vanishes inside the fit window; no power law to integrate"

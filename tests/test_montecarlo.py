@@ -18,9 +18,11 @@ from vdelab import (
     empirical_near_zero,
     entry_value,
     entrywise_law_check,
+    expand_profile,
     predicted_near_zero_mass,
     random_staircase_profile,
     recover_staircase_permutation,
+    rho_at,
     sample_matrix,
     sample_spectrum,
     staircase_profile,
@@ -209,8 +211,8 @@ def test_sample_matrix_peak_memory_is_one_matrix():
     data=st.data(),
 )
 def test_zero_blocks_of_every_permuted_staircase(n, profile_seed, data):
-    entries = staircase(n, profile_seed, data).entries
-    zero = _zero_blocks(entries)
+    profile = staircase(n, profile_seed, data)
+    entries, zero = profile.entries, _zero_blocks(profile)
     assert len(set(zero)) == len(zero) == n // 2
     assert (entries[np.ix_(zero, zero)] == 0.0).all()
 
@@ -226,7 +228,9 @@ def test_zero_blocks_against_the_recovered_staircase(
     n, profile_seed, free_zeros, data
 ):
     # zeros in the free region (1-based i + j < n) keep a staircase; its
-    # recovered ordering says which blocks lie below the anti-diagonal
+    # recovered ordering says which blocks lie below the anti-diagonal, and
+    # those are floor(n/2) however many free entries are zero (the greedy
+    # search by row support found fewer once the free region held zeros)
     a = random_staircase_profile(n, profile_seed).entries.copy()
     i, j = np.triu_indices(n)
     rng = np.random.default_rng(profile_seed)
@@ -234,16 +238,16 @@ def test_zero_blocks_against_the_recovered_staircase(
     a[i[hit], j[hit]] = a[j[hit], i[hit]] = 0.0
     profile = VarianceProfile(a).permuted(data.draw(st.permutations(range(n))))
     order = recover_staircase_permutation(profile)
-    zero = _zero_blocks(profile.entries)
+    zero = _zero_blocks(profile)
     assert (profile.entries[np.ix_(zero, zero)] == 0.0).all()
-    if free_zeros == 0.0:
-        below = [order[k - 1] for k in range(1, n + 1) if 2 * k >= n + 2]
-        assert sorted(zero) == sorted(below)
+    assert len(zero) == n // 2
+    below = [order[k - 1] for k in range(1, n + 1) if 2 * k >= n + 2]
+    assert sorted(zero) == sorted(below)
 
 
 def test_zero_blocks_of_general_profiles():
-    assert _zero_blocks(np.ones((3, 3))) == []
-    assert _zero_blocks(np.array([[0.0, 1.0], [1.0, 0.0]])) == [0]
+    assert _zero_blocks(VarianceProfile(np.ones((3, 3)))) == []
+    assert _zero_blocks(VarianceProfile(np.array([[0.0, 1.0], [1.0, 0.0]]))) == [0]
 
 
 @settings(max_examples=60, deadline=None)
@@ -286,6 +290,43 @@ def test_near_zero_count_peak_memory_is_under_two_matrices():
             assert peak <= bound * nbytes, (symmetry, n, peak / nbytes)
 
 
+@pytest.mark.parametrize("symmetry", ["real_symmetric", COMPLEX_HERMITIAN])
+def test_shifted_complements_match_the_dense_schur_complement(symmetry, monkeypatch):
+    # the complements _negatives factorizes are H_CC +- (H_CZ H_ZC / delta
+    # - delta): W on the rows R that meet Z, -+delta on the diagonal of the
+    # rest U; only their upper triangles are read, and so compared
+    seen = []
+
+    def spy(a):
+        seen.append(a.copy())  # the factorization overwrites a
+        return negatives(a)
+
+    negatives = montecarlo._negatives
+    monkeypatch.setattr(montecarlo, "_negatives", spy)
+    sparse6 = np.add.outer(range(6), range(6))
+    profiles = [
+        staircase_profile(2),
+        staircase_profile(3),
+        staircase_profile(4).permuted([2, 0, 3, 1]),
+        VarianceProfile(((sparse6 == 4) | (sparse6 == 5)).astype(float)).permuted(
+            [5, 1, 3, 0, 4, 2]
+        ),
+    ]
+    delta = 0.3
+    for profile in profiles:
+        spec = EnsembleSpec(profile, 5, symmetry, seed=23)
+        del seen[:]
+        _near_zero_count(spec, 2, delta)
+        h = sample_matrix(spec, 2)
+        in_z = np.repeat(np.isin(np.arange(profile.dim), _zero_blocks(profile)), 5)
+        h_cz = h[np.ix_(~in_z, in_z)]
+        w = h_cz @ h_cz.conj().T / delta - delta * np.eye(len(h_cz))
+        h_cc = h[np.ix_(~in_z, ~in_z)]
+        for got, want in zip(seen, (h_cc + w, h_cc - w), strict=True):
+            err = np.abs(np.triu(got) - np.triu(want)).max()
+            assert err <= 1e-13 * np.abs(want).max(), (profile.entries, err)
+
+
 @pytest.mark.parametrize("chunk", [1, 7])
 @pytest.mark.parametrize("symmetry", ["real_symmetric", COMPLEX_HERMITIAN])
 def test_draw_batches_split_anywhere(chunk, symmetry, monkeypatch):
@@ -295,7 +336,7 @@ def test_draw_batches_split_anywhere(chunk, symmetry, monkeypatch):
     monkeypatch.setattr(montecarlo, "_CHUNK", chunk)
     for n, perm in ((4, [3, 0, 1, 2]), (4, [2, 3, 1, 0]), (3, [2, 0, 1]), (1, [0])):
         profile = staircase_profile(n).permuted(perm)
-        assert 0 in _zero_blocks(profile.entries) or n == 1
+        assert 0 in _zero_blocks(profile) or n == 1
         spec = EnsembleSpec(profile, 5, symmetry, seed=17)
         for trial in (0, 9):
             h = sample_matrix(spec, trial)
@@ -465,6 +506,23 @@ def test_semicircle_bulk_fraction():
 def test_predicted_mass_matches_semicircle():
     got = predicted_near_zero_mass(staircase_profile(1), 0.5)
     assert abs(got / MASS_HALF - 1.0) < 0.02
+
+
+def test_predicted_mass_is_the_fit_of_seventeen_rho_at_values():
+    # one batched descent gives rho_at's values bit for bit, so the fitted
+    # power law and its integral do not move
+    profiles = [staircase_profile(n) for n in range(2, 7)]
+    profiles += [
+        random_staircase_profile(5, 3),
+        expand_profile(staircase_profile(3), 8, noise=0.5, seed=1),
+    ]
+    for profile in profiles:
+        for delta in (0.1, 0.01):
+            energies = np.geomspace(delta / 100.0, delta, 17)
+            vals = np.array([rho_at(profile, float(e)) for e in energies])
+            s, log_a = np.polyfit(np.log(energies), np.log(vals), 1)
+            want = float(2.0 * math.exp(log_a) * delta ** (1.0 + s) / (1.0 + s))
+            assert predicted_near_zero_mass(profile, delta) == want, (profile.dim, delta)
 
 
 def test_predicted_mass_divergent_profile_is_finite():
