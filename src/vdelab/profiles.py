@@ -110,6 +110,14 @@ class VarianceProfile:
         means.flags.writeable = False
         return means
 
+    @cached_property
+    def column_runs(self) -> tuple[tuple[int, ...], ...] | None:
+        """Column runs (a, b, lo, hi) of the outer blocks, None without block
+        metadata: see block_column_runs."""
+        if self.block_meta is None:
+            return None
+        return block_column_runs(self.entries, self.block_meta[0])
+
     def permuted(self, perm) -> "VarianceProfile":
         """Profile with entries s[perm[i], perm[j]] (0-based permutation)."""
         idx = np.asarray(perm)
@@ -474,6 +482,30 @@ def classify_regime(profile: VarianceProfile) -> StructureReport:
     )
 
 
+def block_column_runs(entries: np.ndarray, n: int) -> tuple[tuple[int, ...], ...]:
+    """Column runs of a block-uniform matrix of n x n outer blocks.
+
+    Each run (a, b, lo, hi) covers the adjacent columns a:b whose outer
+    blocks share one row extent lo:hi, from the first nonzero row block to
+    the last, so every entry of those columns outside lo:hi is 0 and
+    x S[:, a:b] = x[:, lo:hi] S[lo:hi, a:b].  Zero blocks inside an extent
+    stay in it; columns whose blocks are all 0 get the empty extent 0:0.
+    Block uniformity makes one entry per block enough to read the pattern.
+    The n-block staircase gives n runs, column block k spanning row blocks
+    0 .. n-1-k.
+    """
+    inner = len(entries) // n
+    runs: list[tuple[int, ...]] = []
+    for k, column in enumerate(entries[::inner, ::inner].T != 0):
+        rows = np.flatnonzero(column) * inner
+        lo, hi = (int(rows[0]), int(rows[-1]) + inner) if rows.size else (0, 0)
+        if runs and runs[-1][2:] == (lo, hi):
+            runs[-1] = (runs[-1][0], (k + 1) * inner, lo, hi)
+        else:
+            runs.append((k * inner, (k + 1) * inner, lo, hi))
+    return tuple(runs)
+
+
 def expand_profile(
     small: VarianceProfile, inner: int, noise: float = 0.0, seed: int = 0
 ) -> VarianceProfile:
@@ -502,8 +534,13 @@ def expand_profile(
     n = small.dim
     base = np.repeat(np.repeat(small.entries, inner, axis=0), inner, axis=1)
     rng = np.random.default_rng(seed)
+    # base * (1 + noise u) / inner, in place in u
     u = rng.uniform(-1.0, 1.0, size=base.shape)
-    big = base * (1.0 + noise * u) / inner
-    big = 0.5 * (big + big.T)
+    u *= noise
+    u += 1.0
+    u *= base
+    u /= inner
+    big = u + u.T
+    big *= 0.5
     big[base == 0.0] = 0.0
     return VarianceProfile(big, block_meta=(n, inner))

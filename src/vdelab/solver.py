@@ -21,19 +21,23 @@ each keep their own state; solve is its P=1 case, rho_grid solves a
 chunk of its mesh per eta level in it, and solve_path each batch of a
 ray: one radius on the dense path, a decade on the Krylov path below.
 Each batcher sizes its batches to fit _STACK_BYTES (_stack_rows).  Each
-S product of all rows is one real GEMM of the real symmetric S with the
-stacked rows (Re m; Im m), on either Newton path below.  Each iterate
-carries its product S m: the line search's S*trial of an accepted row is
-reused by the defect and the next Newton step, so each iterate costs one
-product.
+S product of all rows multiplies the real symmetric S with the stacked
+rows (Re m; Im m).  On the dense path it is one real GEMM: there a product
+takes a few microseconds, and each further GEMM call adds one to five.  On
+the Krylov path it is one GEMM per column run of S
+(VarianceProfile.column_runs), which never reads the zero outer blocks
+outside each run's row extent, n(n-1)/2 of the n^2 blocks of a
+staircase.  Each iterate carries its product S m: the line search's
+S*trial of an accepted row is reused by the defect and the next Newton
+step, so each iterate costs one product.
 
 The Newton step solves J delta = -g with J = diag(g-1) + M S M, M =
 diag(m), by a dense LU, except that a profile with block metadata (n
 outer blocks of size N) and dim at least _KRYLOV_MIN_DIM never builds
 J: the rows run right-preconditioned GCR on the matvec
 J v = (g-1)v + m(S(mv)) (Knoll & Keyes, JCP 2004) in lock-step, each
-product S(mv) of all rows again one real GEMM.  The preconditioner is J
-with S replaced by its block means
+product S(mv) of all rows again one product by column runs.  The
+preconditioner is J with S replaced by its block means
 S_bar = U C U^T, C the n x n means and U the block indicator, so it is
 diagonal plus rank n and Woodbury applies its inverse in
 O(dim*n + n^3) without inverting C, from an n x n core per row solved
@@ -69,9 +73,10 @@ accuracy, never of the theory.
 That value, VdeSolution.f_norm, is computed when it is first read.  On
 the dense path it is lambda_max of a symmetric eigensolve of F.  On the
 Krylov path F is never built: a block subspace iteration on the map
-X -> |m|(S(|m|X)), started from the n columns |m| U, brackets the Perron
-root between the Rayleigh quotient theta of its top Ritz vector x and the
-Collatz-Wielandt bound max_k (Fx)_k / x_k, valid once x > 0 or x < 0.
+X -> |m|(S(|m|X)), S applied by column runs and started from the n
+columns |m| U, brackets the Perron root between the Rayleigh quotient
+theta of its top Ritz vector x and the Collatz-Wielandt bound
+max_k (Fx)_k / x_k, valid once x > 0 or x < 0.
 The block start spans the n outlier eigenvalues of F together, so the
 iteration converges at the ratio of the noise bulk to the outliers, not
 at the small gap between the top two eigenvalues that stalls a
@@ -92,7 +97,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .profiles import VarianceProfile
+from .profiles import VarianceProfile, block_column_runs
 
 RADIUS_FLOOR = 1e-8
 
@@ -218,8 +223,9 @@ def _perron_root(s: np.ndarray, a: np.ndarray, n: int) -> float:
     s is the real non-negative S of a block profile with n outer blocks and
     a = |m| > 0, so ||F||_2 is the Perron root of F.  Block subspace
     iteration from the n columns a * U, U the block indicator, with a thin
-    QR and a Rayleigh-Ritz step each time; F is applied as a * (S (a * X))
-    and never built.  The top Ritz vector x, once x > 0 or x < 0, brackets
+    QR and a Rayleigh-Ritz step each time; F is applied as a * (S (a * X)),
+    S by the column runs of its block pattern (block_column_runs), and
+    never built.  The top Ritz vector x, once x > 0 or x < 0, brackets
     the root between theta = x^T F x / x^T x and c = max_k (Fx)_k / x_k,
     both unchanged by x -> -x.  The root is theta once
     c - theta <= _PERRON_RTOL * theta and c < 1, and NaN when the bounds
@@ -227,10 +233,11 @@ def _perron_root(s: np.ndarray, a: np.ndarray, n: int) -> float:
     """
     # the iterates are the rows of x: X^T S is (S X)^T for the symmetric S
     # and runs faster than S X with so few columns
+    runs = block_column_runs(s, n)
     x = (np.eye(n)[:, :, None] * a.reshape(1, n, -1)).reshape(n, -1)
     for _ in range(_PERRON_MAX_STEPS):
         q = np.linalg.qr(x.T)[0].T
-        fq = ((q * a) @ s) * a
+        fq = _product(q * a, s, runs) * a
         w = np.linalg.eigh(fq @ q.T)[1][:, -1]
         v, fv = w @ q, w @ fq
         if (v > 0.0).all() or (v < 0.0).all():
@@ -270,14 +277,29 @@ def _stack_rows(profile: VarianceProfile) -> int:
     return max(1, _STACK_BYTES // (16 * row * profile.dim))
 
 
-def _matvec(s: np.ndarray, m: np.ndarray) -> np.ndarray:
+def _product(x: np.ndarray, s: np.ndarray, runs) -> np.ndarray:
+    """x S for the real stack x and the real S: one GEMM when runs is
+    None, else one GEMM per column run (a, b, lo, hi) of S
+    (block_column_runs), x[:, lo:hi] S[lo:hi, a:b] into the columns a:b,
+    so the zero blocks outside each run's row extent are never read.  An
+    empty extent gives exact zeros.
+    """
+    if runs is None:
+        return x @ s
+    y = np.empty((len(x), s.shape[1]))
+    for a, b, lo, hi in runs:
+        np.matmul(x[:, lo:hi], s[lo:hi, a:b], out=y[:, a:b])
+    return y
+
+
+def _matvec(s: np.ndarray, runs, m: np.ndarray) -> np.ndarray:
     """S m for each row of the complex stack m and the real symmetric S.
 
-    Every row goes in one real GEMM on the stacked rows (Re m; Im m), as
-    x S is (S x)^T for the symmetric S; an Re m of 0 gives a real part of
-    exactly 0.
+    Every row goes in one _product with S and runs on the stacked rows
+    (Re m; Im m), as x S is (S x)^T for the symmetric S; an Re m of 0 gives
+    a real part of exactly 0.
     """
-    y = np.concatenate((m.real, m.imag)) @ s
+    y = _product(np.concatenate((m.real, m.imag)), s, runs)
     out = np.empty(m.shape, dtype=complex)
     out.real, out.imag = y[: len(m)], y[len(m):]
     return out
@@ -413,16 +435,16 @@ def _gcr(apply_j, apply_p, b: np.ndarray):
     return x, its
 
 
-def _krylov_directions(m: np.ndarray, g: np.ndarray, s: np.ndarray,
-                       means: np.ndarray) -> np.ndarray:
-    """Newton directions by one lock-step GCR over the rows; a row it
-    fails takes the dense direction."""
-    gm1 = g - 1.0
-    precond, bad = _block_mean_preconditioner(m, gm1, means)
+def _krylov_directions(m: np.ndarray, g: np.ndarray,
+                       profile: VarianceProfile) -> np.ndarray:
+    """Newton directions by one lock-step GCR over the rows, preconditioned
+    by the profile's block means; a row it fails takes the dense direction."""
+    s, runs, gm1 = profile.entries, profile.column_runs, g - 1.0
+    precond, bad = _block_mean_preconditioner(m, gm1, profile.block_means)
 
     def apply_j(v: np.ndarray, rows: np.ndarray) -> np.ndarray:
         mr = m[rows]
-        return gm1[rows] * v + mr * _matvec(s, mr * v)
+        return gm1[rows] * v + mr * _matvec(s, runs, mr * v)
 
     delta, _ = _gcr(apply_j, precond, np.where(bad[:, None], np.nan, -g))
     dense = ~np.isfinite(delta).all(axis=1)
@@ -431,30 +453,31 @@ def _krylov_directions(m: np.ndarray, g: np.ndarray, s: np.ndarray,
     return delta
 
 
-def _log_newton(m: np.ndarray, sm: np.ndarray, z: np.ndarray, s: np.ndarray,
-                means=None):
+def _log_newton(m: np.ndarray, sm: np.ndarray, z: np.ndarray,
+                profile: VarianceProfile, runs):
     """One backtracked Newton step on g(m) = m*(z+Sm)+1 in log coordinates.
 
-    sm holds the rows' products S m.  The direction comes from a dense
-    solve, or from GCR when means holds the n x n block means of S.  Each
+    sm holds the rows' products S m.  runs is None on the dense path, where
+    the direction comes from a dense solve, and the profile's column runs
+    on the Krylov path, where it comes from GCR; the products use them.  Each
     row halves its step up to 30 times until it is below the cap, the
     iterate stays in the upper half-plane and max|g| drops.  Returns the
     new iterates, their products S m (those of the accepted trials) and a
     mask of the rows that stepped; the rest keep theirs.
     """
-    z = z[:, None]
+    s, z = profile.entries, z[:, None]
     g = 1.0 + m * (z + sm)
-    if means is None:
+    if runs is None:
         delta = _newton_directions(_jacobian(m, g, s), -g)
     else:
-        delta = _krylov_directions(m, g, s, means)
+        delta = _krylov_directions(m, g, profile)
     g_ref = np.abs(g).max(axis=1)
     finite = todo = np.isfinite(delta).all(axis=1)
     out, s_out, t = m, sm, 1.0
     for _ in range(_MAX_BACKTRACK):
         step = t * delta
         trial = m * np.exp(step)
-        s_trial = _matvec(s, trial)
+        s_trial = _matvec(s, runs, trial)
         g_new = np.abs(1.0 + trial * (z + s_trial)).max(axis=1)
         ok = todo & (np.abs(step).max(axis=1) < _LOG_STEP_CAP)
         ok &= (trial.imag > 0).all(axis=1) & (g_new < g_ref)  # NaN fails too
@@ -482,13 +505,13 @@ def _solve_points(profile: VarianceProfile, z, tol: float, m):
     ||F||_2 by _f_norms, and raises SolverError unless it is below 1.
     """
     s = profile.entries
-    means = profile.block_means if _krylov(profile) else None
+    runs = profile.column_runs if _krylov(profile) else None
     m = np.full((len(z), profile.dim), 1j) if m is None else np.array(m, dtype=complex)
     iterations = np.zeros(len(z), dtype=int)
     # each row computes every trial step and drops it when done, past the
     # cap or out of the half-plane, so overflow there is harmless
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        sm = _matvec(s, m)
+        sm = _matvec(s, runs, m)
         residual, defect = _defects(m, z, sm)
         # the rows still iterating with their packed state, each iterate
         # with its product S m; best is a row's smallest absolute defect
@@ -501,7 +524,7 @@ def _solve_points(profile: VarianceProfile, z, tol: float, m):
             if k >= _MAX_ITER:
                 raise SolverError(f"no convergence in {_MAX_ITER} iterations at z = "
                                   f"{za[0]}, last residual {residual[rows[0]]:.3e}")
-            ma, sma, newton = _log_newton(ma, sma, za, s, means)
+            ma, sma, newton = _log_newton(ma, sma, za, profile, runs)
             if not newton.all():
                 half = ~newton
                 step = 0.5 * (ma[half] - 1.0 / (za[half, None] + sma[half]))
@@ -511,7 +534,7 @@ def _solve_points(profile: VarianceProfile, z, tol: float, m):
                     raise SolverError("fixed-point half-step is non-finite or left "
                                       f"the upper half-plane at z = {za[i]}, last "
                                       f"residual {residual[rows[i]]:.3e}")
-                ma[half], sma[half] = step, _matvec(s, step)
+                ma[half], sma[half] = step, _matvec(s, runs, step)
             k += 1
             res, defect = _defects(ma, za, sma)
             residual[rows] = res

@@ -95,6 +95,14 @@ def staircase_entries(n: int, fill: float = 1.0) -> np.ndarray:
     return a
 
 
+def block_pattern_entries(pattern, inner: int, seed: int) -> np.ndarray:
+    """Symmetric entries with the zero pattern of the n x n 0/1 pattern
+    in N x N outer blocks, each positive entry drawn from [0.5, 1.5)."""
+    noise = np.random.default_rng(seed).uniform(0.5, 1.5, (len(pattern) * inner,) * 2)
+    return np.kron(np.asarray(pattern, dtype=float), np.ones((inner, inner))) * (
+        noise + noise.T) / 2
+
+
 def dense_sample_matrix(spec, trial: int) -> np.ndarray:
     """Whole-matrix draw of vdelab.montecarlo.sample_matrix's layout.
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    block_pattern_entries,
     brute_maximal_rectangles,
     brute_staircase_permutation,
     staircase_entries,
@@ -603,6 +604,20 @@ def test_expand_profile_classifies_with_block_partition():
     assert report.irreducibility == (True, True)
 
 
+def test_expand_profile_matches_the_out_of_place_formula():
+    # the in-place arithmetic gives the bytes of base * (1 + noise u) / N
+    # symmetrized
+    small = random_staircase_profile(4, seed=2)
+    for inner, noise, seed in ((3, 0.5, 1), (16, 0.9, 7), (64, 0.0, 3)):
+        base = np.repeat(np.repeat(small.entries, inner, axis=0), inner, axis=1)
+        u = np.random.default_rng(seed).uniform(-1.0, 1.0, size=base.shape)
+        want = base * (1.0 + noise * u) / inner
+        want = 0.5 * (want + want.T)
+        want[base == 0.0] = 0.0
+        got = expand_profile(small, inner, noise=noise, seed=seed).entries
+        assert got.tobytes() == want.tobytes()
+
+
 def test_expand_profile_errors():
     small = staircase_profile(2)
     with pytest.raises(ProfileError):
@@ -625,3 +640,42 @@ def test_expand_profile_rejects_a_dimension_above_the_cap():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+# --------------------------------------------------------------- column runs
+
+
+@pytest.mark.parametrize(
+    "pattern, runs",
+    [
+        # the canonical staircases: column block k spans row blocks 0 .. n-1-k
+        (staircase_entries(3), [(0, 1, 0, 3), (1, 2, 0, 2), (2, 3, 0, 1)]),
+        (staircase_entries(4), [(0, 1, 0, 4), (1, 2, 0, 3), (2, 3, 0, 2), (3, 4, 0, 1)]),
+        # no zero block: one run
+        (np.ones((3, 3)), [(0, 3, 0, 3)]),
+        # the block-reversed staircase: nonzero suffixes, extents from lo > 0
+        (staircase_entries(3)[::-1, ::-1], [(0, 1, 2, 3), (1, 2, 1, 3), (2, 3, 0, 3)]),
+        # an all-zero column block gets the empty extent; an interior zero
+        # block stays inside its extent
+        ([[1, 0, 1, 0], [0, 0, 0, 0], [1, 0, 1, 0], [0, 0, 0, 0]],
+         [(0, 1, 0, 3), (1, 2, 0, 0), (2, 3, 0, 3), (3, 4, 0, 0)]),
+        # adjacent column blocks with one extent merge
+        ([[1, 1, 1], [1, 1, 1], [1, 1, 0]], [(0, 2, 0, 3), (2, 3, 0, 2)]),
+    ],
+)
+def test_column_runs_of_block_profiles(pattern, runs):
+    n, inner = len(pattern), 4
+    want = tuple(tuple(inner * v for v in run) for run in runs)
+    prof = VarianceProfile(block_pattern_entries(pattern, inner, seed=1),
+                           block_meta=(n, inner))
+    assert prof.column_runs == want
+    assert profiles.block_column_runs(prof.entries, n) == want
+
+
+def test_column_runs_of_expanded_staircases():
+    for n in (3, 4):
+        for inner in (1, 5):
+            prof = expand_profile(staircase_profile(n), inner, noise=0.5, seed=n)
+            want = [(k * inner, (k + 1) * inner, 0, (n - k) * inner) for k in range(n)]
+            assert prof.column_runs == tuple(want)
+    assert VarianceProfile(np.ones((3, 3))).column_runs is None

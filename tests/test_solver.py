@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import semicircle_m
+from oracles import block_pattern_entries, semicircle_m, staircase_entries
 from vdelab import (
     SolverError,
     SolverOptions,
@@ -232,8 +232,8 @@ def test_batched_rows_fall_back_alone():
     z = np.array([0.1 + 0.2j, 0.1 + 0.2j])
     start = np.array([[1j, 1j], [1e200j, 1e200j]])
     with np.errstate(over="ignore", invalid="ignore"):
-        s = prof.entries
-        _, _, took = solver._log_newton(start, solver._matvec(s, start), z, s)
+        sm = solver._matvec(prof.entries, None, start)
+        _, _, took = solver._log_newton(start, sm, z, prof, None)
         m, residual, iterations = solver._solve_points(
             prof, z, SolverOptions().tol, start
         )
@@ -302,7 +302,8 @@ def test_gcr_solves_each_row_against_the_dense_jacobian():
     assert not bad.any()
 
     def apply_j(v, rows):
-        jv = (g[rows] - 1.0) * v + m[rows] * solver._matvec(prof.entries, m[rows] * v)
+        sv = solver._matvec(prof.entries, prof.column_runs, m[rows] * v)
+        jv = (g[rows] - 1.0) * v + m[rows] * sv
         jv[rows == 5] = 0.0  # row 5 breaks down: its first image vanishes
         return jv
 
@@ -700,10 +701,43 @@ def test_dense_path_product_is_one_real_gemm():
     assert not solver._krylov(prof)
     rng = np.random.default_rng(3)
     m = rng.standard_normal((5, prof.dim)) + 1j * rng.uniform(0.1, 2.0, (5, prof.dim))
-    got = solver._matvec(prof.entries, m)
+    got = solver._matvec(prof.entries, None, m)
     for row, want in zip(got, m @ prof.entries):
         assert np.max(np.abs(row - want)) <= 1e-15 * np.max(np.abs(want))
-    pure = solver._matvec(prof.entries, 1j * m.imag)
+    pure = solver._matvec(prof.entries, None, 1j * m.imag)
+    assert (pure.real == 0.0).all()
+
+
+@pytest.mark.parametrize(
+    "pattern",
+    [
+        staircase_entries(3),
+        staircase_entries(4),
+        np.ones((3, 3)),
+        staircase_entries(3)[::-1, ::-1],
+        [[1, 0, 1, 0], [0, 0, 0, 0], [1, 0, 1, 0], [0, 0, 0, 0]],
+        [[1, 1, 1], [1, 1, 1], [1, 1, 0]],
+    ],
+)
+def test_krylov_path_product_skips_the_zero_blocks(pattern):
+    # the product by column runs is m @ S up to summation order, never reads
+    # S outside the runs' extents, and keeps a purely imaginary m's real
+    # part at 0.0
+    n, inner = len(pattern), 24
+    prof = VarianceProfile(block_pattern_entries(pattern, inner, seed=4),
+                           block_meta=(n, inner))
+    s, runs = prof.entries, prof.column_runs
+    rng = np.random.default_rng(6)
+    m = rng.standard_normal((5, prof.dim)) + 1j * rng.uniform(0.1, 2.0, (5, prof.dim))
+    got = solver._matvec(s, runs, m)
+    for row, want in zip(got, m @ s):
+        assert np.max(np.abs(row - want)) <= 1e-15 * np.max(np.abs(want))
+    poisoned = np.full_like(s, np.nan)
+    for a, b, lo, hi in runs:
+        poisoned[lo:hi, a:b] = s[lo:hi, a:b]
+    assert (np.isnan(poisoned) <= (s == 0.0)).all()
+    assert (solver._matvec(poisoned, runs, m) == got).all()
+    pure = solver._matvec(s, runs, 1j * m.imag)
     assert (pure.real == 0.0).all()
 
 
