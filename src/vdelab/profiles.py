@@ -491,8 +491,8 @@ def block_column_runs(entries: np.ndarray, n: int) -> tuple[tuple[int, ...], ...
     x S[:, a:b] = x[:, lo:hi] S[lo:hi, a:b].  Zero blocks inside an extent
     stay in it; columns whose blocks are all 0 get the empty extent 0:0.
     Block uniformity makes one entry per block enough to read the pattern.
-    The n-block staircase gives n runs, column block k spanning row blocks
-    0 .. n-1-k.
+    The expanded staircase_profile(n) gives n runs, column block k spanning
+    row blocks 0 .. n-1-k.
     """
     inner = len(entries) // n
     runs: list[tuple[int, ...]] = []

@@ -106,12 +106,12 @@ _MAX_ITER = 10**6
 _MAX_BACKTRACK = 30
 _LOG_STEP_CAP = 20.0
 # Block profiles from this dim up take the Krylov step.  It was set where
-# the two paths tied one radius at a time.  On whole 33-point noisy rays
-# with decade batches and GCR (n = 3, noise 0.5, r = 1e-1 .. 1e-5, one
-# BLAS thread, best of 30) dim 96 takes 0.022 s dense against 0.024-0.026 s
-# Krylov, and the Krylov path wins at 120 and 144: 0.025-0.026 s against
-# 0.043-0.047 s dense.  It stays at 144, so reports of dims 120-143 keep
-# their digits.
+# the two paths tied one radius at a time.  With products by column runs,
+# on the 33-point noisy rays pi/2 and 0.3 pi together (n = 3, noise 0.5,
+# seed N, r = 1e-1 .. 1e-5, one BLAS thread, best of 15, five runs) dim 96
+# takes 41-45 ms dense against 44-47 ms Krylov, and the Krylov path wins
+# at 120 (47-51 ms against 57-86 ms) and 144 (46-48 ms against 77-86 ms).
+# It stays at 144, so reports of dims 120-143 keep their digits.
 _KRYLOV_MIN_DIM = 144
 # block_ray's rays need at most 9 iterations, and n = 4 rays at noise 0.9
 # at most 11; a row past the cap takes the dense LU
