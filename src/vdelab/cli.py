@@ -237,7 +237,6 @@ def _cmd_density(config: RunConfig, profile) -> list[str]:
 
 
 def _cmd_mc(config: RunConfig, profile) -> list[str]:
-    from .density import DEFAULT_ETA_SCHEDULE
     from .montecarlo import EnsembleSpec, empirical_near_zero
 
     inner = _single_inner(config, DEFAULT_MC_INNER)
@@ -247,11 +246,7 @@ def _cmd_mc(config: RunConfig, profile) -> list[str]:
         trials=config.trials,
         seed=config.seed,
     )
-    result = empirical_near_zero(
-        spec,
-        config.delta,
-        eta_schedule=config.eta_schedule or DEFAULT_ETA_SCHEDULE,
-    )
+    result = empirical_near_zero(spec, config.delta)
     lines = [
         f"# inner_N {inner}",
         f"# trials {config.trials}",
@@ -259,6 +254,7 @@ def _cmd_mc(config: RunConfig, profile) -> list[str]:
         f"# fraction {_fmt(result.fraction)}",
         f"# stderr {_fmt(result.stderr)}",
         f"# prediction {_fmt(result.prediction)}",
+        f"# prediction_error {_fmt(result.prediction_error)}",
         f"# relative_error {_fmt(abs(result.fraction - result.prediction) / result.prediction)}",
         "# columns: trial fraction",
     ]
@@ -404,7 +400,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--eta-schedule",
         type=_float_list,
-        help="comma-separated descending eta values, the last three geometric",
+        help="comma-separated descending density eta values, the last three geometric",
     )
     parser.add_argument(
         "--egrid",

@@ -9,7 +9,7 @@ once; when the increments grow instead of shrinking, or a positive
 descent extrapolates below minus its last value, the point is flagged
 divergent and the last raw value is reported.
 rho_at_detailed descends one energy; _descend descends many in batched
-chunks, for rho_grid's mesh and montecarlo's near-zero prediction.
+chunks, for rho_grid's mesh.
 The staircase profiles this package targets have an integrable power-law
 divergence at E = 0, characterized by a log-log window fit rather than a
 pointwise value.

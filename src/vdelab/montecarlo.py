@@ -12,15 +12,16 @@ normals in bounded batches of rows.  sample_matrix mirrors the rows into
 one zeroed matrix; the near-zero count writes them straight into the
 blocks it factorizes and holds no d x d matrix.
 
-The eigenvalue count near zero is compared against the integrated
-power-law divergence of the density module, and resolvent diagonals
-against the VDE components.  The count needs no eigenvalues: the
-staircase's zero blocks Z make H_ZZ exactly zero, so Haynsworth's inertia
-additivity gives the number of eigenvalues in [-delta, delta] from the
-inertia of two shifted complements of side |C| (d/2 for n = 2, 2d/3 for
-n = 3, d without zero blocks), each read from a blocked LDL^T
-factorization (Haynsworth, "Determination of the inertia of a
-partitioned Hermitian matrix", Linear Algebra Appl. 1968).
+The eigenvalue count near zero is compared against the density's mass
+of the same window, a quadrature of <m> on an arc of the upper
+half-plane, and resolvent diagonals against the VDE components.  The
+count needs no eigenvalues: the staircase's zero blocks Z make H_ZZ
+exactly zero, so Haynsworth's inertia additivity gives the number of
+eigenvalues in [-delta, delta] from the inertia of two shifted
+complements of side |C| (d/2 for n = 2, 2d/3 for n = 3, d without zero
+blocks), each read from a blocked LDL^T factorization (Haynsworth,
+"Determination of the inertia of a partitioned Hermitian matrix",
+Linear Algebra Appl. 1968).
 
 scipy (ndtri and LAPACK's sytrf/hetrf) is imported where it is called, so
 importing this module, or running any command but mc, loads no scipy.
@@ -38,16 +39,15 @@ from numpy.random import Philox
 
 # rho_at is not called here, but the benchmark's tracer test pins the
 # montecarlo.rho_at alias; it goes with ROADMAP item 7's benchmark change
-from .density import (
-    DEFAULT_ETA_SCHEDULE, _descend, _validate_schedule, rho_at, support_bound,
-)
+from .density import rho_at, support_bound
 from .profiles import (
     DIMENSION_CAP, StaircasePatternError, VarianceProfile,
     recover_staircase_permutation,
 )
-from .solver import AnomalyError, SolverOptions, SpectralPoint, solve
+from .solver import SolverOptions, SpectralPoint, _solve_points, _stack_rows, solve
 
 TRIALS_CAP = 10_000  # each trial is a draw and two LDL^T factorizations
+_DELTA_FLOOR = 1e-3  # smallest near-zero half-width
 
 REAL_SYMMETRIC = "real_symmetric"
 COMPLEX_HERMITIAN = "complex_hermitian"
@@ -383,54 +383,49 @@ def _diagonal(a: np.ndarray, start: int, stop: int) -> np.ndarray:
 
 
 def predicted_near_zero_mass(
-    profile: VarianceProfile, delta: float, eta_schedule=DEFAULT_ETA_SCHEDULE
-) -> float:
-    """Integral of rho over [-delta, delta] via its fitted power law.
+    profile: VarianceProfile, delta: float
+) -> tuple[float, float]:
+    """Integral of rho over [-delta, delta] by quadrature on an arc, and
+    its error estimate.
 
-    Fits rho ~ A |E|^s on (delta/100, delta) (positive side; the density
-    is symmetric) and integrates: 2 A delta^(1+s)/(1+s).  The 17
-    log-spaced energies of the fit go down the eta schedule in one
-    batched descent (density._descend), each value rho_at's bit for bit
-    in a fraction of the time of 17 rho_at calls.  The staircase
-    exponent -(n-1)/(n+1) stays above -1, so the integral is finite; a
-    fitted s <= -1 would contradict that and raises AnomalyError.
+    <m> is analytic in the upper half-plane (Ajanki, Erdos & Kruger,
+    Mem. AMS 2019), so the mass of [-delta, delta], an atom at 0
+    included, is -(1/pi) Re of the integral of <m(z)> z over theta in
+    (0, pi) with z = delta e^{i theta}; the reflection
+    m(-conj z) = -conj m(z) halves it to -(2/pi) Re over (0, pi/2).
+    Gauss-Legendre rules of 16 and 32 nodes in theta converge
+    exponentially: the mass is the 32-node sum and the error estimate its
+    distance from the 16-node one.  All 48 nodes start cold and are
+    solved at SolverOptions().tol in chunks of _stack_rows(profile) rows.
 
-    Raises ValueError unless delta > 0, for a schedule rho_at rejects,
-    and for a delta below 1000 times the schedule's smallest eta, where
-    the fit window reaches energies the eta extrapolation cannot resolve
-    and the fitted law comes out wrong, or for a delta that is not finite
-    or exceeds support_bound(profile), where the window leaves the spectrum.
+    Raises ValueError unless delta > 0, for a delta below the floor 1e-3,
+    the smallest at which the near-zero count is checked against
+    eigvalsh, or for a delta that is not finite or exceeds
+    support_bound(profile), where the arc leaves the spectrum.
     empirical_near_zero and the mc command rely on this check of delta.
     """
     if not delta > 0:
         raise ValueError(f"delta must be positive, got {delta}")
-    etas = _validate_schedule(eta_schedule)
-    floor = 1000.0 * etas[-1]
-    if delta < floor:
-        raise ValueError(
-            f"delta {delta:.3g} below the resolvable floor {floor:.3g} "
-            "(1000 times the smallest eta of the schedule)"
-        )
+    if delta < _DELTA_FLOOR:
+        raise ValueError(f"delta {delta:.3g} below the floor {_DELTA_FLOOR:.3g}")
     bound = support_bound(profile)
     if not delta <= bound:
         raise ValueError(
             f"delta {delta:.3g} must be finite and at most the support bound "
             f"{bound:.3g} (2 sqrt(max row sum) + 0.5)"
         )
-    energies = np.geomspace(delta / 100.0, delta, 17)
-    # rho_at's max(value, 0.0) is left out: a value it would lift raises here
-    vals, _, _ = _descend(profile, energies, etas)
-    if (vals <= 0).any():
-        raise ValueError(
-            "density vanishes inside the fit window; no power law to integrate"
-        )
-    s, log_a = np.polyfit(np.log(energies), np.log(vals), 1)
-    if s <= -1.0:
-        raise AnomalyError(
-            f"fitted near-zero exponent {s:.4f} <= -1 is non-integrable, "
-            "contradicting the staircase divergence law"
-        )
-    return float(2.0 * math.exp(log_a) * delta ** (1.0 + s) / (1.0 + s))
+    (x16, w16), (x32, w32) = (np.polynomial.legendre.leggauss(k) for k in (16, 32))
+    z = delta * np.exp(0.25j * math.pi * (np.concatenate([x16, x32]) + 1.0))
+    tol, size = SolverOptions().tol, _stack_rows(profile)
+    mean_m = np.concatenate([
+        _solve_points(profile, z[i:i + size], tol, None)[0].mean(axis=1)
+        for i in range(0, len(z), size)
+    ])
+    # theta = (pi/4)(x + 1), so dtheta = (pi/4) dx and -(2/pi)(pi/4) = -1/2
+    terms = -0.5 * mean_m * z
+    coarse = float((w16 * terms[:16]).sum().real)
+    fine = float((w32 * terms[16:]).sum().real)
+    return fine, abs(coarse - fine)
 
 
 @dataclass(frozen=True)
@@ -440,26 +435,24 @@ class NearZeroResult:
     fraction: float
     stderr: float
     prediction: float
+    prediction_error: float
     per_trial: np.ndarray
 
 
-def empirical_near_zero(
-    spec: EnsembleSpec,
-    delta: float,
-    eta_schedule=DEFAULT_ETA_SCHEDULE,
-) -> NearZeroResult:
+def empirical_near_zero(spec: EnsembleSpec, delta: float) -> NearZeroResult:
     """Average fraction of eigenvalues in [-delta, delta] across trials.
 
     Each trial's eigenvalues in the window are counted by _near_zero_count.
     The standard error uses the ddof=1 sample deviation over trials (nan
-    for a single trial).  The companion prediction integrates the fitted
-    power law of the self-consistent density (predicted_near_zero_mass,
-    which also validates delta).
+    for a single trial).  The companion prediction is the self-consistent
+    density's mass of the window with its quadrature error estimate
+    (predicted_near_zero_mass, which also validates delta), an atom at 0
+    included.
     """
     d = spec.dimension
-    # predict first, so a delta the density cannot resolve fails before
-    # any matrix is sampled
-    prediction = predicted_near_zero_mass(spec.small_profile, delta, eta_schedule)
+    # predict first, so a delta out of range fails before any matrix is
+    # sampled
+    prediction, error = predicted_near_zero_mass(spec.small_profile, delta)
     fractions = np.empty(spec.trials)
     for trial in range(spec.trials):
         fractions[trial] = _near_zero_count(spec, trial, delta) / d
@@ -472,6 +465,7 @@ def empirical_near_zero(
         fraction=float(fractions.mean()),
         stderr=stderr,
         prediction=prediction,
+        prediction_error=error,
         per_trial=fractions,
     )
 

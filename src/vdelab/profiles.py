@@ -112,11 +112,29 @@ class VarianceProfile:
 
     @cached_property
     def column_runs(self) -> tuple[tuple[int, ...], ...] | None:
-        """Column runs (a, b, lo, hi) of the outer blocks, None without block
-        metadata: see block_column_runs."""
+        """Column runs of the outer blocks, None without block metadata.
+
+        Each run (a, b, lo, hi) covers the adjacent columns a:b whose outer
+        blocks share one row extent lo:hi, from the first nonzero row block
+        to the last, so every entry of those columns outside lo:hi is 0 and
+        x S[:, a:b] = x[:, lo:hi] S[lo:hi, a:b].  Zero blocks inside an
+        extent stay in it; columns whose blocks are all 0 get the empty
+        extent 0:0.  Block uniformity makes one entry per block enough to
+        read the pattern.  The expanded staircase_profile(n) gives n runs,
+        column block k spanning row blocks 0 .. n-1-k.
+        """
         if self.block_meta is None:
             return None
-        return block_column_runs(self.entries, self.block_meta[0])
+        inner = self.block_meta[1]
+        runs: list[tuple[int, ...]] = []
+        for k, column in enumerate(self.entries[::inner, ::inner].T != 0):
+            rows = np.flatnonzero(column) * inner
+            lo, hi = (int(rows[0]), int(rows[-1]) + inner) if rows.size else (0, 0)
+            if runs and runs[-1][2:] == (lo, hi):
+                runs[-1] = (runs[-1][0], (k + 1) * inner, lo, hi)
+            else:
+                runs.append((k * inner, (k + 1) * inner, lo, hi))
+        return tuple(runs)
 
     def permuted(self, perm) -> "VarianceProfile":
         """Profile with entries s[perm[i], perm[j]] (0-based permutation)."""
@@ -480,30 +498,6 @@ def classify_regime(profile: VarianceProfile) -> StructureReport:
         block_partition=partition,
         irreducibility=irr,
     )
-
-
-def block_column_runs(entries: np.ndarray, n: int) -> tuple[tuple[int, ...], ...]:
-    """Column runs of a block-uniform matrix of n x n outer blocks.
-
-    Each run (a, b, lo, hi) covers the adjacent columns a:b whose outer
-    blocks share one row extent lo:hi, from the first nonzero row block to
-    the last, so every entry of those columns outside lo:hi is 0 and
-    x S[:, a:b] = x[:, lo:hi] S[lo:hi, a:b].  Zero blocks inside an extent
-    stay in it; columns whose blocks are all 0 get the empty extent 0:0.
-    Block uniformity makes one entry per block enough to read the pattern.
-    The expanded staircase_profile(n) gives n runs, column block k spanning
-    row blocks 0 .. n-1-k.
-    """
-    inner = len(entries) // n
-    runs: list[tuple[int, ...]] = []
-    for k, column in enumerate(entries[::inner, ::inner].T != 0):
-        rows = np.flatnonzero(column) * inner
-        lo, hi = (int(rows[0]), int(rows[-1]) + inner) if rows.size else (0, 0)
-        if runs and runs[-1][2:] == (lo, hi):
-            runs[-1] = (runs[-1][0], (k + 1) * inner, lo, hi)
-        else:
-            runs.append((k * inner, (k + 1) * inner, lo, hi))
-    return tuple(runs)
 
 
 def expand_profile(

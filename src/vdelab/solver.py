@@ -97,7 +97,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .profiles import VarianceProfile, block_column_runs
+from .profiles import VarianceProfile
 
 RADIUS_FLOOR = 1e-8
 
@@ -217,23 +217,24 @@ def _symmetric_norm2(a: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(a)[..., -1]
 
 
-def _perron_root(s: np.ndarray, a: np.ndarray, n: int) -> float:
+def _perron_root(profile: VarianceProfile, a: np.ndarray) -> float:
     """Certified ||F||_2 of F = diag(a) S diag(a), or NaN.
 
-    s is the real non-negative S of a block profile with n outer blocks and
-    a = |m| > 0, so ||F||_2 is the Perron root of F.  Block subspace
-    iteration from the n columns a * U, U the block indicator, with a thin
-    QR and a Rayleigh-Ritz step each time; F is applied as a * (S (a * X)),
-    S by the column runs of its block pattern (block_column_runs), and
-    never built.  The top Ritz vector x, once x > 0 or x < 0, brackets
-    the root between theta = x^T F x / x^T x and c = max_k (Fx)_k / x_k,
-    both unchanged by x -> -x.  The root is theta once
-    c - theta <= _PERRON_RTOL * theta and c < 1, and NaN when the bounds
-    meet at c >= 1 or have not met within _PERRON_MAX_STEPS steps.
+    S is the real non-negative entries of a block profile with n outer
+    blocks and a = |m| > 0, so ||F||_2 is the Perron root of F.  Block
+    subspace iteration from the n columns a * U, U the block indicator,
+    with a thin QR and a Rayleigh-Ritz step each time; F is applied as
+    a * (S (a * X)), S by the profile's cached column runs
+    (VarianceProfile.column_runs), and never built.  The top Ritz vector
+    x, once x > 0 or x < 0, brackets the root between
+    theta = x^T F x / x^T x and c = max_k (Fx)_k / x_k, both unchanged by
+    x -> -x.  The root is theta once c - theta <= _PERRON_RTOL * theta
+    and c < 1, and NaN when the bounds meet at c >= 1 or have not met
+    within _PERRON_MAX_STEPS steps.
     """
     # the iterates are the rows of x: X^T S is (S X)^T for the symmetric S
     # and runs faster than S X with so few columns
-    runs = block_column_runs(s, n)
+    s, runs, n = profile.entries, profile.column_runs, profile.block_meta[0]
     x = (np.eye(n)[:, :, None] * a.reshape(1, n, -1)).reshape(n, -1)
     for _ in range(_PERRON_MAX_STEPS):
         q = np.linalg.qr(x.T)[0].T
@@ -254,8 +255,7 @@ def _f_norms(m: np.ndarray, profile: VarianceProfile) -> np.ndarray:
     _perron_root, with the eigensolve for the rows it does not certify."""
     if not _krylov(profile):
         return _symmetric_norm2(stability_matrix(m, profile))
-    n = profile.block_meta[0]
-    out = np.array([_perron_root(profile.entries, a, n) for a in np.abs(m)])
+    out = np.array([_perron_root(profile, a) for a in np.abs(m)])
     rest = np.isnan(out)
     if rest.any():
         out[rest] = _symmetric_norm2(stability_matrix(m[rest], profile))
@@ -280,9 +280,9 @@ def _stack_rows(profile: VarianceProfile) -> int:
 def _product(x: np.ndarray, s: np.ndarray, runs) -> np.ndarray:
     """x S for the real stack x and the real S: one GEMM when runs is
     None, else one GEMM per column run (a, b, lo, hi) of S
-    (block_column_runs), x[:, lo:hi] S[lo:hi, a:b] into the columns a:b,
-    so the zero blocks outside each run's row extent are never read.  An
-    empty extent gives exact zeros.
+    (VarianceProfile.column_runs), x[:, lo:hi] S[lo:hi, a:b] into the
+    columns a:b, so the zero blocks outside each run's row extent are
+    never read.  An empty extent gives exact zeros.
     """
     if runs is None:
         return x @ s

@@ -174,7 +174,7 @@ def test_mc_command(tmp_path):
     lines = read_report(out)
     headers = {line.split()[1] for line in lines if line.startswith("#")}
     assert {"inner_N", "trials", "delta", "fraction", "stderr",
-            "prediction", "relative_error"} <= headers
+            "prediction", "prediction_error", "relative_error"} <= headers
     data = [line for line in lines if not line.startswith("#")]
     assert len(data) == 2  # one row per trial
 

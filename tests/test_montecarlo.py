@@ -22,17 +22,16 @@ from vdelab import (
     predicted_near_zero_mass,
     random_staircase_profile,
     recover_staircase_permutation,
-    rho_at,
     sample_matrix,
     sample_spectrum,
     staircase_profile,
+    support_bound,
 )
 from vdelab import montecarlo
 from vdelab.montecarlo import TRIALS_CAP, _near_zero_count, _negatives, _zero_blocks
 
-# semicircle mass of [-1, 1] and of [-0.5, 0.5]
+# semicircle mass of [-1, 1]
 MASS_1 = 0.6089977810442294
-MASS_HALF = 0.31496235752570745
 
 
 def spec_for(n=1, inner=8, symmetry="real_symmetric", trials=1, seed=0):
@@ -493,40 +492,55 @@ def test_sample_spectrum_sorted():
 
 
 def test_semicircle_bulk_fraction():
-    # closed-form check of the whole sampling chain; the fitted power law
-    # behind the prediction is only a rough model of the semicircle here
+    # closed-form check of the whole sampling chain
     spec = spec_for(inner=300, trials=4)
     result = empirical_near_zero(spec, 1.0)
-    assert isinstance(result.prediction, float) and result.prediction > 0.0
+    assert isinstance(result.prediction, float)
+    assert abs(result.prediction / MASS_1 - 1.0) < 1e-14
     assert abs(result.fraction - MASS_1) < 0.02
     assert result.per_trial.shape == (4,)
     assert result.stderr > 0.0
 
 
 def test_predicted_mass_matches_semicircle():
-    got = predicted_near_zero_mass(staircase_profile(1), 0.5)
-    assert abs(got / MASS_HALF - 1.0) < 0.02
+    prof = staircase_profile(1)
+    for delta in (1e-3, 0.1, 0.5, 1.0, 1.5):
+        got, err = predicted_near_zero_mass(prof, delta)
+        assert abs(got / semicircle_mass(delta) - 1.0) < 1e-14, delta
+        assert err < 1e-13, delta
+    # at the band edge rho has a square-root zero, so the arc rules
+    # converge slower, and the reported error must cover the miss
+    got, err = predicted_near_zero_mass(prof, 2.0)
+    assert abs(got - semicircle_mass(2.0)) <= err
 
 
-def test_predicted_mass_is_the_fit_of_seventeen_rho_at_values():
-    # one batched descent gives rho_at's values bit for bit, so the fitted
-    # power law and its integral do not move
-    profiles = [staircase_profile(n) for n in range(2, 7)]
+def test_predicted_mass_of_the_whole_spectrum_is_one():
+    # the arc of radius support_bound encloses the whole spectrum
+    profiles = [staircase_profile(n) for n in (1, 2, 3, 6)]
     profiles += [
         random_staircase_profile(5, 3),
         expand_profile(staircase_profile(3), 8, noise=0.5, seed=1),
     ]
     for profile in profiles:
-        for delta in (0.1, 0.01):
-            energies = np.geomspace(delta / 100.0, delta, 17)
-            vals = np.array([rho_at(profile, float(e)) for e in energies])
-            s, log_a = np.polyfit(np.log(energies), np.log(vals), 1)
-            want = float(2.0 * math.exp(log_a) * delta ** (1.0 + s) / (1.0 + s))
-            assert predicted_near_zero_mass(profile, delta) == want, (profile.dim, delta)
+        got, err = predicted_near_zero_mass(profile, support_bound(profile))
+        assert abs(1.0 - got) <= err + 1e-14, profile.dim
+
+
+def test_predicted_mass_of_a_rank_deficient_profile_is_its_atom():
+    # the two zero rows of this profile cap the rank of a draw at 2N of 3N,
+    # so a third of the spectrum sits exactly at 0, the atom of rho
+    prof = VarianceProfile(np.array([[1.0, 1.0, 1.0], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]]))
+    for delta in (1e-3, 1e-2, 0.1):
+        got, err = predicted_near_zero_mass(prof, delta)
+        assert abs(got - 1.0 / 3.0) < 1e-12 and err < 1e-12, delta
+    result = empirical_near_zero(EnsembleSpec(prof, 16, trials=2), 0.1)
+    assert abs(result.prediction - 1.0 / 3.0) < 1e-12
+    assert result.fraction == 1.0 / 3.0
+    assert (result.per_trial == 1.0 / 3.0).all()
 
 
 def test_predicted_mass_divergent_profile_is_finite():
-    got = predicted_near_zero_mass(staircase_profile(2), 0.1)
+    got, _ = predicted_near_zero_mass(staircase_profile(2), 0.1)
     assert 0.0 < got < 1.0
 
 
@@ -543,16 +557,13 @@ def test_delta_edge_cases():
 
 
 def test_delta_below_schedule_floor_rejected():
-    # 1000 times the default schedule's smallest eta, 1e-6
     prof = staircase_profile(2)
     for delta in (1e-300, 1e-6, 9.9e-4):
         with pytest.raises(ValueError, match="floor 0.001"):
             predicted_near_zero_mass(prof, delta)
-    with pytest.raises(ValueError, match="floor 0.01"):
-        predicted_near_zero_mass(prof, 1e-3, eta_schedule=(1e-1, 1e-3, 1e-5))
     with pytest.raises(ValueError, match="floor"):
         empirical_near_zero(spec_for(n=2, inner=4), 1e-300)
-    assert predicted_near_zero_mass(prof, 1e-3) > 0.0
+    assert predicted_near_zero_mass(prof, 1e-3)[0] > 0.0
 
 
 def test_delta_beyond_support_rejected():
@@ -583,16 +594,6 @@ def test_dimension_cap():
     finally:
         tracemalloc.stop()
     assert peak < 2**20
-
-
-def test_prediction_validates_the_schedule():
-    # the delta floor reads the schedule's smallest eta, so a schedule
-    # rho_at would reject is reported as such, not as a floor violation
-    prof = staircase_profile(2)
-    with pytest.raises(ValueError, match="at least 3"):
-        predicted_near_zero_mass(prof, 1.0, eta_schedule=(1.0, 0.5))
-    with pytest.raises(ValueError, match="positive and finite"):
-        predicted_near_zero_mass(prof, 20.0, eta_schedule=(math.inf, 1.0, 0.1, 0.01))
 
 
 def test_uniform_floor_keeps_normals_finite():

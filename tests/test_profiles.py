@@ -669,7 +669,6 @@ def test_column_runs_of_block_profiles(pattern, runs):
     prof = VarianceProfile(block_pattern_entries(pattern, inner, seed=1),
                            block_meta=(n, inner))
     assert prof.column_runs == want
-    assert profiles.block_column_runs(prof.entries, n) == want
 
 
 def test_column_runs_of_expanded_staircases():

@@ -470,9 +470,9 @@ def _record_perron(monkeypatch) -> list[int]:
     calls = []
     root = solver._perron_root
 
-    def recorded(s, a, n):
+    def recorded(profile, a):
         calls.append(1)
-        return root(s, a, n)
+        return root(profile, a)
 
     monkeypatch.setattr(solver, "_perron_root", recorded)
     return calls
@@ -560,7 +560,7 @@ def test_f_norm_at_least_one_is_not_certified(monkeypatch):
     assert sol.f_norm > 0.99
     m = 1.01 * sol.m  # F grows by 1.0201, so ||F||_2 > 1
     assert np.linalg.norm(stability_matrix(m, prof), 2) > 1.0
-    assert math.isnan(solver._perron_root(prof.entries, np.abs(m), n))
+    assert math.isnan(solver._perron_root(prof, np.abs(m)))
     eigensolves = _record_eigensolves(monkeypatch)
     with pytest.raises(SolverError, match="saturation matrix norm"):
         # a tolerance this loose accepts the start, so only f_norm can fail it
