@@ -87,8 +87,6 @@ _EXPORTS = {
     "empirical_near_zero": "montecarlo",
     "predicted_near_zero_mass": "montecarlo",
     "NearZeroResult": "montecarlo",
-    "entrywise_law_check": "montecarlo",
-    "EntrywiseResult": "montecarlo",
     "REAL_SYMMETRIC": "montecarlo",
     "COMPLEX_HERMITIAN": "montecarlo",
     # cli

@@ -18,7 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .profiles import ProfileError, VarianceProfile, check_assumption_staircase, expand_profile
+from .profiles import (
+    ProfileError, VarianceProfile, _sizes, check_assumption_staircase, expand_profile,
+)
 from .solver import AnomalyError, SolverOptions, VdeSolution, solve_path
 
 CONDITION_LIMIT = 1e8
@@ -344,9 +346,10 @@ def uniform_bound_sweep(
     every component) should stay bounded by an N-independent constant; the
     per-row phase deviation column measures arg(m_l z^{-e}) against
     pi ceil(l/N)/(n+1).  Without opts each ray takes solve_path's default
-    tolerance.
+    tolerance.  Raises ProfileError for an inner size that is a bool or
+    not an integer.
     """
-    inner_list = [int(v) for v in inner_list]
+    inner_list = _sizes(inner_list, "inner")
     if not inner_list:
         raise ValueError("need at least one inner block size")
     radii = [float(r) for r in radii]

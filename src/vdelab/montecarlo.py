@@ -14,14 +14,13 @@ blocks it factorizes and holds no d x d matrix.
 
 The eigenvalue count near zero is compared against the density's mass
 of the same window, a quadrature of <m> on an arc of the upper
-half-plane, and resolvent diagonals against the VDE components.  The
-count needs no eigenvalues: the staircase's zero blocks Z make H_ZZ
-exactly zero, so Haynsworth's inertia additivity gives the number of
-eigenvalues in [-delta, delta] from the inertia of two shifted
-complements of side |C| (d/2 for n = 2, 2d/3 for n = 3, d without zero
-blocks), each read from a blocked LDL^T factorization (Haynsworth,
-"Determination of the inertia of a partitioned Hermitian matrix",
-Linear Algebra Appl. 1968).
+half-plane.  The count needs no eigenvalues: the staircase's zero
+blocks Z make H_ZZ exactly zero, so Haynsworth's inertia additivity
+gives the number of eigenvalues in [-delta, delta] from the inertia of
+two shifted complements of side |C| (d/2 for n = 2, 2d/3 for n = 3, d
+without zero blocks), each read from a blocked LDL^T factorization
+(Haynsworth, "Determination of the inertia of a partitioned Hermitian
+matrix", Linear Algebra Appl. 1968).
 
 scipy (ndtri and LAPACK's sytrf/hetrf) is imported where it is called, so
 importing this module, or running any command but mc, loads no scipy.
@@ -37,14 +36,15 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import Philox
 
-# rho_at is not called here, but the benchmark's tracer test pins the
-# montecarlo.rho_at alias; it goes with ROADMAP item 7's benchmark change
+# rho_at and solve are not called here, but the benchmark's tracer test
+# pins the montecarlo.rho_at and montecarlo.solve aliases; they go with
+# ROADMAP item 7's benchmark change
 from .density import rho_at, support_bound
 from .profiles import (
     DIMENSION_CAP, StaircasePatternError, VarianceProfile,
     recover_staircase_permutation,
 )
-from .solver import SolverOptions, SpectralPoint, _solve_points, _stack_rows, solve
+from .solver import SolverOptions, _solve_points, _stack_rows, solve
 
 TRIALS_CAP = 10_000  # each trial is a draw and two LDL^T factorizations
 _DELTA_FLOOR = 1e-3  # smallest near-zero half-width
@@ -235,10 +235,11 @@ def entry_value(spec: EnsembleSpec, trial: int, a: int, b: int) -> complex:
     Bit-identical to sample_matrix(spec, trial)[a, b] without generating
     the rest of the matrix: the last entry of row min(a, b) drawn up to
     max(a, b), conjugated below the diagonal, so it costs |a - b| + 1
-    entries.  a and b may be any integers, numpy's included.
+    entries.  a and b may be any integers, numpy's included; a bool or a
+    non-integer raises ValueError, since numpy reads a bool index as a mask.
     """
     d = spec.dimension
-    a, b = operator.index(a), operator.index(b)
+    a, b = _integer(a, "a"), _integer(b, "b")
     if not (0 <= a < d and 0 <= b < d):
         raise ValueError(f"entry ({a},{b}) outside a {d}x{d} matrix")
     lo, hi = min(a, b), max(a, b)
@@ -467,57 +468,4 @@ def empirical_near_zero(spec: EnsembleSpec, delta: float) -> NearZeroResult:
         prediction=prediction,
         prediction_error=error,
         per_trial=fractions,
-    )
-
-
-@dataclass(frozen=True)
-class EntrywiseResult:
-    """Pooled deviation of resolvent diagonals from the VDE components.
-
-    c_measured = median * sqrt(N * eta) records the concentration scale;
-    it is reported, not asserted, since the approximation carries no
-    explicit error bound here.
-    """
-
-    max_deviation: float
-    median_deviation: float
-    c_measured: float
-    eta: float
-
-
-def entrywise_law_check(
-    spec: EnsembleSpec,
-    point: SpectralPoint,
-    opts: SolverOptions | None = None,
-) -> EntrywiseResult:
-    """Compare G_ll(z) of sampled matrices against the block's m_k(z).
-
-    Computes resolvent diagonals by full eigendecomposition,
-    G_ll = sum_v |V_lv|^2/(w_v - z), pooled over trials.  Requires
-    eta >= max(0.1, dimension^(-1/3)): below that the resolvent no longer
-    concentrates around the deterministic value and the comparison is
-    meaningless.
-
-    Library-only: the deviations carry no error bound to compare them
-    against, so no report could gate them, and no command prints them.
-    """
-    floor = max(0.1, spec.dimension ** (-1.0 / 3.0))
-    if point.im < floor:
-        raise ValueError(
-            f"eta {point.im} below the concentration floor {floor:.4g}"
-        )
-    m = solve(spec.small_profile, point, opts).m
-    target = np.repeat(m, spec.inner_N)
-    pooled = []
-    for trial in range(spec.trials):
-        w, v = np.linalg.eigh(sample_matrix(spec, trial))
-        diag = (np.abs(v) ** 2) @ (1.0 / (w - point.z))
-        pooled.append(np.abs(diag - target))
-    devs = np.concatenate(pooled)
-    med = float(np.median(devs))
-    return EntrywiseResult(
-        max_deviation=float(devs.max()),
-        median_deviation=med,
-        c_measured=med * math.sqrt(spec.inner_N * point.im),
-        eta=point.im,
     )

@@ -1,7 +1,8 @@
 """Independent reference implementations used to cross-check the package.
 
-Everything here is deliberately naive: exhaustive enumeration and closed
-forms only, no shared code with vdelab internals.
+Everything here is deliberately naive: exhaustive enumeration, closed
+forms and whole-matrix computations only, no shared code with vdelab
+internals.
 """
 
 from __future__ import annotations
@@ -134,3 +135,22 @@ def dense_sample_matrix(spec, trial: int) -> np.ndarray:
     h = np.triu(off, 1)
     h = h + h.conj().T
     return h + np.diag(np.sqrt(np.diag(var)) * np.diag(g0))
+
+
+def resolvent_diagonal_deviations(spec, z: complex, m) -> np.ndarray:
+    """|G_ll(z) - m_k(z)| over every diagonal entry l, in outer block k, of
+    each trial's matrix, pooled over the trials.
+
+    The matrices are dense_sample_matrix's, and G_ll = sum_v |V_lv|^2/(w_v - z)
+    comes from a full eigendecomposition.  Asserts Im z >= max(0.1, d^(-1/3)):
+    below that the resolvent no longer concentrates around m and the
+    deviations mean nothing.
+    """
+    floor = max(0.1, spec.dimension ** (-1.0 / 3.0))
+    assert z.imag >= floor, f"eta {z.imag} below the concentration floor {floor:.4g}"
+    target = np.repeat(m, spec.inner_N)
+    pooled = []
+    for trial in range(spec.trials):
+        w, v = np.linalg.eigh(dense_sample_matrix(spec, trial))
+        pooled.append(np.abs((np.abs(v) ** 2) @ (1.0 / (w - z)) - target))
+    return np.concatenate(pooled)

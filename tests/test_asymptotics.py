@@ -257,6 +257,19 @@ def test_sweep_requires_inner_sizes():
             staircase_profile(2), [2], noise=0.0, seed=0,
             ray_angle=math.pi / 2, radii=[],
         )
+    # int() would sweep N = 2 for 2.7 and N = 1 for True, a row for an
+    # inner size nobody asked for
+    for inner in ([2.7], [True], [2, np.bool_(True)]):
+        with pytest.raises(ProfileError, match="inner sizes must be integers"):
+            uniform_bound_sweep(
+                staircase_profile(2), inner, noise=0.0, seed=0,
+                ray_angle=math.pi / 2, radii=[1e-1, 1e-2],
+            )
+    result = uniform_bound_sweep(
+        staircase_profile(2), np.array([2, 3]), noise=0.0, seed=0,
+        ray_angle=math.pi / 2, radii=[1e-1, 1e-2],
+    )
+    assert [row.inner for row in result.rows] == [2, 3]
 
 
 def test_noise_zero_expansion_matches_small_solution():

@@ -28,9 +28,10 @@ HEADER_RE = re.compile(r"^# vdelab \d+\.\d+\.\d+$")
 CONFIG_RE = re.compile(r"^# config [0-9a-f]{64}$")
 
 
-def run_cli(args):
+def run_cli(args, timeout=None):
     return subprocess.run(
-        [sys.executable, "-m", "vdelab.cli", *args], capture_output=True, text=True
+        [sys.executable, "-m", "vdelab.cli", *args], capture_output=True, text=True,
+        timeout=timeout,
     )
 
 
@@ -47,15 +48,28 @@ def read_report(path):
     return lines
 
 
+def report_headers(lines):
+    """The report's "# key value" lines as a dict of key to value."""
+    return dict(line[2:].split(" ", 1) for line in lines if line.startswith("# "))
+
+
 def test_classify_command(tmp_path):
-    prof = write_profile(tmp_path, "p.json", STAIR2)
-    out = tmp_path / "report.txt"
-    proc = run_cli(["--command", "classify", "--profile", prof, "--out", str(out)])
-    assert proc.returncode == 0, proc.stderr
-    lines = read_report(out)
-    doc = json.loads("\n".join(lines[2:]))
-    assert doc["regime"] == "critical_staircase"
-    assert doc["staircase_permutation"] == [0, 1]
+    # the second profile is the 20x20 staircase with every free entry zero,
+    # as given: only its two anti-diagonals are positive, and it has the
+    # most maximal zero rectangles of any staircase measured; process start
+    # included, it must be classified within 30 s
+    s = np.add.outer(range(20), range(20))
+    sparse20 = json.dumps({"matrix": ((s == 18) | (s == 19)).astype(int).tolist()})
+    for text, dim in ((STAIR2, 2), (sparse20, 20)):
+        prof = write_profile(tmp_path, "p.json", text)
+        out = tmp_path / "report.txt"
+        proc = run_cli(["--command", "classify", "--profile", prof, "--out", str(out)],
+                       timeout=30)
+        assert proc.returncode == 0, proc.stderr
+        lines = read_report(out)
+        doc = json.loads("\n".join(lines[2:]))
+        assert doc["regime"] == "critical_staircase"
+        assert doc["staircase_permutation"] == list(range(dim))
 
 
 def test_solve_command_single_point(tmp_path):
@@ -193,6 +207,18 @@ def test_reduce_command_with_expansion(tmp_path):
     lines = read_report(out)
     assert lines[2].startswith("# residual")
     assert "# zero_pattern_matches True" in lines
+    # stair3 at N = 64 (dim 192) runs the Krylov path, GCR with its decade
+    # batches; at N = 256 (dim 768) the products by column runs round
+    # differently from one GEMM.  Both must reach a residual of at most
+    # 1e-12, 100 times the solver's tol, and an exact zero pattern
+    stair3 = write_profile(tmp_path, "stair3.json", STAIR3)
+    for inner in ("64", "256"):
+        proc = run_cli(["--command", "reduce", "--profile", stair3, "--out", str(out),
+                        "--N", inner, "--noise", "0.5", "--rmin", "1e-5"])
+        assert proc.returncode == 0, proc.stderr
+        head = report_headers(read_report(out))
+        assert float(head["residual"]) <= 1e-12, inner
+        assert head["zero_pattern_matches"] == "True", inner
 
 
 def test_reduce_command_block_profile(tmp_path):
@@ -254,6 +280,18 @@ def test_reruns_are_byte_identical(tmp_path):
     first = mc_out.read_bytes()
     assert run_cli(args).returncode == 0
     assert mc_out.read_bytes() == first
+
+    # mc on the 3x3 staircase, whose count factorizes the complement of its
+    # zero block: the reruns match, config digest included, and the arc
+    # quadrature's error estimate stays at most 1e-12
+    stair3 = write_profile(tmp_path, "stair3.json", STAIR3)
+    args = ["--command", "mc", "--profile", stair3, "--out", str(mc_out),
+            "--N", "16", "--trials", "2", "--seed", "7"]
+    assert run_cli(args).returncode == 0
+    first = mc_out.read_bytes()
+    assert run_cli(args).returncode == 0
+    assert mc_out.read_bytes() == first
+    assert float(report_headers(read_report(mc_out))["prediction_error"]) <= 1e-12
 
 
 def test_config_digest_tracks_arguments(tmp_path):

@@ -9,7 +9,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import dense_sample_matrix, semicircle_mass
+from oracles import dense_sample_matrix, resolvent_diagonal_deviations, semicircle_mass
 from vdelab import (
     COMPLEX_HERMITIAN,
     EnsembleSpec,
@@ -17,13 +17,13 @@ from vdelab import (
     VarianceProfile,
     empirical_near_zero,
     entry_value,
-    entrywise_law_check,
     expand_profile,
     predicted_near_zero_mass,
     random_staircase_profile,
     recover_staircase_permutation,
     sample_matrix,
     sample_spectrum,
+    solve,
     staircase_profile,
     support_bound,
 )
@@ -146,8 +146,12 @@ def test_entry_value_matches_bulk_sampling(monkeypatch):
                     assert np.complex128(got).tobytes() == want
     with pytest.raises(ValueError):
         entry_value(spec_for(), 0, 0, 99)
-    with pytest.raises(TypeError):
-        entry_value(spec_for(), 0, 1.0, 2)
+    # numpy reads a bool index as a mask, not as the integer 0 or 1
+    for a in (True, np.bool_(False), 1.0):
+        with pytest.raises(ValueError, match="integer"):
+            entry_value(spec_for(), 0, a, 2)
+    with pytest.raises(ValueError, match="integer"):
+        entry_value(spec_for(), 0, 2, True)
 
 
 def staircase(n, profile_seed, data):
@@ -578,8 +582,8 @@ def test_delta_beyond_support_rejected():
 
 
 def test_dimension_cap():
-    # the spec owns the cap, so sample_matrix, sample_spectrum, the
-    # near-zero count and the entrywise check never see a larger side
+    # the spec owns the cap, so sample_matrix, sample_spectrum and the
+    # near-zero count never see a larger side
     with pytest.raises(ValueError, match="cap"):
         spec_for(n=2, inner=2500)  # 5000 > 4000
     assert spec_for(n=2, inner=2000).dimension == 4000
@@ -606,17 +610,10 @@ def test_uniform_floor_keeps_normals_finite():
 
 
 def test_entrywise_law():
+    # the resolvent diagonals of the draws concentrate around the solver's m
     spec = spec_for(inner=200, trials=2)
-    res = entrywise_law_check(spec, SpectralPoint(re=0.0, im=1.0))
-    assert res.median_deviation < 0.05
-    assert res.max_deviation >= res.median_deviation
-    assert res.c_measured > 0.0
-    assert res.eta == 1.0
-    higher = entrywise_law_check(spec, SpectralPoint(re=0.0, im=2.0))
-    assert higher.median_deviation < 0.05
-
-
-def test_entrywise_law_eta_floor():
-    spec = spec_for(inner=200, trials=1)  # floor = max(0.1, 200^(-1/3))
-    with pytest.raises(ValueError, match="floor"):
-        entrywise_law_check(spec, SpectralPoint(re=0.0, im=0.15))
+    for eta in (1.0, 2.0):
+        m = solve(spec.small_profile, SpectralPoint(re=0.0, im=eta)).m
+        devs = resolvent_diagonal_deviations(spec, 1j * eta, m)
+        assert len(devs) == 400
+        assert np.median(devs) < 0.05
